@@ -37,6 +37,8 @@ from .errors import (
     CaseMismatch,
     CorrelationOutOfRange,
     DegenerateVariance,
+    InvalidCount,
+    NonFiniteParameter,
     NonPositiveArgument,
     NonPositiveSigma,
     NormProdError,

@@ -58,14 +58,6 @@ def _check_x(x: float) -> float:
     return x
 
 
-def log_bessel_k_half(twice_nu: int, x: float) -> float:
-    """log K_nu(x) for half-integer nu = twice_nu/2 >= 1/2, closed forms.
-
-    K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}; higher orders by the recurrence.
-    """
-    return log_bessel_k_sequence(BesselOrder(twice_nu), x)[-1]
-
-
 def log_bessel_k_sequence(max_order: BesselOrder, x: float) -> np.ndarray:
     """log K_nu(x) for nu stepping by 1 up to |max_order|.
 

@@ -64,7 +64,7 @@ def _mean_params(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json) -> MeanParam
         sigma_y = obj.get("sigma_y", sigma_y)
         rho = obj.get("rho", rho)
         n = obj.get("n", n)
-    return MeanParams(validate(mu_x, mu_y, sigma_x, sigma_y, rho), int(n))
+    return MeanParams(validate(mu_x, mu_y, sigma_x, sigma_y, rho), n)
 
 
 def _echo_params(mp: MeanParams) -> dict:
@@ -330,10 +330,9 @@ def moments_cmd(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, kmax,
 @_param_options
 @click.option("--which", type=click.Choice(sorted(_OPERATOR_BUILDERS)),
               required=True)
-@click.option("--print-coeffs", is_flag=True, default=True)
 @click.option("--json", "as_json", is_flag=True)
 def operator(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, which,
-             print_coeffs, as_json):
+             as_json):
     """Print a Stein operator's coefficient table."""
     started = time.perf_counter()
 

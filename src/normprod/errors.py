@@ -17,6 +17,14 @@ class CorrelationOutOfRange(ValidationError):
     """|rho| >= 1; the correlation must lie strictly inside (-1, 1)."""
 
 
+class NonFiniteParameter(ValidationError, ValueError):
+    """A mean, standard deviation or correlation was NaN or infinite."""
+
+
+class InvalidCount(ValidationError, ValueError):
+    """A copy, sample or batch count was not an integer >= 1."""
+
+
 class CaseMismatch(NormProdError):
     """Operation invoked outside its supported parameter case."""
 

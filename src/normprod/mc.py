@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .params import MeanParams
+from .params import MeanParams, positive_int
 from .stein import SteinOperatorSpec, TestFunction, apply
 
 
@@ -26,10 +26,10 @@ class SamplerConfig:
     batch: int = 1 << 17
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if not 1 <= self.batch <= max(self.count, 1):
-            object.__setattr__(self, "batch", min(self.batch, self.count))
+        count = positive_int("count", self.count)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "batch", min(positive_int("batch", self.batch),
+                                              count))
 
 
 @dataclass(frozen=True)

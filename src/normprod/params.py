@@ -10,9 +10,12 @@ so classification lives here next to the parameters.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import CorrelationOutOfRange, NonPositiveSigma
+from .errors import (CorrelationOutOfRange, InvalidCount, NonFiniteParameter,
+                     NonPositiveSigma)
 
 #: Default relative tolerance for detecting equal mean-to-sd ratios.
 #: The operator-order reduction is only valid at exact equality; this
@@ -24,8 +27,8 @@ RATIO_TOL = 1e-12
 class ProductNormalParams:
     """Parameters of Z = XY for bivariate normal (X, Y).
 
-    Requires sigma_x > 0, sigma_y > 0 and -1 < rho < 1 (strict: the
-    density divides by 1 - rho**2).
+    Requires finite values, sigma_x > 0, sigma_y > 0 and -1 < rho < 1
+    (strict: the density divides by 1 - rho**2).
     """
 
     mu_x: float
@@ -35,6 +38,11 @@ class ProductNormalParams:
     rho: float
 
     def __post_init__(self):
+        values = (self.mu_x, self.mu_y, self.sigma_x, self.sigma_y, self.rho)
+        if not all(math.isfinite(v) for v in values):
+            raise NonFiniteParameter(
+                f"(mu_x, mu_y, sigma_x, sigma_y, rho)={values}; all must be finite"
+            )
         if not (self.sigma_x > 0 and self.sigma_y > 0):
             raise NonPositiveSigma(
                 f"sigma_x={self.sigma_x}, sigma_y={self.sigma_y}; both must be > 0"
@@ -68,13 +76,21 @@ class MeanParams:
     n: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n={self.n}; must be an integer >= 1")
+        object.__setattr__(self, "n", positive_int("n", self.n))
 
     @property
     def s_n(self) -> float:
         """Scale sigma_x * sigma_y / n."""
         return self.base.s / self.n
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` as an int; raises InvalidCount unless it is an integer
+    >= 1 (numpy integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise InvalidCount(f"{name}={value!r}; must be an integer >= 1")
+    return int(value)
 
 
 class DistributionCase(enum.Enum):
@@ -88,7 +104,8 @@ def validate(mu_x: float, mu_y: float, sigma_x: float, sigma_y: float,
              rho: float) -> ProductNormalParams:
     """Validate five raw scalars into a parameter object.
 
-    Raises NonPositiveSigma or CorrelationOutOfRange on bad input.
+    Raises NonFiniteParameter, NonPositiveSigma or CorrelationOutOfRange
+    on bad input.
     """
     return ProductNormalParams(
         float(mu_x), float(mu_y), float(sigma_x), float(sigma_y), float(rho)

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .density import STENCILS
 from .errors import CaseMismatch
 from .params import DistributionCase, MeanParams, classify
 
@@ -146,16 +147,8 @@ def from_callable(fn: Callable, h: float = 1e-5) -> TestFunction:
     def ev(x):
         x = np.asarray(x, dtype=float)
         grid = np.stack([fn(x + k * h) for k in range(-3, 4)])
-        f = grid[3]
-        d1 = (-grid[0] + 9 * grid[1] - 45 * grid[2]
-              + 45 * grid[4] - 9 * grid[5] + grid[6]) / (60 * h)
-        d2 = (2 * grid[0] - 27 * grid[1] + 270 * grid[2] - 490 * grid[3]
-              + 270 * grid[4] - 27 * grid[5] + 2 * grid[6]) / (180 * h * h)
-        d3 = (-grid[0] + 8 * grid[1] - 13 * grid[2]
-              + 13 * grid[4] - 8 * grid[5] + grid[6]) / (8 * h ** 3)
-        d4 = (-grid[0] + 12 * grid[1] - 39 * grid[2] + 56 * grid[3]
-              - 39 * grid[4] + 12 * grid[5] - grid[6]) / (6 * h ** 4)
-        return (f, d1, d2, d3, d4)
+        return (grid[3], *(np.tensordot(weights, grid, 1) / h ** power
+                           for weights, power, _ in STENCILS.values()))
 
     return TestFunction(ev, getattr(fn, "__name__", "fd-wrapped"),
                         "derivative self-consistency is the caller's obligation")

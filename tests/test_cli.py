@@ -148,6 +148,23 @@ class TestExitCodes:
         result = runner.invoke(cli, ["moments", "--rho", "1.5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_is_2(self, runner, value):
+        result = runner.invoke(cli, ["moments", "--mu-x", value, "--json"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_zero_copy_count_is_2(self, runner):
+        result = runner.invoke(cli, ["moments", "--n", "0", "--json"])
+        assert result.exit_code == 2
+
+    def test_fractional_copy_count_in_params_json_is_2(self, runner, tmp_path):
+        # used to be truncated to n = 2 without a word
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"mu_x": 1, "n": 2.5}))
+        result = runner.invoke(cli, ["moments", "--params-json", str(params)])
+        assert result.exit_code == 2
+
     def test_not_converged_is_3(self, runner):
         result = runner.invoke(cli, ["pdf", "--mu-x", "3", "--mu-y", "3",
                                      "--x", "8", "--max-outer", "3"])

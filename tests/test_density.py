@@ -71,6 +71,32 @@ class TestDoubleSeries:
         assert dv.converged and dv.sign == 1
         assert dv.value == pytest.approx(0.011243362755883567, rel=1e-12)
 
+    # log f(x) at (1.0, -2.0, 1.3, 0.7, 0.6), far out in both tails and next
+    # to the log singularity at 0, from mpmath.quad of the positive integral
+    # in s = log|u| at 40 digits on a window centred on the integrand's peak
+    # (a window off the peak misses it by ~1e-7); the 30-digit summation of
+    # the series agrees to 1e-16.
+    FAR_POINTS = {1000.0: -650.85469868331635743218485408957413,
+                  -1000.0: -2460.4743017146309895979953659245646,
+                  1e-30: -2.1815812089834555383052560165783191}
+
+    @pytest.mark.parametrize("x", sorted(FAR_POINTS))
+    def test_far_points_match_reference(self, x):
+        from normprod.density import _pdf_product_integral
+        p = validate(1.0, -2.0, 1.3, 0.7, 0.6)
+        for dv in (pdf_product(p, x), _pdf_product_integral(p, x)):
+            assert dv.converged and dv.sign == 1
+            assert dv.log_abs == pytest.approx(self.FAR_POINTS[x], abs=1e-12)
+
+    def test_moderate_cancellation_point_matches_reference(self):
+        # a point of the random-parameter pdf catalogue where the signed
+        # series cancels by 15.6 nats and, summed in double precision, is
+        # off by 1.5e-8 in log; reference from mpmath.quad as above
+        p = validate(0.692903960055212, -0.7675918127118839,
+                     1.6927419894553755, 1.2538883759832515, 0.8658504229826455)
+        dv = pdf_product(p, 12.878764139338028)
+        assert dv.log_abs == pytest.approx(-5.9466186953567077007, abs=1e-12)
+
     def test_moment_consistency_with_closed_forms(self):
         p = validate(0.8, -0.5, 1.0, 1.4, 0.3)
         mp = MeanParams(p, 1)
@@ -90,6 +116,13 @@ class TestDoubleSeries:
         with pytest.raises(NotConverged):
             pdf_product(validate(3, 3, 1, 1, 0.0), 8.0,
                         SeriesControl(rel_tol=1e-14, max_outer=3))
+
+    def test_integral_node_budget(self):
+        # near |rho| = 1 the integrand's peak is too narrow for the node
+        # budget; the fallback says so instead of allocating without bound
+        from normprod.density import _pdf_product_integral
+        with pytest.raises(NotConverged):
+            _pdf_product_integral(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0)
 
     def test_log_output_survives_extreme_tail(self):
         # far tail: value underflows, log does not

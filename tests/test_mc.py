@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from normprod import (
+    InvalidCount,
     MeanParams,
     SamplerConfig,
     cf_mean,
@@ -56,6 +57,12 @@ class TestSampler:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, count=0)
+
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_invalid_batch(self, batch):
+        # a zero batch used to be kept and yield empty batches forever
+        with pytest.raises(InvalidCount):
+            SamplerConfig(seed=0, count=10, batch=batch)
 
     def test_sample_mean_and_variance_within_band(self):
         cfg = SamplerConfig(seed=5, count=400_000)

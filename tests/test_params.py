@@ -1,11 +1,17 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from normprod import (
     CorrelationOutOfRange,
     DistributionCase,
+    InvalidCount,
     MeanParams,
+    NonFiniteParameter,
     NonPositiveSigma,
+    ValidationError,
     classify,
     validate,
 )
@@ -43,6 +49,26 @@ class TestValidation:
     def test_bad_copy_count(self, n):
         with pytest.raises(ValueError):
             MeanParams(validate(0, 0, 1, 1, 0), n)
+
+    @pytest.mark.parametrize("n", [0, 2.0, True])
+    def test_bad_copy_count_is_validation_error(self, n):
+        with pytest.raises(InvalidCount) as info:
+            MeanParams(validate(0, 0, 1, 1, 0), n)
+        assert isinstance(info.value, ValidationError)
+
+    def test_numpy_integer_copy_count(self):
+        mp = MeanParams(validate(0, 0, 1, 1, 0), np.int64(2))
+        assert mp.n == 2 and type(mp.n) is int
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0, 1, 1, 0), (0, math.inf, 1, 1, 0), (-math.inf, 0, 1, 1, 0),
+        (0, 0, math.inf, 1, 0), (0, 0, 1, math.nan, 0), (0, 0, 1, 1, math.nan),
+    ])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(NonFiniteParameter) as info:
+            validate(*args)
+        assert isinstance(info.value, ValidationError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestClassify:

@@ -59,6 +59,15 @@ class TestTestFunctions:
         assert got[0] == pytest.approx(np.tanh(0.5), rel=1e-12)
         assert got[1] == pytest.approx(1 - np.tanh(0.5) ** 2, rel=1e-8)
 
+    def test_from_callable_derivatives(self):
+        # the wrapper reads the density module's stencil table; its own
+        # copy of the third-derivative stencil had the sign reversed
+        f = stein.from_callable(np.sin, h=1e-2)
+        x = np.array([-0.4, 0.7])
+        expected = (np.sin(x), np.cos(x), -np.sin(x), -np.cos(x), np.sin(x))
+        for got, want in zip(f(x), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
     def test_monomial_degree_limit(self):
         with pytest.raises(ValueError):
             stein.monomial(9)
