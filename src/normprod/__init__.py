@@ -26,6 +26,7 @@ from .density import (
     DensityValue,
     SeriesControl,
     cdf_product,
+    cdf_product_series,
     finite_difference_derivatives,
     mean_zero_means_derivatives,
     ode_residual_density,

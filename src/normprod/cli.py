@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
-from .errors import NormProdError, NotConverged, ValidationError
+from .errors import CaseMismatch, NormProdError, NotConverged, ValidationError
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -96,7 +96,7 @@ def _emit(command: str, mp, results: dict, started: float,
         "command": command,
         "params_echo": _echo_params(mp) if mp is not None else {},
         "results": _jsonify(results),
-        "timing_ms": int(1000 * (time.perf_counter() - started)),
+        "timing_ms": round(1000 * (time.perf_counter() - started), 3),
     }
     target = open(out, "w") if out else sys.stdout
     try:
@@ -269,13 +269,28 @@ def pdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, grid,
 @_param_options
 @click.option("--x", type=float, required=True)
 @click.option("--json", "as_json", is_flag=True)
-def cdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, as_json):
-    """CDF of the product by singularity-split quadrature."""
+@click.option("--method", type=click.Choice(["conditional", "series"]),
+              default="conditional", show_default=True,
+              help="conditional: integral over X of P(Y <= x/X | X); "
+                   "series: quadrature of the series density")
+def cdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, as_json,
+        method):
+    """CDF of the product (n=1 only).
+
+    By default, a 1-D integral of the conditional normal CDF of Y given X;
+    ``--method series`` integrates the Bessel-series density instead,
+    which checks that the series has unit mass.
+    """
     started = time.perf_counter()
 
     def body():
         mp = _mean_params(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json)
-        value = density.cdf_product(mp.base, x)
+        if mp.n != 1:
+            raise CaseMismatch(
+                f"the CDF is implemented for n = 1, not n = {mp.n}")
+        cdf_fn = (density.cdf_product_series if method == "series"
+                  else density.cdf_product)
+        value = cdf_fn(mp.base, x)
         _emit("cdf", mp, {"x": x, "cdf": value}, started, as_json)
 
     _run(body)

@@ -9,7 +9,8 @@ positive and negative partial sums are kept separately in log space and
 combined once at the end.  Where they cancel by more than a few nats, the
 density comes instead from the all-positive integral representation
 f(x) = int phi_2(u, x/u) / |u| du, by a log-space trapezoid rule in
-double precision.
+double precision.  The CDF conditions on X instead and integrates the
+normal CDF of Y given X, with no series.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .bessel import BesselOrder, log_bessel_k_sequence
-from .errors import CaseMismatch, NotConverged, SingularPoint
+from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
+                     SingularPoint)
 from .params import MeanParams, ProductNormalParams
 
 _LOG_DBL_MIN = math.log(np.finfo(float).tiny)
@@ -30,6 +32,10 @@ _LOG_DBL_MIN = math.log(np.finfo(float).tiny)
 # beyond which the series is abandoned for the positive integral: past 8
 # nats the signed sum loses the 1e-10 accuracy in log it is held to.
 _CANCEL_NATS = 8.0
+
+# Bound T on |argument of Phi| over which the conditional-CDF integrand is
+# resolved at a unit step of its grid variable (see cdf_product).
+_CDF_ARG_RANGE = 4.0
 
 
 class _LazyLogK:
@@ -106,13 +112,16 @@ def _signed_logsumexp(logs: list[float], signs: list[int]) -> tuple[float, int]:
 def pdf_product(p: ProductNormalParams, x: float,
                 ctl: SeriesControl = SeriesControl()) -> DensityValue:
     """Density of Z = XY at x != 0, by the Bessel double series, or by the
-    positive integral where the signed series cancels.
+    positive integral where the signed series cancels or does not converge
+    within ``ctl.max_outer`` outer blocks.
 
     Raises SingularPoint at x = 0 (the density has a log singularity
-    there) and NotConverged if ``ctl.max_outer`` outer blocks do not
-    suffice.
+    there) and NotConverged if the integral exceeds its node budget too.
     """
-    log_pref, logs, signs, terms = _series_parts(p, x, ctl)
+    try:
+        log_pref, logs, signs, terms = _series_parts(p, x, ctl)
+    except NotConverged:
+        return _pdf_product_integral(p, float(x))
     return _combine_series(p, float(x), log_pref, logs, signs, terms)
 
 
@@ -435,6 +444,99 @@ def ode_residual_density(mp: MeanParams, x: float,
     return sum(terms) / scale
 
 
+def cdf_product(p: ProductNormalParams, x: float) -> float:
+    """CDF of Z by conditioning on X, with no series and no density call.
+
+    Given X = u, Y is normal with mean m(u) = mu_y + k (u - mu_x),
+    k = rho sigma_y / sigma_x, and sd s = sigma_y sqrt(1 - rho^2), so
+    F(z) = int phi_X(u) Phi(+-(z/u - m(u)) / s) du, with + for u > 0.
+    Below the mean of Z this integral is evaluated; above it, the same
+    integral of P(Z > z), and F = 1 - P(Z > z), so that the smaller tail
+    is the one accurate to a few ulps.
+
+    Per unit of v = log|u|, the argument of phi_X changes at the rate
+    |u| / sigma_x, and that of Phi, wherever |Phi's argument| <= T, at no
+    more than (|b| + 2|k||u|) / s + T with b = mu_y - k mu_x.  The
+    narrowest feature is the step of Phi at the roots of z/u = m(u), of
+    width s / sqrt(b^2 + 4kz) in v.  The substitution
+    |u| = (c0/c1) log(1 + e^(tau/c0)), with c0 = |b|/s + T and
+    c1 = 1/sigma_x + 2|k|/s, is u = +-e^v near 0 and linear far from it,
+    and its nodes are never further apart than those rates allow, so a
+    unit step in tau resolves every feature.  Close to 0, where nothing
+    but e^v changes, tau(t) widens the step in v from 1/c0 to 1.  The
+    trapezoid rule in t converges spectrally (Trefethen & Weideman, SIAM
+    Rev. 2014): the step halves until two log-space sums agree to 1e-15
+    relative to the exponent, or NotConverged is raised past 2^18 nodes.
+    """
+    z = float(x)
+    if math.isnan(z):
+        raise NonFiniteParameter("the CDF is undefined at x = NaN")
+    if math.isinf(z):
+        return 0.0 if z < 0 else 1.0
+    s = p.sigma_y * math.sqrt(1.0 - p.rho ** 2)
+    k = p.rho * p.sigma_y / p.sigma_x
+    b = p.mu_y - k * p.mu_x
+    # with z = 0 the conditional probability has no step near u = 0
+    c0 = (abs(b) / s if z else 0.0) + _CDF_ARG_RANGE
+    c1 = 1.0 / p.sigma_x + 2.0 * abs(k) / s
+    upper = z > p.mu_x * p.mu_y + p.rho * p.sigma_x * p.sigma_y
+    sign_u = np.array([[1.0], [-1.0]])
+    sign_phi = -sign_u if upper else sign_u
+
+    def tau_of(w):  # inverse of w = (c0/c1) log(1 + e^(tau/c0))
+        y = c1 * w / c0
+        return c0 * (y + math.log(-math.expm1(-y)))
+
+    # below |u| = eps_z the argument of Phi is beyond +-40 on both sides
+    eps_z = min(1.0, abs(z) / (abs(b) + abs(k) + 40 * s)) if z else math.inf
+    if z > 0 if upper else z < 0:
+        eps = eps_z  # the integrated probability vanishes there
+    else:
+        # the integrand tends to phi_X(0) Phi(-+b/s) du/dt: stop 40 nats
+        # below the scale on which phi_X and m(u) change
+        eps = math.exp(-40) * min(eps_z, 1 / (c1 + abs(p.mu_x)
+                                              / p.sigma_x ** 2))
+    tau_lo, tau_hi = tau_of(eps), tau_of(abs(p.mu_x) + 40 * p.sigma_x)
+    if tau_lo >= tau_hi:
+        return 1.0 if upper else 0.0
+    # tau = t - (c0 - 1) log(1 + e^(t_e - t)) has slope c0 well below t_e
+    # and 1 above it; below |u| = e^-3 min(eps_z, 1/c1) the argument of
+    # Phi is saturated and phi_X and m(u) change by less than e^-3
+    t_e = tau_of(min(eps_z, 1 / c1) * math.exp(-3)) - math.log(c0) - 3
+    # tau(t) <= min(t, c0 t - (c0 - 1) t_e), and tau(t) > t - 1 past t_e
+    lo = max(tau_lo, (tau_lo + (c0 - 1) * t_e) / c0)
+    hi = tau_hi + 1
+
+    def log_integrand(t):
+        tau = t - (c0 - 1) * np.logaddexp(0.0, t_e - t)
+        u = (c0 / c1) * np.logaddexp(0.0, tau / c0) * sign_u
+        a = (u - p.mu_x) / p.sigma_x
+        arg = sign_phi * (z / u - p.mu_y - k * (u - p.mu_x)) / s
+        log_du_dt = (np.log1p((c0 - 1) * special.expit(t_e - t))
+                     - np.logaddexp(0.0, -tau / c0))
+        # log phi_X + log du/dt + log Phi, up to the constant log_norm
+        return -0.5 * a * a + log_du_dt + special.log_ndtr(arg)
+
+    log_norm = math.log(math.sqrt(2 * math.pi) * p.sigma_x * c1)
+    n, prev = int(hi - lo) + 2, math.nan
+    while n <= 1 << 18:  # caps the temporaries at about 40 MB
+        t, h = np.linspace(lo, hi, n, retstep=True)
+        q = log_integrand(t)
+        peak = float(q.max())
+        if peak == -np.inf:
+            return 1.0 if upper else 0.0
+        log_sum = peak + math.log(h * np.exp(q - peak).sum()) - log_norm
+        # below -750 the probability underflows, resolved or not
+        if log_sum < -750 or abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
+            tail = min(math.exp(log_sum), 1.0)
+            return 1.0 - tail if upper else tail
+        prev = log_sum
+        keep = np.flatnonzero((q > peak - 45).any(axis=0))
+        i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
+        lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
+    raise NotConverged(f"cdf integral: over 2^18 nodes at x={x}")
+
+
 def _pdf_value(p: ProductNormalParams, x: float, ctl: SeriesControl) -> float:
     if x == 0:
         return 0.0
@@ -463,19 +565,19 @@ def _tail_cutoff(p: ProductNormalParams, log_eps: float = -60.0) -> float:
     return (1 + abs(p.rho)) * p.s * (-log_eps + log_c + 20.0)
 
 
-def cdf_product(p: ProductNormalParams, x: float,
-                ctl: SeriesControl | None = None,
-                quad_tol: float = 1e-9) -> float:
+def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     """CDF of Z by adaptive quadrature of the series density.
 
-    The integrable log singularity at 0 is handled by splitting the
+    The reference that checks the series density has unit mass;
+    ``cdf_product`` is faster and does not depend on the series.  The
+    integrable log singularity at 0 is handled by splitting the
     integration range there; the infinite range is truncated where the
     density provably underflows double precision.
     """
-    if ctl is None:
-        # quadrature probes deep tails, where the series needs a larger
-        # block budget than pointwise evaluation does
-        ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
+    # quadrature probes deep tails, where the series needs a larger block
+    # budget than pointwise evaluation does
+    ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
+    quad_tol = 1e-9
 
     def f(t):
         return _pdf_value(p, t, ctl)

@@ -35,6 +35,13 @@ class TestEnvelope:
         assert point["converged"] is True
         assert point["pdf"] == pytest.approx(0.1703534287575043, rel=1e-12)
 
+    def test_timing_is_sub_millisecond_float(self, runner):
+        # an integer timing_ms read 0 for fast commands
+        env = run_json(runner, ["ode-check", "--n", "2", "--rho", "0.4",
+                                "--x", "50", "--x", "-50"])
+        assert isinstance(env["timing_ms"], float)
+        assert env["timing_ms"] > 0
+
     def test_rationals_encoded_as_num_den(self, runner):
         env = run_json(runner, ["moments", "--mu-x", "1", "--kmax", "4",
                                 "--exact"])
@@ -54,6 +61,12 @@ class TestSubcommands:
     def test_cdf(self, runner):
         env = run_json(runner, ["cdf", "--x", "0"])
         assert env["results"]["cdf"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_cdf_series_method(self, runner):
+        conditional = run_json(runner, ["cdf", "--x", "0.5"])
+        series = run_json(runner, ["cdf", "--x", "0.5", "--method", "series"])
+        assert series["results"]["cdf"] == pytest.approx(
+            conditional["results"]["cdf"], abs=1e-9)
 
     def test_moments_closed_form(self, runner):
         env = run_json(runner, ["moments", "--mu-x", "1", "--mu-y", "1",
@@ -166,9 +179,23 @@ class TestExitCodes:
         assert result.exit_code == 2
 
     def test_not_converged_is_3(self, runner):
-        result = runner.invoke(cli, ["pdf", "--mu-x", "3", "--mu-y", "3",
-                                     "--x", "8", "--max-outer", "3"])
+        # the series runs out of blocks and the integral out of nodes
+        result = runner.invoke(cli, ["pdf", "--mu-x", "1", "--mu-y", "-2",
+                                     "--sigma-x", "1.3", "--sigma-y", "0.7",
+                                     "--rho", "0.9999", "--x", "3",
+                                     "--max-outer", "3"])
         assert result.exit_code == 3
+
+    def test_cdf_at_nan_is_2(self, runner):
+        # used to exit 0 with a CDF of 0.5
+        result = runner.invoke(cli, ["cdf", "--x", "nan", "--json"])
+        assert result.exit_code == 2
+
+    def test_cdf_of_mean_is_case_mismatch(self, runner):
+        # used to print the n = 1 value under an echoed n = 3
+        result = runner.invoke(cli, ["cdf", "--n", "3", "--x", "0.5",
+                                     "--json"])
+        assert result.exit_code == 2
 
     def test_case_mismatch_is_2(self, runner):
         result = runner.invoke(cli, ["operator", "--mu-x", "1", "--mu-y", "2",

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -12,6 +13,7 @@ from normprod import (
     SeriesControl,
     SingularPoint,
     cdf_product,
+    cdf_product_series,
     closed_form_four,
     finite_difference_derivatives,
     mean_zero_means_derivatives,
@@ -113,9 +115,23 @@ class TestDoubleSeries:
             pdf_product(validate(1, 2, 1, 1, 0.3), 0.0)
 
     def test_not_converged_with_tiny_budget(self):
+        # a series cut short falls back to the integral; NotConverged
+        # surfaces only where the integral exceeds its node budget too
+        tiny = SeriesControl(rel_tol=1e-14, max_outer=3)
+        p = validate(3, 3, 1, 1, 0.0)
+        assert pdf_product(p, 8.0, tiny).log_abs == pytest.approx(
+            pdf_product(p, 8.0).log_abs, abs=1e-12)
         with pytest.raises(NotConverged):
-            pdf_product(validate(3, 3, 1, 1, 0.0), 8.0,
-                        SeriesControl(rel_tol=1e-14, max_outer=3))
+            pdf_product(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0, tiny)
+
+    def test_series_not_converged_falls_back_to_integral(self):
+        # the series needs more than its 300 default blocks here; log f
+        # from a 45-digit mpmath.quad of the positive integral in u with
+        # breakpoints at the integrand's peaks (30 digits agree)
+        dv = pdf_product(validate(1.0, -2.0, 1.3, 0.7, 0.999), 3.0)
+        assert dv.converged and dv.sign == 1
+        assert dv.log_abs == pytest.approx(-3.6138065994470468458657069382,
+                                           abs=1e-12)
 
     def test_integral_node_budget(self):
         # near |rho| = 1 the integrand's peak is too narrow for the node
@@ -281,3 +297,55 @@ class TestCdf:
         val, _ = integrate.quad(lambda t: pdf_product(p, t).value, -np.inf, -0.4,
                                 limit=300)
         assert cdf_product(p, -0.4) == pytest.approx(val, abs=1e-8)
+
+    @pytest.mark.parametrize("tup, x", [((0, 0, 0.5, 2, 0.9), -1.0),
+                                        ((0, 0, 1, 1, 0.0), 0.5),
+                                        ((1, 1, 1, 1, 0.0), -0.5)])
+    def test_matches_series_cdf(self, tup, x):
+        # quadrature of the Bessel-series density: shares no code with the
+        # conditional integral
+        p = validate(*tup)
+        assert cdf_product(p, x) == pytest.approx(cdf_product_series(p, x),
+                                                  abs=1e-9)
+
+    # F(x) from mpmath.quad of phi_X(u) Phi(+-(x/u - m(u))/s) over
+    # mu_x +- 40 sigma_x at 60 digits, with breakpoints at 0, mu_x, the
+    # roots of x/u = m(u) and 2 and 8 step widths either side of each root
+    # (40 digits agree to 1e-40).  The first three sit on the narrow step
+    # of Phi at |rho| = 0.999; F(-1e4) is 4.5e-90536.
+    REFERENCES = [
+        ((0.90703, 2.99599, 0.66968, 0.54007, 0.999), 1e-8,
+         "0.087800717210774389873893958680964"),
+        ((-4.8402, 5.3582, 0.13161, 0.34891, -0.999), -40.3466,
+         "2.4981128181462654113902159952975e-8"),
+        ((-7.26895, -6.11308, 4.65257, 0.18192, 0.999), 45.311,
+         "0.51172250139384553279172723669806"),
+        ((1, 1, 1, 1, 0.9), 1e-30, "0.086329833006197499771710896901486"),
+        ((1, 1, 1, 1, 0.9), -1e-30, "0.086329833006197499771710896842308"),
+        ((1, 1, 1, 1, 0.9), 1e4, "1"),
+        ((1, 1, 1, 1, 0.9), -1e4, "0"),
+    ]
+
+    @pytest.mark.parametrize("tup, x, ref", REFERENCES)
+    def test_matches_high_precision_reference(self, tup, x, ref):
+        ref = float(ref)
+        err = abs(cdf_product(validate(*tup), x) - ref)
+        assert err <= 1e-12
+        # the smaller tail is accurate relative to its own size
+        assert err <= 1e-12 * min(ref, 1 - ref)
+
+    def test_uses_neither_series_nor_quadrature(self, monkeypatch):
+        from normprod import density
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cdf_product must not call this")
+        for name in ("pdf_product", "_series_parts", "_pdf_value"):
+            monkeypatch.setattr(density, name, forbidden)
+        monkeypatch.setattr(integrate, "quad", forbidden)
+        assert list(inspect.signature(cdf_product).parameters) == ["p", "x"]
+        assert 0 < cdf_product(validate(0.6, -0.8, 1.0, 1.2, 0.25), 0.3) < 1
+
+    def test_node_budget(self):
+        # the step of Phi at rho = -0.999999 is too narrow for 2^18 nodes
+        with pytest.raises(NotConverged):
+            cdf_product(validate(-4.38, -5.4, 0.496, 0.146, -0.999999), 3.2)
