@@ -12,7 +12,6 @@ if it were ever violated.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -26,16 +25,17 @@ class BranchAmbiguityWarning(UserWarning):
     """Complex-power branch could not be confirmed continuous."""
 
 
-def _cf_unit(mx: float, my: float, rho: float, n: int, t: complex) -> complex:
-    """Unit-variance characteristic function at (complex-extendable) t."""
+def _cf_unit(mx: float, my: float, rho: float, n: int, t) -> np.ndarray:
+    """Unit-variance characteristic function at (complex-extendable) t,
+    elementwise over an array of t."""
     d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
     num = (-(mx * mx + my * my - 2 * rho * mx * my) * t * t / n
            + 2 * mx * my * 1j * t)
-    return cmath.exp(num / (2 * d)) * cmath.exp(-0.5 * n * cmath.log(d))
+    return np.exp(num / (2 * d)) * np.exp(-0.5 * n * np.log(d))
 
 
 def _cf_unit_derivative(mx: float, my: float, rho: float, n: int,
-                        t: complex) -> complex:
+                        t) -> np.ndarray:
     c = mx * mx + my * my - 2 * rho * mx * my
     d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
     d_prime = 2 * (1 - rho ** 2) * t / n ** 2 - 2j * rho / n
@@ -45,16 +45,24 @@ def _cf_unit_derivative(mx: float, my: float, rho: float, n: int,
     return _cf_unit(mx, my, rho, n, t) * (g_prime - 0.5 * n * d_prime / d)
 
 
-def cf_mean(mp: MeanParams, t) -> complex:
-    """E[exp(i t mean)] at real t (complex t accepted for contour work)."""
+def _complex_or_array(values: np.ndarray):
+    return complex(values) if values.ndim == 0 else values
+
+
+def cf_mean(mp: MeanParams, t):
+    """E[exp(i t mean)] at real t (complex t accepted for contour work):
+    a Python complex at a scalar t, an array over an array of t."""
     p = mp.base
-    return _cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * t)
+    return _complex_or_array(
+        _cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * np.asarray(t)))
 
 
-def cf_mean_derivative(mp: MeanParams, t) -> complex:
+def cf_mean_derivative(mp: MeanParams, t):
     """d/dt of the characteristic function, analytically."""
     p = mp.base
-    return p.s * _cf_unit_derivative(p.r_x, p.r_y, p.rho, mp.n, p.s * t)
+    t = p.s * np.asarray(t)
+    return _complex_or_array(
+        p.s * _cf_unit_derivative(p.r_x, p.r_y, p.rho, mp.n, t))
 
 
 def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
@@ -74,7 +82,7 @@ def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
             "branch no longer certified continuous",
             BranchAmbiguityWarning,
         )
-    return np.array([cf_mean(mp, t) for t in ts])
+    return cf_mean(mp, ts)
 
 
 def cf_ode_residual(mp: MeanParams, t: float,
@@ -123,7 +131,7 @@ def cf_raw_moments(mp: MeanParams, kmax: int, nodes: int = 128) -> list[float]:
     radius = 0.2 * n / ((1 + abs(p.rho)) * p.s)
     theta = 2 * np.pi * np.arange(nodes) / nodes
     z = radius * np.exp(1j * theta)
-    vals = np.array([cf_mean(mp, zk) for zk in z])
+    vals = cf_mean(mp, z)
     out = []
     for k in range(kmax + 1):
         deriv = (math.factorial(k)

@@ -101,8 +101,10 @@ def _emit(command: str, mp, results: dict, started: float,
     target = open(out, "w") if out else sys.stdout
     try:
         if as_json:
-            json.dump(envelope, target, indent=2)
-            target.write("\n")
+            # one write: with unbuffered stdout (PYTHONUNBUFFERED) a reader
+            # that stops at its first match, such as grep -q, would
+            # otherwise close the pipe under a later write
+            target.write(json.dumps(envelope, indent=2) + "\n")
         else:
             _print_table(envelope, target)
     finally:
@@ -437,10 +439,9 @@ def cf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, t, grid,
         mp = _mean_params(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json)
         if t is None and grid is None:
             raise click.UsageError("provide --t or --grid")
-        ts = _parse_grid(grid) if grid else [t]
+        ts = _parse_grid(grid) if grid else np.array([t])
         points = []
-        for tv in ts:
-            value = charfn.cf_mean(mp, float(tv))
+        for tv, value in zip(ts, map(complex, charfn.cf_mean(mp, ts))):
             entry = {"t": float(tv), "re": value.real, "im": value.imag,
                      "abs": abs(value)}
             if check_ode:

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -98,3 +99,40 @@ class TestMomentExtraction:
     def test_zeroth_moment_is_one(self):
         mp = MeanParams(validate(1, -2, 1.5, 0.5, -0.4), 3)
         assert cf_raw_moments(mp, 0)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def cf_unit_loop(mx, my, rho, n, ts):
+    """The scalar cmath form of the unit-variance closed form, point by point."""
+    out = []
+    for t in ts:
+        d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
+        num = (-(mx * mx + my * my - 2 * rho * mx * my) * t * t / n
+               + 2 * mx * my * 1j * t)
+        out.append(cmath.exp(num / (2 * d)) * cmath.exp(-0.5 * n * cmath.log(d)))
+    return np.array(out)
+
+
+class TestVectorisedAgainstLoop:
+    # numpy and cmath may round the complex division, exp and log
+    # differently by an ulp or two; exp turns an absolute error in its
+    # exponent (up to a few hundred in modulus here) into a relative one
+    TOL = 64 * np.finfo(float).eps
+
+    def test_real_grid_and_contour_match_cmath_loop(self, rng):
+        ts = np.linspace(-40, 40, 4001)
+        circle = 0.3 * np.exp(2j * np.pi * np.arange(128) / 128)
+        for _ in range(10):
+            mp = random_mean_params(rng, n_choices=(1, 2, 5, 20))
+            p = mp.base
+            args = (p.r_x, p.r_y, p.rho, mp.n)
+            got = cf_grid(mp, ts)
+            assert np.max(np.abs(got - cf_unit_loop(*args, p.s * ts))) <= self.TOL
+            want = cf_unit_loop(*args, p.s * circle)
+            got = cf_mean(mp, circle)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= self.TOL
+
+    def test_scalar_gives_python_complex(self):
+        mp = MeanParams(validate(0.7, -1.1, 1.2, 0.9, 0.35), 2)
+        assert type(cf_mean(mp, 0.5)) is complex
+        assert type(cf_mean_derivative(mp, 0.5)) is complex
+        assert cf_mean(mp, np.array([0.5]))[0] == cf_mean(mp, 0.5)

@@ -47,6 +47,25 @@ class TestEnvelope:
                                 "--exact"])
         assert env["results"]["values"][2] == {"num": "2", "den": "1"}
 
+    def test_json_envelope_is_one_write(self, monkeypatch):
+        # json.dump's many small writes each reached the pipe under
+        # PYTHONUNBUFFERED=1, so `normprod cf --t 0 --json | grep -q ...`
+        # under pipefail failed about half the time with BrokenPipeError
+        class Sink:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        with pytest.raises(SystemExit) as exit_info:
+            cli(["cf", "--t", "0", "--json"])
+        assert exit_info.value.code == 0
+        assert len(sink.writes) == 1
+        assert json.loads(sink.writes[0])["results"]["points"][0]["re"] == 1.0
+
     def test_params_json_file(self, runner, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"mu_x": 1, "mu_y": 2, "rho": 0.3}))

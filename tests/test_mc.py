@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from normprod import (
     InvalidCount,
     MeanParams,
     SamplerConfig,
+    central_moments_exact,
     cf_mean,
     closed_form_four,
     estimate_cf,
     estimate_moment,
     estimate_stein_expectation,
+    raw_moments_exact,
     sample_mean_of_products,
     validate,
 )
@@ -36,20 +39,39 @@ class TestSampler:
 
     def test_batches_reproducible_out_of_order(self):
         # each batch is keyed by (seed, batch index): regenerating any
-        # batch from its key must reproduce the sequential stream
+        # batch from its key must reproduce the sequential stream.  The
+        # draw formula is restated here: two normals, then for n > 1 two
+        # chi-square(n - 1) draws, each 2 Gamma((n - 1) // 2) plus one
+        # squared normal when n - 1 is odd
         from normprod.mc import _batch_rng
         p = MP.base
-        cfg = SamplerConfig(seed=3, count=3000, batch=1000)
-        batches = list(sample_mean_of_products(MP, cfg))
-        assert len(batches) == 3
-        for idx in (2, 0, 1):
-            rng = _batch_rng(cfg, idx)
-            u = rng.standard_normal((1000, MP.n))
-            v = rng.standard_normal((1000, MP.n))
-            x = p.mu_x + p.sigma_x * u
-            y = p.mu_y + p.sigma_y * (p.rho * u
-                                      + np.sqrt(1 - p.rho ** 2) * v)
-            assert np.array_equal(batches[idx], (x * y).mean(axis=1))
+        size = 1000
+
+        def chi_square(rng, dof):
+            out = (2.0 * rng.standard_gamma(dof // 2, size) if dof >= 2
+                   else np.zeros(size))
+            if dof % 2:
+                g = rng.standard_normal(size)
+                out += g * g
+            return out
+
+        for n in (1, 2, 5):
+            mp = MeanParams(p, n)
+            cfg = SamplerConfig(seed=3, count=3 * size, batch=size)
+            batches = list(sample_mean_of_products(mp, cfg))
+            assert len(batches) == 3
+            var_plus, var_minus = 2.0 * (1.0 + p.rho), 2.0 * (1.0 - p.rho)
+            for idx in (2, 0, 1):
+                rng = _batch_rng(cfg, idx)
+                n1, n2 = rng.standard_normal((2, size))
+                plus = np.sqrt(var_plus) * n1 + np.sqrt(n) * (p.r_x + p.r_y)
+                minus = np.sqrt(var_minus) * n2 + np.sqrt(n) * (p.r_x - p.r_y)
+                total = plus * plus - minus * minus
+                if n > 1:
+                    total += var_plus * chi_square(rng, n - 1)
+                    total -= var_minus * chi_square(rng, n - 1)
+                expected = p.sigma_x * p.sigma_y / (4 * n) * total
+                assert np.array_equal(batches[idx], expected)
 
     def test_count_respected(self):
         assert collect(MP, SamplerConfig(seed=0, count=12345)).size == 12345
@@ -124,3 +146,67 @@ class TestCfAndMoments:
         assert abs(raw2.mean - cf4.raw[1]) <= 4 * raw2.stderr
         cen2 = estimate_moment(MP, 2, central=True, cfg=cfg)
         assert abs(cen2.mean - cf4.central[1]) <= 4 * cen2.stderr
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
+    def test_invalid_order(self, k):
+        # k = -1 used to return a finite 'estimate' of E[1/mean], which
+        # does not exist
+        for central in (False, True):
+            with pytest.raises(InvalidCount):
+                estimate_moment(MP, k, central, SamplerConfig(seed=0, count=10))
+
+
+ORACLE_NS = (1, 2, 3, 4, 5, 20)
+ORACLE_BASES = [validate(mx, my, sx, sy, rho)
+                for rho in (0.0, 0.95, -0.95)
+                for mx, my, sx, sy in ((0.0, 0.0, 1.3, 0.7),
+                                       (0.8, -1.5, 1.1, 0.6))]
+ORACLE_CASES = [MeanParams(p, n) for p in ORACLE_BASES for n in ORACLE_NS]
+ORACLE_IDS = [f"mu=({mp.base.mu_x},{mp.base.mu_y})-rho={mp.base.rho}-n={mp.n}"
+              for mp in ORACLE_CASES]
+
+
+def direct_means(mp, size, rng):
+    """The mean of n products from 2n correlated normals per sample."""
+    p = mp.base
+    u = rng.standard_normal((size, mp.n))
+    v = rng.standard_normal((size, mp.n))
+    x = p.mu_x + p.sigma_x * u
+    y = p.mu_y + p.sigma_y * (p.rho * u + np.sqrt(1 - p.rho ** 2) * v)
+    return (x * y).mean(axis=1)
+
+
+class TestSamplerAgainstExact:
+    """The two-chi-square sampler against exact moments and against the
+    direct 2n-normal construction."""
+
+    @pytest.mark.parametrize("mp", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_mean_and_central_moments(self, mp):
+        cfg = SamplerConfig(seed=1234, count=200_000)
+        mean = float(raw_moments_exact(mp, 1)[1])
+        central = [float(v) for v in central_moments_exact(mp, 4)]
+        est = estimate_moment(mp, 1, central=False, cfg=cfg)
+        assert abs(est.z_score(mean)) <= 4, ("mean", est)
+        for k in (2, 3, 4):
+            est = estimate_moment(mp, k, central=True, cfg=cfg)
+            assert abs(est.z_score(central[k])) <= 4, (k, est)
+
+    @pytest.mark.parametrize("mp", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_two_sample_ks_against_direct_construction(self, mp):
+        size = 20_000
+        sampled = collect(mp, SamplerConfig(seed=99, count=size))
+        direct = direct_means(mp, size, np.random.default_rng(4321))
+        assert scipy.stats.ks_2samp(sampled, direct).pvalue > 1e-4
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_pass_central_moment_matches_two_pass(self, k):
+        # same stream, centred on the sample mean of the whole stream
+        cfg = SamplerConfig(seed=77, count=300_000)
+        for mp in (MP, MeanParams(validate(3.0, 2.5, 0.4, 0.5, 0.6), 4)):
+            x = collect(mp, cfg)
+            y = (x - x.mean()) ** k
+            ref_mean = y.mean()
+            ref_stderr = y.std(ddof=1) / np.sqrt(y.size)
+            est = estimate_moment(mp, k, central=True, cfg=cfg)
+            assert abs(est.mean - ref_mean) <= 1e-12 * ref_stderr
+            assert est.stderr == pytest.approx(ref_stderr, rel=1e-12)
