@@ -32,6 +32,7 @@ from .density import (
     ode_residual_density,
     pdf_mean_zero_means,
     pdf_product,
+    pdf_product_series,
     pdf_single_zero_mean,
 )
 from .errors import (

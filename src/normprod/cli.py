@@ -8,6 +8,7 @@ validation error, 3 non-convergence, 64 unknown subcommand.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
@@ -17,7 +18,7 @@ import click
 import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
-from .errors import CaseMismatch, NormProdError, NotConverged, ValidationError
+from .errors import CaseMismatch, NormProdError, NotConverged
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -98,8 +99,7 @@ def _emit(command: str, mp, results: dict, started: float,
         "results": _jsonify(results),
         "timing_ms": round(1000 * (time.perf_counter() - started), 3),
     }
-    target = open(out, "w") if out else sys.stdout
-    try:
+    with _output(out) as target:
         if as_json:
             # one write: with unbuffered stdout (PYTHONUNBUFFERED) a reader
             # that stops at its first match, such as grep -q, would
@@ -107,9 +107,11 @@ def _emit(command: str, mp, results: dict, started: float,
             target.write(json.dumps(envelope, indent=2) + "\n")
         else:
             _print_table(envelope, target)
-    finally:
-        if out:
-            target.close()
+
+
+def _output(path):
+    """The file at ``path``, opened for writing, or stdout without one."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _print_table(envelope: dict, target):
@@ -138,23 +140,16 @@ def _print_items(results, target, indent):
 
 
 def _write_csv(path_or_stdout, header, rows):
-    target = open(path_or_stdout, "w") if path_or_stdout else sys.stdout
-    try:
+    with _output(path_or_stdout) as target:
         print(",".join(header), file=target)
         for row in rows:
             print(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                            for v in row), file=target)
-    finally:
-        if path_or_stdout:
-            target.close()
 
 
 def _run(fn):
     try:
         fn()
-    except ValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except NotConverged as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
@@ -221,12 +216,14 @@ def besselk(nu, x, scaled, as_json):
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--rel-tol", type=float, default=1e-14, show_default=True)
-@click.option("--max-outer", type=int, default=300, show_default=True)
+@click.option("--rel-tol", type=float, default=1e-14, show_default=True,
+              help="series methods only")
+@click.option("--max-outer", type=int, default=300, show_default=True,
+              help="series methods only")
 @click.option("--method", type=click.Choice(["auto", "double", "single",
                                              "closed"]),
               default="auto", show_default=True,
-              help="force a specific evaluation path")
+              help="auto: integral (n=1) or closed form (n>1)")
 def pdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, grid,
         as_json, as_csv, out, rel_tol, max_outer, method):
     """Density of the product (n=1) or of the zero-mean average (n>1)."""
@@ -241,13 +238,11 @@ def pdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, grid,
 
         def one(xv):
             if method == "double":
-                return density.pdf_product(mp.base, xv, ctl)
+                return density.pdf_product_series(mp.base, xv, ctl)
             if method == "single":
                 return density.pdf_single_zero_mean(mp.base, xv, ctl)
-            if method == "closed":
-                return density.pdf_mean_zero_means(mp, xv)
-            if mp.n == 1:
-                return density.pdf_product(mp.base, xv, ctl)
+            if method == "auto" and mp.n == 1:
+                return density.pdf_product(mp.base, xv)
             return density.pdf_mean_zero_means(mp, xv)
 
         rows = []
@@ -524,13 +519,13 @@ def sample(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, count, seed, out):
     def body():
         mp = _mean_params(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json)
         cfg = mc.SamplerConfig(seed, count)
-        rows = []
-        idx = 0
-        for batch in mc.sample_mean_of_products(mp, cfg):
-            for v in batch:
-                rows.append((idx, float(v)))
-                idx += 1
-        _write_csv(out, ["index", "value"], rows)
+        with _output(out) as target:
+            print("index,value", file=target)
+            for i, batch in enumerate(mc.sample_mean_of_products(mp, cfg)):
+                # one format call per batch, in _write_csv's row format
+                rows = np.c_[np.arange(batch.size) + i * cfg.batch, batch]
+                target.write("%d,%.17g\n" * batch.size
+                             % tuple(rows.ravel().tolist()))
 
     _run(body)
 

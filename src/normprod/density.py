@@ -1,16 +1,15 @@
 """Densities of the product Z = XY and of the zero-mean average, plus the
 linear ODE residual the density satisfies.
 
-The product density is a double infinite series of Bessel K terms under an
-exponential prefactor.  Terms can be negative (odd powers of possibly
-negative linear-combination coefficients), and raw products overflow for
-moderate arguments, so everything is accumulated as signed log-magnitudes:
-positive and negative partial sums are kept separately in log space and
-combined once at the end.  Where they cancel by more than a few nats, the
-density comes instead from the all-positive integral representation
-f(x) = int phi_2(u, x/u) / |u| du, by a log-space trapezoid rule in
-double precision.  The CDF conditions on X instead and integrates the
-normal CDF of Y given X, with no series.
+The product density is the all-positive integral f(x) = int phi_2(u, x/u)
+/ |u| du, by a log-space trapezoid rule in double precision.  The Bessel
+double series is its oracle (``pdf_product_series``) and its fallback
+where the integral runs out of nodes (|rho| near 1).  Its terms can be
+negative (odd powers of possibly negative linear-combination
+coefficients) and overflow, so positive and negative partial sums are
+kept as log-magnitudes and combined once at the end.  The CDF conditions
+on X and integrates the normal CDF of Y given X on the same trapezoid
+kernel, with no series.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .bessel import BesselOrder, log_bessel_k_sequence
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
@@ -82,6 +81,7 @@ class DensityValue:
 
     ``sign`` is +1 for every converged value that escapes this module;
     a converged -1 would indicate an internal accumulation error.
+    ``terms_used`` counts series terms, or integral nodes (both signs of u).
     """
 
     log_abs: float
@@ -94,35 +94,41 @@ class DensityValue:
         return self.sign * math.exp(self.log_abs)
 
 
-def _signed_logsumexp(logs: list[float], signs: list[int]) -> tuple[float, int]:
-    pos = [l for l, s in zip(logs, signs) if s > 0]
-    neg = [l for l, s in zip(logs, signs) if s < 0]
-    lp = special.logsumexp(np.array(pos)) if pos else -np.inf
-    ln = special.logsumexp(np.array(neg)) if neg else -np.inf
-    if ln == -np.inf:
-        return lp, 1
-    if lp == -np.inf:
-        return ln, -1
-    if lp >= ln:
-        delta = -math.expm1(ln - lp)
-        return lp + math.log(delta) if delta > 0 else -np.inf, 1
-    return ln + math.log(-math.expm1(lp - ln)), -1
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) by a max shift; -inf for empty or all -inf input."""
+    a = np.asarray(a, dtype=float)
+    peak = a.max(initial=-np.inf)
+    if not math.isfinite(peak):
+        return float(peak)
+    return float(peak + np.log(np.exp(a - peak).sum()))
 
 
-def pdf_product(p: ProductNormalParams, x: float,
-                ctl: SeriesControl = SeriesControl()) -> DensityValue:
-    """Density of Z = XY at x != 0, by the Bessel double series, or by the
-    positive integral where the signed series cancels or does not converge
-    within ``ctl.max_outer`` outer blocks.
+def pdf_product(p: ProductNormalParams, x: float) -> DensityValue:
+    """Density of Z = XY at x != 0 by the positive integral, or by the
+    Bessel double series where the integral exceeds its node budget.
 
-    Raises SingularPoint at x = 0 (the density has a log singularity
-    there) and NotConverged if the integral exceeds its node budget too.
+    Raises SingularPoint at x = 0 (a log singularity) and NotConverged if
+    the series does not converge or cancels past double precision too.
     """
     try:
-        log_pref, logs, signs, terms = _series_parts(p, x, ctl)
-    except NotConverged:
         return _pdf_product_integral(p, float(x))
-    return _combine_series(p, float(x), log_pref, logs, signs, terms)
+    except NotConverged:
+        dv = _combine_series(*_series_parts(p, x, SeriesControl()))
+    if dv is None:
+        raise NotConverged(f"product density: the series cancels at x={x}")
+    return dv
+
+
+def pdf_product_series(p: ProductNormalParams, x: float,
+                       ctl: SeriesControl = SeriesControl()) -> DensityValue:
+    """``pdf_product``'s oracle: the Bessel double series, or the integral
+    where the series cancels by more than a few nats or does not converge
+    within ``ctl.max_outer`` outer blocks (NotConverged if both fail)."""
+    try:
+        dv = _combine_series(*_series_parts(p, x, ctl))
+    except NotConverged:
+        dv = None
+    return _pdf_product_integral(p, float(x)) if dv is None else dv
 
 
 def _series_parts(p: ProductNormalParams, x: float,
@@ -201,18 +207,39 @@ def _series_parts(p: ProductNormalParams, x: float,
             np.concatenate(sign_blocks), terms)
 
 
-def _combine_series(p: ProductNormalParams, x: float, log_pref: float,
-                    logs: np.ndarray, signs: np.ndarray,
-                    terms: int) -> DensityValue:
-    log_sum, sign = _signed_logsumexp(list(logs), list(signs))
-    pos = logs[signs > 0]
-    lead = float(special.logsumexp(pos)) if pos.size else -np.inf
-    if sign < 0 or not math.isfinite(log_sum) or lead - log_sum > _CANCEL_NATS:
-        # positive and negative partial sums agree to too many digits for
-        # double precision to resolve their difference; integrate the
-        # all-positive representation instead
-        return _pdf_product_integral(p, x)
-    return DensityValue(log_pref + log_sum, sign, True, terms)
+def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
+                    terms: int) -> DensityValue | None:
+    """The signed series sum, or None where double precision cannot resolve
+    the difference of its positive and negative partial sums."""
+    lead = _logsumexp(logs[signs > 0])
+    delta = -math.expm1(_logsumexp(logs[signs < 0]) - lead)
+    if not (math.isfinite(lead) and delta > 0) or -math.log(delta) > _CANCEL_NATS:
+        return None
+    return DensityValue(log_pref + lead + math.log(delta), 1, True, terms)
+
+
+def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
+                   x: float, floor: float = -np.inf) -> tuple[float, int]:
+    """(log trapezoid sum, nodes) of exp(log_integrand), whose (2, n) values
+    at n nodes on [lo, hi] hold one row per sign of u.  Each pass trims to
+    within 45 nats of the peak and halves the step, until two sums agree to
+    1e-15 relative to the exponent (its roundoff floor) or drop below
+    ``floor``; NotConverged past 2^18 nodes (formatted only then: 1 us)."""
+    prev = math.nan
+    while n <= 1 << 18:  # caps the temporaries at about 40 MB
+        t, h = np.linspace(lo, hi, n, retstep=True)
+        q = log_integrand(t)
+        peak = float(q.max())
+        if peak == -np.inf:
+            return peak, q.size
+        log_sum = peak + math.log(h * np.exp(q - peak).sum())
+        if log_sum < floor or abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
+            return log_sum, q.size
+        prev = log_sum
+        keep = np.flatnonzero((q > peak - 45).any(axis=0))
+        i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
+        lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
+    raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
 
 
 def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
@@ -221,11 +248,11 @@ def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     With u = +-e^s the integrand decays double-exponentially, so the
     trapezoid rule in s converges spectrally (Trefethen & Weideman, SIAM
     Rev. 2014).  Q(a, b) >= (1 - |rho|)(a^2 + b^2) bounds the s-range within
-    45 nats of the peak (to log|x| - log(|mu_y| + r sigma_y) as x -> 0); a
-    pass at the narrowest possible peak width trims it to that window, then
-    the step halves until two log-space sums agree to 1e-15 relative to the
-    exponent (its roundoff floor), or the node budget is spent.
+    45 nats of the peak (to log|x| - log(|mu_y| + r sigma_y) as x -> 0); the
+    first pass is at the narrowest possible peak width.
     """
+    if x == 0:
+        raise SingularPoint("the product density diverges logarithmically at x = 0")
     om = 1.0 - p.rho ** 2
 
     def exponent(s):
@@ -241,20 +268,10 @@ def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     lo = math.log(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
     hi = math.log(abs(p.mu_x) + r * p.sigma_x)
     step = math.sqrt(1 - abs(p.rho)) / (2 * (max(abs(p.r_x), abs(p.r_y)) + r))
-    n, prev = int((hi - lo) / step) + 2, math.nan
-    while n <= 1 << 18:  # caps the temporaries at about 40 MB
-        s, h = np.linspace(lo, hi, n, retstep=True)
-        q = exponent(s)
-        peak = float(q.max())
-        log_sum = peak + math.log(h * np.exp(q - peak).sum())
-        if abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
-            log_norm = -math.log(2 * math.pi * p.s * math.sqrt(om))
-            return DensityValue(log_norm + log_sum, 1, True, q.size)
-        prev = log_sum
-        keep = np.flatnonzero((q > peak - 45).any(axis=0))
-        i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
-        lo, hi, n = s[i0], s[i1], 2 * (i1 - i0) + 1
-    raise NotConverged(f"product density integral: over 2^18 nodes at x={x}")
+    log_sum, nodes = _log_trapezoid(exponent, lo, hi, int((hi - lo) / step) + 2,
+                                    "product density integral", x)
+    log_norm = -math.log(2 * math.pi * p.s * math.sqrt(om))
+    return DensityValue(log_norm + log_sum, 1, True, nodes)
 
 
 def pdf_single_zero_mean(p: ProductNormalParams, x: float,
@@ -295,8 +312,7 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
             f"insufficient at x={x}"
         )
     log_base = -math.log(math.pi * s) - mu ** 2 / (2 * s_cubed ** 2)
-    return DensityValue(log_base + special.logsumexp(np.array(terms)),
-                        1, True, len(terms))
+    return DensityValue(log_base + _logsumexp(terms), 1, True, len(terms))
 
 
 def _mean_zero_means_form(mp: MeanParams) -> tuple[float, float, float]:
@@ -380,27 +396,26 @@ STENCILS = {
 }
 
 
-def finite_difference_derivatives(p: ProductNormalParams, x: float,
-                                 ctl: SeriesControl = SeriesControl(),
-                                 h: float | None = None) -> list[float]:
+def finite_difference_derivatives(p: ProductNormalParams,
+                                 x: float) -> list[float]:
     """Density of Z and its first four derivatives by Richardson-extrapolated
-    central differences of the series density.
+    central differences of ``pdf_product``.
 
-    The default step h = max(1e-2, 1e-2*|x|) was tuned against the
-    zero-mean closed form; smaller steps are noise-dominated for the
-    fourth derivative of a series-evaluated function.
+    The step h = max(1e-2, 1e-2*|x|) was tuned against the zero-mean
+    closed form; smaller steps are noise-dominated for the fourth
+    derivative, whose stencil divides the rounding error of each density
+    value by h^4.
     """
-    if h is None:
-        h = max(1e-2, 1e-2 * abs(x))
+    h = max(1e-2, 1e-2 * abs(x))
 
     def val(t):
         if t == 0:
             raise SingularPoint("finite-difference stencil crosses x = 0")
-        return pdf_product(p, t, ctl).value
+        return pdf_product(p, t).value
 
-    out = [val(x)]
     f_h = np.array([val(x + k * h) for k in range(-3, 4)])
     f_h2 = np.array([val(x + k * h / 2) for k in range(-3, 4)])
+    out = [float(f_h[3])]
     for order in range(1, 5):
         weights, power, acc = STENCILS[order]
         d_h = weights @ f_h / h ** power
@@ -465,8 +480,7 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     unit step in tau resolves every feature.  Close to 0, where nothing
     but e^v changes, tau(t) widens the step in v from 1/c0 to 1.  The
     trapezoid rule in t converges spectrally (Trefethen & Weideman, SIAM
-    Rev. 2014): the step halves until two log-space sums agree to 1e-15
-    relative to the exponent, or NotConverged is raised past 2^18 nodes.
+    Rev. 2014) as ``_log_trapezoid`` halves the step.
     """
     z = float(x)
     if math.isnan(z):
@@ -518,23 +532,11 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
         return -0.5 * a * a + log_du_dt + special.log_ndtr(arg)
 
     log_norm = math.log(math.sqrt(2 * math.pi) * p.sigma_x * c1)
-    n, prev = int(hi - lo) + 2, math.nan
-    while n <= 1 << 18:  # caps the temporaries at about 40 MB
-        t, h = np.linspace(lo, hi, n, retstep=True)
-        q = log_integrand(t)
-        peak = float(q.max())
-        if peak == -np.inf:
-            return 1.0 if upper else 0.0
-        log_sum = peak + math.log(h * np.exp(q - peak).sum()) - log_norm
-        # below -750 the probability underflows, resolved or not
-        if log_sum < -750 or abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
-            tail = min(math.exp(log_sum), 1.0)
-            return 1.0 - tail if upper else tail
-        prev = log_sum
-        keep = np.flatnonzero((q > peak - 45).any(axis=0))
-        i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
-        lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
-    raise NotConverged(f"cdf integral: over 2^18 nodes at x={x}")
+    # below -750 the probability underflows, resolved or not
+    log_sum, _ = _log_trapezoid(log_integrand, lo, hi, int(hi - lo) + 2,
+                                "cdf integral", x, log_norm - 750)
+    tail = min(math.exp(log_sum - log_norm), 1.0)
+    return 1.0 - tail if upper else tail
 
 
 def _pdf_value(p: ProductNormalParams, x: float, ctl: SeriesControl) -> float:
@@ -544,11 +546,12 @@ def _pdf_value(p: ProductNormalParams, x: float, ctl: SeriesControl) -> float:
         # certifiably negligible; skip the series entirely
         return 0.0
     log_pref, logs, signs, terms = _series_parts(p, x, ctl)
-    if log_pref + float(special.logsumexp(logs)) < math.log(1e-40):
+    if log_pref + _logsumexp(logs) < math.log(1e-40):
         # |sum| <= sum of magnitudes: negligible for any quadrature in
         # use, so skip the signed combination (and any integral fallback)
         return 0.0
-    dv = _combine_series(p, x, log_pref, logs, signs, terms)
+    dv = (_combine_series(log_pref, logs, signs, terms)
+          or _pdf_product_integral(p, x))
     return 0.0 if dv.log_abs < _LOG_DBL_MIN else dv.value
 
 
@@ -578,6 +581,7 @@ def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     # budget than pointwise evaluation does
     ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
     quad_tol = 1e-9
+    from scipy import integrate  # its only user; keeps it off import
 
     def f(t):
         return _pdf_value(p, t, ctl)

@@ -142,12 +142,12 @@ def test_criterion_5_pdf_consistency():
     from conftest import NORMALIZATION_SWEEP
     grid = np.concatenate([np.linspace(-4, -0.2, 20), np.linspace(0.2, 4, 21)])
     with Budget("criterion-5 pdf consistency", 10.0):
-        # double vs single series on the one-zero-mean uncorrelated case
+        # integral vs single series on the one-zero-mean uncorrelated case
         p = validate(1.2, 0.0, 0.9, 1.1, 0.0)
         for x in grid:
             assert pdf_product(p, x).value == pytest.approx(
                 pdf_single_zero_mean(p, x).value, rel=1e-10)
-        # double series vs the zero-mean closed form at n = 1
+        # integral vs the zero-mean closed form at n = 1
         pz = validate(0.0, 0.0, 1.1, 0.8, 0.3)
         for x in grid:
             assert pdf_product(pz, x).value == pytest.approx(

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -160,6 +161,22 @@ class TestSubcommands:
         assert rows[0] == ["index", "value"]
         assert len(rows) == 11
 
+    def test_sample_csv_matches_row_format(self, runner):
+        # written a batch at a time; the bytes are those of one
+        # "index,%.17g" row per sample, across a batch boundary
+        from normprod import (MeanParams, SamplerConfig,
+                              sample_mean_of_products, validate)
+        count = SamplerConfig.batch + 5
+        result = runner.invoke(cli, ["sample", "--mu-x", "1", "--rho", "0.3",
+                                     "--count", str(count), "--seed", "9"])
+        assert result.exit_code == 0
+        mp = MeanParams(validate(1.0, 0.0, 1.0, 1.0, 0.3), 1)
+        values = np.concatenate(list(sample_mean_of_products(
+            mp, SamplerConfig(9, count))))
+        expected = "index,value\n" + "".join(
+            f"{i},{float(v):.17g}\n" for i, v in enumerate(values))
+        assert result.output == expected
+
     def test_pdf_grid_csv(self, runner):
         result = runner.invoke(cli, ["pdf", "--grid", "0.5:2:4", "--csv"])
         assert result.exit_code == 0
@@ -202,6 +219,7 @@ class TestExitCodes:
         result = runner.invoke(cli, ["pdf", "--mu-x", "1", "--mu-y", "-2",
                                      "--sigma-x", "1.3", "--sigma-y", "0.7",
                                      "--rho", "0.9999", "--x", "3",
+                                     "--method", "double",
                                      "--max-outer", "3"])
         assert result.exit_code == 3
 

@@ -1,5 +1,7 @@
 import inspect
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -20,6 +22,7 @@ from normprod import (
     ode_residual_density,
     pdf_mean_zero_means,
     pdf_product,
+    pdf_product_series,
     pdf_single_zero_mean,
     validate,
 )
@@ -28,12 +31,21 @@ from conftest import NORMALIZATION_SWEEP, random_mean_params
 GRID = np.concatenate([np.linspace(-4, -0.05, 20), np.linspace(0.05, 4, 21)])
 
 
+@pytest.mark.parametrize("a", [[], [-np.inf, -np.inf], [-np.inf, 0.3],
+                               [700.0, 710.0, -745.0], [-1000.0, -1001.5]])
+def test_logsumexp_matches_scipy(a):
+    from scipy import special
+    from normprod.density import _logsumexp
+    assert _logsumexp(np.array(a)) == pytest.approx(
+        special.logsumexp(np.array(a, dtype=float)), rel=1e-15)
+
+
 class TestDoubleSeries:
     def test_double_equals_single_series(self):
         # one zero mean, uncorrelated: the double series collapses
         p = validate(1.0, 0.0, 1.3, 0.8, 0.0)
         for x in GRID:
-            a = pdf_product(p, x)
+            a = pdf_product_series(p, x)
             b = pdf_single_zero_mean(p, x)
             assert a.value == pytest.approx(b.value, rel=1e-10)
 
@@ -41,7 +53,7 @@ class TestDoubleSeries:
         p = validate(0.0, 0.0, 1.1, 0.9, 0.35)
         mp = MeanParams(p, 1)
         for x in GRID:
-            a = pdf_product(p, x)
+            a = pdf_product_series(p, x)
             b = pdf_mean_zero_means(mp, x)
             assert a.value == pytest.approx(b.value, rel=1e-10)
 
@@ -69,7 +81,7 @@ class TestDoubleSeries:
         # cancels past double precision and the high-precision path takes
         # over; reference value from an independent 60-digit summation
         p = validate(-1.5437, -0.1977, 0.5619, 0.7627, 0.8354)
-        dv = pdf_product(p, 5.0, SeriesControl(1e-14, 1500))
+        dv = pdf_product_series(p, 5.0, SeriesControl(1e-14, 1500))
         assert dv.converged and dv.sign == 1
         assert dv.value == pytest.approx(0.011243362755883567, rel=1e-12)
 
@@ -84,9 +96,8 @@ class TestDoubleSeries:
 
     @pytest.mark.parametrize("x", sorted(FAR_POINTS))
     def test_far_points_match_reference(self, x):
-        from normprod.density import _pdf_product_integral
         p = validate(1.0, -2.0, 1.3, 0.7, 0.6)
-        for dv in (pdf_product(p, x), _pdf_product_integral(p, x)):
+        for dv in (pdf_product(p, x), pdf_product_series(p, x)):
             assert dv.converged and dv.sign == 1
             assert dv.log_abs == pytest.approx(self.FAR_POINTS[x], abs=1e-12)
 
@@ -119,19 +130,73 @@ class TestDoubleSeries:
         # surfaces only where the integral exceeds its node budget too
         tiny = SeriesControl(rel_tol=1e-14, max_outer=3)
         p = validate(3, 3, 1, 1, 0.0)
-        assert pdf_product(p, 8.0, tiny).log_abs == pytest.approx(
+        assert pdf_product_series(p, 8.0, tiny).log_abs == pytest.approx(
             pdf_product(p, 8.0).log_abs, abs=1e-12)
         with pytest.raises(NotConverged):
-            pdf_product(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0, tiny)
+            pdf_product_series(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0,
+                               tiny)
 
     def test_series_not_converged_falls_back_to_integral(self):
         # the series needs more than its 300 default blocks here; log f
         # from a 45-digit mpmath.quad of the positive integral in u with
         # breakpoints at the integrand's peaks (30 digits agree)
-        dv = pdf_product(validate(1.0, -2.0, 1.3, 0.7, 0.999), 3.0)
+        dv = pdf_product_series(validate(1.0, -2.0, 1.3, 0.7, 0.999), 3.0)
         assert dv.converged and dv.sign == 1
         assert dv.log_abs == pytest.approx(-3.6138065994470468458657069382,
                                            abs=1e-12)
+
+    # log f from the zero-mean closed form, which the integral cannot
+    # reach within its node budget at these correlations
+    HIGH_RHO_POINTS = [((0, 0, 1, 1, -0.9999), 0.5, -5000.572414932236),
+                       ((0, 0, 1, 1, 0.9999), -1.0, -10000.91896353307),
+                       ((0, 0, 1, 1, 0.99999), 2.0, -2.2655183734896127)]
+
+    @pytest.mark.parametrize("tup, x, ref", HIGH_RHO_POINTS)
+    def test_integral_out_of_nodes_falls_back_to_series(self, tup, x, ref):
+        from normprod.density import _pdf_product_integral
+        p = validate(*tup)
+        with pytest.raises(NotConverged):
+            _pdf_product_integral(p, x)
+        assert pdf_product(p, x).log_abs == pytest.approx(ref, abs=1e-12)
+        assert pdf_mean_zero_means(MeanParams(p, 1), x).log_abs == \
+            pytest.approx(ref, abs=1e-12)
+
+    def test_integral_path_never_enters_series(self, monkeypatch):
+        from normprod import density
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the integral converges here")
+        for name in ("_series_parts", "_combine_series", "pdf_product_series"):
+            monkeypatch.setattr(density, name, forbidden)
+        assert list(inspect.signature(pdf_product).parameters) == ["p", "x"]
+        p = validate(1.0, -2.0, 1.3, 0.7, 0.6)
+        for x in sorted(self.FAR_POINTS):
+            assert pdf_product(p, x).log_abs == pytest.approx(
+                self.FAR_POINTS[x], abs=1e-12)
+
+    def test_series_oracle_matches_integral(self):
+        # at every random point where the series answers by itself
+        # (converged, cancelling by at most 8 nats), it agrees with the
+        # integral that pdf_product returns
+        from normprod.density import _combine_series, _series_parts
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(30):
+            p = random_mean_params(rng).base
+            cf4 = closed_form_four(MeanParams(p, 1))
+            for k in (-4.0, -1.5, 0.5, 3.0):
+                x = cf4.raw[0] + k * math.sqrt(cf4.variance)
+                try:
+                    series = _combine_series(
+                        *_series_parts(p, x, SeriesControl()))
+                except NotConverged:
+                    continue
+                if series is None:
+                    continue
+                assert series.log_abs == pytest.approx(
+                    pdf_product(p, x).log_abs, abs=1e-10)
+                checked += 1
+        assert checked >= 90
 
     def test_integral_node_budget(self):
         # near |rho| = 1 the integrand's peak is too narrow for the node
@@ -344,6 +409,14 @@ class TestCdf:
         monkeypatch.setattr(integrate, "quad", forbidden)
         assert list(inspect.signature(cdf_product).parameters) == ["p", "x"]
         assert 0 < cdf_product(validate(0.6, -0.8, 1.0, 1.2, 0.25), 0.3) < 1
+
+    def test_import_leaves_out_quadrature(self):
+        # scipy.integrate serves only cdf_product_series and costs a
+        # fifth of a second of start-up
+        code = "import sys, normprod; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_node_budget(self):
         # the step of Phi at rho = -0.999999 is too narrow for 2^18 nodes
