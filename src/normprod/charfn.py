@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CaseMismatch
 from .params import MeanParams
+from .stein import a1_table
 
 
 class BranchAmbiguityWarning(UserWarning):
@@ -97,20 +98,14 @@ def cf_ode_residual(mp: MeanParams, t: float,
     if p.sigma_x != 1 or p.sigma_y != 1:
         raise CaseMismatch("the characteristic-function ODE is stated for "
                            "unit variances")
-    mx, my, rho, n = p.mu_x, p.mu_y, p.rho, mp.n
-    om = 1.0 - rho ** 2
     phi = cf_mean(mp, t)
     if dphi is None:
         dphi = cf_mean_derivative(mp, t)
-    c_dphi = (-1j * om ** 2 * t ** 4 - 4 * n * om * rho * t ** 3
-              + 1j * n ** 2 * (6 * rho ** 2 - 2) * t ** 2
-              - 4 * rho * t * n ** 3 - 1j * n ** 4)
-    c_phi = (-1j * n * om ** 2 * t ** 3
-             - n ** 2 * (rho * (mx ** 2 + my ** 2)
-                         - (1 + rho ** 2) * mx * my + 3 * rho * om) * t ** 2
-             + 1j * n ** 3 * (2 * rho * mx * my - mx ** 2 - my ** 2
-                              + 3 * rho ** 2 - 1) * t
-             - n ** 4 * (mx * my + rho))
+    # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
+    table = a1_table(mp)
+    powers = [(1j * t) ** j for j in range(len(table))]
+    c_phi = sum(a0 * w for (a0, _), w in zip(table, powers))
+    c_dphi = -1j * sum(a1 * w for (_, a1), w in zip(table, powers))
     t1, t2 = c_dphi * dphi, c_phi * phi
     scale = max(abs(t1), abs(t2))
     if scale == 0:

@@ -295,7 +295,8 @@ def cdf(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, x, as_json,
 
 @cli.command("moments")
 @_param_options
-@click.option("--kmax", type=int, default=8, show_default=True)
+@click.option("--kmax", type=click.IntRange(min=0), default=8,
+              show_default=True)
 @click.option("--central", is_flag=True)
 @click.option("--closed-form", is_flag=True)
 @click.option("--exact", is_flag=True, help="report exact rationals")

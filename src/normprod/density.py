@@ -24,12 +24,15 @@ from .bessel import BesselOrder, log_bessel_k_sequence
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
                      SingularPoint)
 from .params import MeanParams, ProductNormalParams
+from .stein import STENCILS, a1_table
 
 _LOG_DBL_MIN = math.log(np.finfo(float).tiny)
 
 # Nats of cancellation between the positive and negative partial sums
-# beyond which the series is abandoned for the positive integral: past 8
-# nats the signed sum loses the 1e-10 accuracy in log it is held to.
+# beyond which the series is abandoned for the positive integral.  Within
+# 8 nats the signed sum holds 1e-10 in log where the oracle sweep checks
+# it (|rho| <= 0.9), but not near |rho| = 1: at rho = 0.999 a point that
+# cancels by 7.2 nats is off by 1.46e-10.
 _CANCEL_NATS = 8.0
 
 # Bound T on |argument of Phi| over which the conditional-CDF integrand is
@@ -103,15 +106,24 @@ def _logsumexp(a) -> float:
     return float(peak + np.log(np.exp(a - peak).sum()))
 
 
+def _finite_x(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteParameter(f"x={x}; the density needs a finite point")
+    return x
+
+
 def pdf_product(p: ProductNormalParams, x: float) -> DensityValue:
     """Density of Z = XY at x != 0 by the positive integral, or by the
     Bessel double series where the integral exceeds its node budget.
 
-    Raises SingularPoint at x = 0 (a log singularity) and NotConverged if
-    the series does not converge or cancels past double precision too.
+    Raises NonFiniteParameter at a NaN or infinite x, SingularPoint at
+    x = 0 (a log singularity) and NotConverged if the series does not
+    converge or cancels past double precision too.
     """
+    x = _finite_x(x)
     try:
-        return _pdf_product_integral(p, float(x))
+        return _pdf_product_integral(p, x)
     except NotConverged:
         dv = _combine_series(*_series_parts(p, x, SeriesControl()))
     if dv is None:
@@ -124,11 +136,12 @@ def pdf_product_series(p: ProductNormalParams, x: float,
     """``pdf_product``'s oracle: the Bessel double series, or the integral
     where the series cancels by more than a few nats or does not converge
     within ``ctl.max_outer`` outer blocks (NotConverged if both fail)."""
+    x = _finite_x(x)
     try:
         dv = _combine_series(*_series_parts(p, x, ctl))
     except NotConverged:
         dv = None
-    return _pdf_product_integral(p, float(x)) if dv is None else dv
+    return _pdf_product_integral(p, x) if dv is None else dv
 
 
 def _series_parts(p: ProductNormalParams, x: float,
@@ -289,7 +302,7 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
         mu, s_cubed, s_lin = p.mu_y, p.sigma_y, p.sigma_x
     else:
         raise CaseMismatch("single-series density requires one zero mean")
-    x = float(x)
+    x = _finite_x(x)
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     s = p.s
@@ -337,7 +350,7 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
     raises SingularPoint.
     """
     nu, c, log_base = _mean_zero_means_form(mp)
-    x = float(x)
+    x = _finite_x(x)
     if x == 0:
         if mp.n == 1:
             raise SingularPoint("the n=1 density diverges logarithmically at x = 0")
@@ -386,16 +399,6 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
     return [float(v) for v in scale * taylor * fact]
 
 
-# 7-point central stencils on x + k h, k = -3..3, for derivative orders
-# 1..4: (weights, power of h, order of accuracy).
-STENCILS = {
-    1: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 1, 6),
-    2: (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0, 2, 6),
-    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3, 4),
-    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 4, 4),
-}
-
-
 def finite_difference_derivatives(p: ProductNormalParams,
                                  x: float) -> list[float]:
     """Density of Z and its first four derivatives by Richardson-extrapolated
@@ -428,7 +431,8 @@ def finite_difference_derivatives(p: ProductNormalParams,
 def ode_residual_density(mp: MeanParams, x: float,
                          derivs: list[float]) -> float:
     """Normalized residual of the fourth-order linear ODE satisfied by the
-    density of the mean (unit variances).
+    density of the mean (unit variances): the adjoint of the operator
+    ``stein.a1_table``, since E[A f] = int f A*p = 0 for every f.
 
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
     the ODE left-hand side divided by the largest absolute term, so a
@@ -439,20 +443,12 @@ def ode_residual_density(mp: MeanParams, x: float,
         raise CaseMismatch("the density ODE is stated for unit variances")
     if len(derivs) != 5:
         raise ValueError("derivs must contain p and its first four derivatives")
-    mx, my, rho, n = p.mu_x, p.mu_y, p.rho, mp.n
-    om = 1.0 - rho ** 2
-    coeffs = [
-        n ** 3 * (4 * rho + n * (x - mx * my - rho)),
-        n ** 2 * (2 * (6 * rho ** 2 - 2)
-                  - n * (2 * rho * mx * my - mx ** 2 - my ** 2 + 3 * rho ** 2 - 1)
-                  + 4 * rho * n * x),
-        n * ((6 * rho ** 2 - 2) * n * x - 12 * rho * om
-             + n * (3 * rho * om + rho * my ** 2 - rho ** 2 * mx * my
-                    - mx * my + rho * mx ** 2)),
-        om * (om * (4 - n) - 4 * rho * n * x),
-        om ** 2 * x,
-    ]
-    terms = [c * d for c, d in zip(coeffs, derivs)]
+    # the adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] of the operator: the
+    # coefficient of p^(i) is (-1)^i [(a0_i + a1_i x) - (i + 1) a1_(i+1)]
+    table = a1_table(mp)
+    a1_next = [a1 for _, a1 in table[1:]] + [0.0]
+    terms = [(-1) ** i * ((a0 + a1 * x) - (i + 1) * b) * d
+             for i, ((a0, a1), b, d) in enumerate(zip(table, a1_next, derivs))]
     scale = max(abs(t) for t in terms)
     if scale == 0:
         return 0.0

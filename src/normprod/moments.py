@@ -1,23 +1,28 @@
 """Raw and central moments of the product-normal mean.
 
-The recursions come from plugging x^k (resp. centred powers) into the
-characterising equation of the fourth-order Stein operator; the
-lower-order variants apply when the mean-to-sd ratios are equal.  All
-recursion coefficients are rational in the parameters, so the same
-recursion doubles as an exact-arithmetic oracle: above EXACT_KMAX the
-floating tables are computed exactly over rationals (IEEE doubles are
-rationals) and rounded once at the end, avoiding cancellation between
-the large mixed terms at high order.
+As in the paper, the moments come from the Stein characterisation
+E[A f(Z)] = 0: with f(x) = (x - c)^k, row k gives the moment of order
+k + 1 about c from the lower ones, for any operator table of ``stein``
+(``_solve``; c = 0 for raw moments, c = E Z for central ones).  The
+general fourth-order table gives ``raw_moments``/``central_moments``, the
+third-order one the ``*_equal_ratio`` variants.  Table entries are
+rational in the parameters (doubles are rationals), so the same solver
+is an exact oracle; above EXACT_KMAX the floating tables are computed
+exactly and rounded once, avoiding cancellation between the large mixed
+terms at high order.  The closed forms of the first four moments are
+written out independently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import CaseMismatch, DegenerateVariance
-from .params import DistributionCase, MeanParams, classify
+from .errors import DegenerateVariance
+from .params import MeanParams
+from .stein import a1_table, a2_table
 
 #: Order above which the recursion runs in exact rational arithmetic.
 EXACT_KMAX = 20
@@ -37,191 +42,88 @@ class MomentTable:
             raise ValueError("values[0] must be 1")
 
 
-def _rational_inputs(mp: MeanParams):
-    p = mp.base
-    mux, muy = Fraction(p.mu_x), Fraction(p.mu_y)
-    sx, sy = Fraction(p.sigma_x), Fraction(p.sigma_y)
-    rho = Fraction(p.rho)
-    return mux, muy, sx, sy, rho, mp.n
+def _solve(table, kmax: int, central: bool = False) -> list:
+    """Moments 0..kmax about c of the law that the operator ``table``
+    (pairs (a0_j, a1_j) with a1_0 = 1) characterises, in the table's
+    number type; c = 0, or c = mu_1 = -a0_0 if ``central``.
+
+    With b0_j = a0_j + a1_j c, row k of E[A (x - c)^k] = 0 is
+    mu_(k+1) = -sum_i (k)_i [b0_i + (k - i) a1_(i+1)] mu_(k-i), with
+    (k)_i the falling factorial; each coefficient is formed before it
+    multiplies the (large) moment.
+    """
+    if kmax < 0:
+        raise ValueError(f"kmax={kmax} must be >= 0")
+    a0, a1 = zip(*table)
+    b0 = [u - v * a0[0] for u, v in zip(a0, a1)] if central else a0
+    a1_next = a1[1:] + (0 * a1[0],)
+    mu = [a1[0]]
+    for k in range(kmax):
+        total, fall = 0, 1
+        for i in range(min(k, len(b0) - 1) + 1):
+            total -= fall * (b0[i] + (k - i) * a1_next[i]) * mu[k - i]
+            fall *= k - i
+        mu.append(total)
+    return mu
+
+
+def _solve_exact(table, kmax: int, central: bool = False) -> list[Fraction]:
+    """``_solve`` on a Fraction table, in integers: W = d Z has the table
+    (a0_j d^(j+1), a1_j d^j), integral for d = 2^e times the odd parts of
+    the denominators, e the least exponent that clears their powers of two
+    (d = 2^e for parameters that are doubles); so W's moments M_k are
+    integers, and mu_k = M_k / d^k."""
+    e, odd = 0, 1
+    for j, (a0, a1) in enumerate(table):
+        for v, w in ((a0, j + 1), (a1, max(j, 1))):  # a1_0 = 1
+            twos = (v.denominator & -v.denominator).bit_length() - 1
+            e = max(e, -(-twos // w))
+            odd = math.lcm(odd, v.denominator >> twos)
+    d = odd << e
+    scaled = [(a0.numerator * (d ** (j + 1) // a0.denominator),
+               a1.numerator * (d ** j // a1.denominator))
+              for j, (a0, a1) in enumerate(table)]
+    return [Fraction(m, d ** k)
+            for k, m in enumerate(_solve(scaled, kmax, central))]
 
 
 def raw_moments_exact(mp: MeanParams, kmax: int) -> list[Fraction]:
-    """E[mean^k] for k = 0..kmax, exactly, via the four-term recursion."""
-    mux, muy, sx, sy, rho, n = _rational_inputs(mp)
-    rx, ry = mux / sx, muy / sy
-    s_n = sx * sy / n
-    om = 1 - rho ** 2
-    # loop-invariant parts of the coefficients, hoisted because every
-    # Fraction operation pays for a gcd
-    mxy, s_rho = mux * muy, s_n * rho
-    a1 = n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1)
-    b1 = 6 * rho ** 2 - 2
-    a2 = n * (rho * (rx ** 2 + ry ** 2) - (1 + rho ** 2) * rx * ry + 3 * rho * om)
-    b2 = 4 * rho * om
-    s2, s3, s4_om2 = s_n ** 2, s_n ** 3, s_n ** 4 * om ** 2
-    mu = [Fraction(1)]
-    for k in range(kmax):
-        v = (mxy + s_rho * (4 * k + n)) * mu[k]
-        if k >= 1:
-            v -= s2 * k * (a1 + (k - 1) * b1) * mu[k - 1]
-        if k >= 2:
-            v -= s3 * (k * (k - 1)) * (a2 + (k - 2) * b2) * mu[k - 2]
-        if k >= 3:
-            v -= s4_om2 * (k * (k - 1) * (k - 2) * (n + k - 3)) * mu[k - 3]
-        mu.append(v)
-    return mu
+    """E[mean^k] for k = 0..kmax, exactly, from the fourth-order table."""
+    return _solve_exact(a1_table(mp, Fraction), kmax)
 
 
 def central_moments_exact(mp: MeanParams, kmax: int) -> list[Fraction]:
     """E[(mean - E mean)^k] for k = 0..kmax, exactly."""
-    mux, muy, sx, sy, rho, n = _rational_inputs(mp)
-    rx, ry = mux / sx, muy / sy
-    s_n = sx * sy / n
-    om = 1 - rho ** 2
-    m1 = mux * muy + n * s_n * rho
-    mu = [Fraction(1), Fraction(0)]
-    for k in range(1, kmax):
-        v = 4 * rho * s_n * k * mu[k]
-        v -= s_n * k * (
-            s_n * (6 * rho ** 2 - 2) * (k - 1)
-            + n * s_n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1)
-            - 4 * rho * m1) * mu[k - 1]
-        if k >= 2:
-            v -= s_n ** 2 * k * (k - 1) * (
-                (6 * rho ** 2 - 2) * m1
-                + n * s_n * (rho * (rx ** 2 + ry ** 2)
-                             - (1 + rho ** 2) * rx * ry + 3 * rho * om)
-                + 4 * s_n * rho * om * (k - 2)) * mu[k - 2]
-        if k >= 3:
-            v -= s_n ** 3 * om * k * (k - 1) * (k - 2) * (
-                4 * rho * m1 + s_n * om * (n + k - 3)) * mu[k - 3]
-        if k >= 4:
-            v -= s_n ** 4 * om ** 2 * k * (k - 1) * (k - 2) * (k - 3) * m1 * mu[k - 4]
-        mu.append(v)
-    return mu[:kmax + 1]
+    return _solve_exact(a1_table(mp, Fraction), kmax, central=True)
 
 
-def _float_raw(mp: MeanParams, kmax: int) -> list[float]:
-    p = mp.base
-    rx, ry, rho, n, s_n = p.r_x, p.r_y, p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
-    mxy = p.mu_x * p.mu_y
-    mu = [1.0]
-    for k in range(kmax):
-        v = (mxy + s_n * rho * (4 * k + n)) * mu[k]
-        if k >= 1:
-            v -= s_n ** 2 * k * (
-                n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1)
-                + (k - 1) * (6 * rho ** 2 - 2)) * mu[k - 1]
-        if k >= 2:
-            v -= s_n ** 3 * k * (k - 1) * (
-                n * (rho * (rx ** 2 + ry ** 2) - (1 + rho ** 2) * rx * ry
-                     + 3 * rho * om)
-                + 4 * (k - 2) * rho * om) * mu[k - 2]
-        if k >= 3:
-            v -= s_n ** 4 * k * (k - 1) * (k - 2) * om ** 2 * (n + k - 3) * mu[k - 3]
-        mu.append(v)
-    return mu
-
-
-def _float_central(mp: MeanParams, kmax: int) -> list[float]:
-    p = mp.base
-    rx, ry, rho, n, s_n = p.r_x, p.r_y, p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
-    m1 = p.mu_x * p.mu_y + n * s_n * rho
-    mu = [1.0, 0.0]
-    for k in range(1, kmax):
-        v = 4 * rho * s_n * k * mu[k]
-        v -= s_n * k * (
-            s_n * (6 * rho ** 2 - 2) * (k - 1)
-            + n * s_n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1)
-            - 4 * rho * m1) * mu[k - 1]
-        if k >= 2:
-            v -= s_n ** 2 * k * (k - 1) * (
-                (6 * rho ** 2 - 2) * m1
-                + n * s_n * (rho * (rx ** 2 + ry ** 2)
-                             - (1 + rho ** 2) * rx * ry + 3 * rho * om)
-                + 4 * s_n * rho * om * (k - 2)) * mu[k - 2]
-        if k >= 3:
-            v -= s_n ** 3 * om * k * (k - 1) * (k - 2) * (
-                4 * rho * m1 + s_n * om * (n + k - 3)) * mu[k - 3]
-        if k >= 4:
-            v -= s_n ** 4 * om ** 2 * k * (k - 1) * (k - 2) * (k - 3) * m1 * mu[k - 4]
-        mu.append(v)
-    return mu[:kmax + 1]
+def _float_table(table_of, mp: MeanParams, kmax: int,
+                 central: bool) -> MomentTable:
+    """Moments 0..kmax from ``table_of(mp, num)``, exactly above EXACT_KMAX."""
+    values = (_solve_exact(table_of(mp, Fraction), kmax, central)
+              if kmax > EXACT_KMAX else _solve(table_of(mp), kmax, central))
+    return MomentTable("central" if central else "raw",
+                       tuple(float(v) for v in values), "recursion")
 
 
 def raw_moments(mp: MeanParams, kmax: int) -> MomentTable:
-    """Raw moments 0..kmax via the four-term recursion."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    if kmax > EXACT_KMAX:
-        values = tuple(float(v) for v in raw_moments_exact(mp, kmax))
-    else:
-        values = tuple(_float_raw(mp, kmax))
-    return MomentTable("raw", values, "recursion")
+    """Raw moments 0..kmax from the fourth-order operator."""
+    return _float_table(a1_table, mp, kmax, central=False)
 
 
 def central_moments(mp: MeanParams, kmax: int) -> MomentTable:
-    """Central moments 0..kmax via the five-term recursion."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    if kmax > EXACT_KMAX:
-        values = tuple(float(v) for v in central_moments_exact(mp, kmax))
-    else:
-        values = tuple(_float_central(mp, kmax))
-    return MomentTable("central", values, "recursion")
-
-
-def _require_equal_ratio(mp: MeanParams):
-    case = classify(mp.base)
-    if case not in (DistributionCase.EQUAL_RATIO, DistributionCase.ZERO_MEANS):
-        raise CaseMismatch("lower-order recursions require equal mean-to-sd ratios")
+    """Central moments 0..kmax from the fourth-order operator."""
+    return _float_table(a1_table, mp, kmax, central=True)
 
 
 def raw_moments_equal_ratio(mp: MeanParams, kmax: int) -> MomentTable:
-    """Raw moments via the three-term-history recursion (equal ratios)."""
-    _require_equal_ratio(mp)
-    p = mp.base
-    rho, n, s_n = p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
-    mxy = p.mu_x * p.mu_y
-    mu = [1.0]
-    for k in range(kmax):
-        v = (mxy + s_n * (rho * n + (3 * rho + 1) * k)) * mu[k]
-        if k >= 1:
-            v -= s_n * k * (
-                mxy * (rho - 1)
-                + s_n * (n * (2 * rho ** 2 + rho - 1)
-                         + (1 + rho) * (3 * rho - 1) * (k - 1))) * mu[k - 1]
-        if k >= 2:
-            v -= s_n ** 3 * (1 + rho) * om * k * (k - 1) * (k - 2 + n) * mu[k - 2]
-        mu.append(v)
-    return MomentTable("raw", tuple(mu[:kmax + 1]), "recursion")
+    """Raw moments from the third-order operator (equal ratios)."""
+    return _float_table(a2_table, mp, kmax, central=False)
 
 
 def central_moments_equal_ratio(mp: MeanParams, kmax: int) -> MomentTable:
-    """Central moments via the four-term recursion (equal ratios)."""
-    _require_equal_ratio(mp)
-    p = mp.base
-    rho, n, s_n = p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
-    mxy = p.mu_x * p.mu_y
-    m1 = mxy + n * s_n * rho
-    mu = [1.0, 0.0]
-    for k in range(1, kmax):
-        v = k * s_n * (3 * rho + 1) * mu[k]
-        v -= k * s_n * (
-            (1 + rho) * (3 * rho - 1) * (k - 1) * s_n
-            + mxy * (rho - 1) + n * s_n * (2 * rho ** 2 + rho - 1)
-            - (3 * rho + 1) * m1) * mu[k - 1]
-        if k >= 2:
-            v -= s_n ** 2 * (1 + rho) * k * (k - 1) * (
-                m1 * (3 * rho - 1) + n * om * s_n + om * s_n * (k - 2)) * mu[k - 2]
-        if k >= 3:
-            v -= s_n ** 3 * k * (k - 1) * (k - 2) * om * (1 + rho) * m1 * mu[k - 3]
-        mu.append(v)
-    return MomentTable("central", tuple(mu[:kmax + 1]), "recursion")
+    """Central moments from the third-order operator (equal ratios)."""
+    return _float_table(a2_table, mp, kmax, central=True)
 
 
 class ClosedFormFour(NamedTuple):

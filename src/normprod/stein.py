@@ -1,9 +1,13 @@
 """Stein operators with linear coefficients for the product-normal mean.
 
-Operators are materialized as coefficient tables rather than closures:
-each is a list of pairs (a0_j, a1_j) so that the coefficient of f^(j)
-is a0_j + a1_j*x.  Tables can be printed, diffed, exported, and fed to
-the exact-arithmetic order search.
+An operator is a table of pairs (a0_j, a1_j), j = 0..order, with
+A f(x) = sum_j (a0_j + a1_j x) f^(j)(x) and E[A f(Z)] = 0 for the mean Z
+of n copies.  The general fourth-order table and the third-order one for
+equal mean-to-sd ratios are written once (``a1_table``, ``a2_table``),
+generic over the number type: the moment recursions of ``moments`` solve
+them in floats or Fractions, the density ODE is their adjoint and the
+characteristic-function ODE their Fourier transform.  Tables can be
+printed, diffed, exported, and fed to the exact-arithmetic order search.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import STENCILS
 from .errors import CaseMismatch
 from .params import DistributionCase, MeanParams, classify
 
@@ -137,6 +140,16 @@ def gaussian_bump(a: float) -> TestFunction:
     return TestFunction(ev, f"exp(-{a}x^2)", "bounded with bounded derivatives")
 
 
+# 7-point central stencils on x + k h, k = -3..3, for derivative orders
+# 1..4: (weights, power of h, order of accuracy).
+STENCILS = {
+    1: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 1, 6),
+    2: (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0, 2, 6),
+    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3, 4),
+    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 4, 4),
+}
+
+
 def from_callable(fn: Callable, h: float = 1e-5) -> TestFunction:
     """Finite-difference wrapper for an arbitrary scalar function.
 
@@ -175,41 +188,57 @@ def check_derivatives(f: TestFunction, grid=None, rtol: float = 1e-4) -> float:
     return worst
 
 
-def operator_a1(mp: MeanParams) -> SteinOperatorSpec:
-    """The fourth-order operator characterising the mean for any valid
-    parameters."""
+def _table_inputs(mp: MeanParams, num):
+    """(mu_x, mu_y, rho, rx, ry, s_n, 1 - rho^2, n) in the number type num."""
     p = mp.base
-    rho, n, s_n = p.rho, mp.n, mp.s_n
-    rx, ry = p.r_x, p.r_y
-    om = 1.0 - rho ** 2
-    return SteinOperatorSpec(4, (
-        (-p.mu_x * p.mu_y - n * s_n * rho, 1.0),
+    mux, muy, sx, sy, rho = map(num, (p.mu_x, p.mu_y, p.sigma_x, p.sigma_y, p.rho))
+    return mux, muy, rho, mux / sx, muy / sy, sx * sy / mp.n, 1 - rho ** 2, mp.n
+
+
+def a1_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
+    """Coefficient pairs (a0_j, a1_j), j = 0..4, of the fourth-order
+    operator characterising the mean for any valid parameters, computed
+    in the number type ``num`` (float, or Fraction for exact values)."""
+    mux, muy, rho, rx, ry, s_n, om, n = _table_inputs(mp, num)
+    return (
+        (-mux * muy - n * s_n * rho, num(1)),
         (s_n * n * s_n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1),
          -4 * rho * s_n),
         (s_n ** 2 * n * s_n * (rho * (rx ** 2 + ry ** 2)
                                - (1 + rho ** 2) * rx * ry + 3 * rho * om),
          s_n ** 2 * (6 * rho ** 2 - 2)),
         (n * s_n ** 4 * om ** 2, 4 * rho * s_n ** 3 * om),
-        (0.0, s_n ** 4 * om ** 2),
-    ))
+        (num(0), s_n ** 4 * om ** 2),
+    )
+
+
+def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
+    """Coefficient pairs (a0_j, a1_j), j = 0..3, of the third-order
+    operator available when the mean-to-sd ratios are equal (zero means
+    included), in the number type ``num``; CaseMismatch otherwise."""
+    if classify(mp.base) not in (DistributionCase.EQUAL_RATIO,
+                                 DistributionCase.ZERO_MEANS):
+        raise CaseMismatch("third-order operator requires equal mean-to-sd ratios")
+    mux, muy, rho, rx, ry, s_n, om, n = _table_inputs(mp, num)
+    return (
+        (-n * s_n * rho - mux * muy, num(1)),
+        (s_n * n * s_n * (2 * rho ** 2 + rho - 1 - (1 - rho) * rx * ry),
+         -(3 * rho + 1) * s_n),
+        (s_n ** 2 * (1 + rho) * n * s_n * om, s_n ** 2 * (1 + rho) * (3 * rho - 1)),
+        (num(0), s_n ** 3 * om * (1 + rho)),
+    )
+
+
+def operator_a1(mp: MeanParams) -> SteinOperatorSpec:
+    """The fourth-order operator characterising the mean for any valid
+    parameters."""
+    return SteinOperatorSpec(4, a1_table(mp))
 
 
 def operator_a2(mp: MeanParams) -> SteinOperatorSpec:
     """The third-order operator available when the mean-to-sd ratios are
     equal (zero means included)."""
-    p = mp.base
-    case = classify(p)
-    if case not in (DistributionCase.EQUAL_RATIO, DistributionCase.ZERO_MEANS):
-        raise CaseMismatch("third-order operator requires equal mean-to-sd ratios")
-    rho, n, s_n = p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
-    return SteinOperatorSpec(3, (
-        (-n * s_n * rho - p.mu_x * p.mu_y, 1.0),
-        (s_n * n * s_n * (2 * rho ** 2 + rho - 1 - (1 - rho) * p.r_x * p.r_y),
-         -(3 * rho + 1) * s_n),
-        (s_n ** 2 * (1 + rho) * n * s_n * om, s_n ** 2 * (1 + rho) * (3 * rho - 1)),
-        (0.0, s_n ** 3 * om * (1 + rho)),
-    ))
+    return SteinOperatorSpec(3, a2_table(mp))
 
 
 _SPECIAL = ("a3", "a4", "a5", "a6", "a7")
@@ -324,15 +353,12 @@ def substitution_identity_check(mp: MeanParams, f: TestFunction, x,
     if which == "auto":
         which = "a3a4" if case is DistributionCase.ZERO_MEANS else "a1a2"
     rho, s_n = p.rho, mp.s_n
+    # the reduced operators raise CaseMismatch outside their case
     if which == "a1a2":
-        if case not in (DistributionCase.EQUAL_RATIO, DistributionCase.ZERO_MEANS):
-            raise CaseMismatch("a1/a2 identity requires equal mean-to-sd ratios")
         g = _shifted_function(f, [(1 - rho) * s_n, 1.0], [1, 0], "substituted g")
         lhs = apply(operator_a1(mp), f, x)
         rhs = apply(operator_a2(mp), g, x)
     elif which == "a3a4":
-        if case is not DistributionCase.ZERO_MEANS:
-            raise CaseMismatch("a3/a4 identity requires zero means")
         g = _shifted_function(
             f, [(1 - rho ** 2) * s_n ** 2, 2 * rho * s_n, -1.0], [2, 1, 0],
             "substituted g")

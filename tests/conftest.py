@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from normprod import MeanParams, validate
+
+# child interpreters (the CLI and import checks) import this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 def random_mean_params(rng: np.random.Generator, *, n_choices=(1, 2, 5),

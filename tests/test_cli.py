@@ -228,6 +228,20 @@ class TestExitCodes:
         result = runner.invoke(cli, ["cdf", "--x", "nan", "--json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["--n", "3", "--x", "inf", "--json"],
+                                      ["--x", "nan"]])
+    def test_pdf_at_non_finite_x_is_2(self, runner, args):
+        # used to exit 0 with a NaN log-density, or with a traceback
+        result = runner.invoke(cli, ["pdf", *args])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_negative_kmax_is_2(self, runner, exact):
+        # used to exit 1 with a traceback, or 0 with --exact
+        result = runner.invoke(cli, ["moments", "--kmax", "-1", *exact])
+        assert result.exit_code == 2
+
     def test_cdf_of_mean_is_case_mismatch(self, runner):
         # used to print the n = 1 value under an echoed n = 3
         result = runner.invoke(cli, ["cdf", "--n", "3", "--x", "0.5",

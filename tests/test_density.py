@@ -11,6 +11,7 @@ from scipy import integrate
 from normprod import (
     CaseMismatch,
     MeanParams,
+    NonFiniteParameter,
     NotConverged,
     SeriesControl,
     SingularPoint,
@@ -38,6 +39,19 @@ def test_logsumexp_matches_scipy(a):
     from normprod.density import _logsumexp
     assert _logsumexp(np.array(a)) == pytest.approx(
         special.logsumexp(np.array(a, dtype=float)), rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("density", [
+    lambda x: pdf_product(validate(1, 2, 1.3, 0.7, 0.4), x),
+    lambda x: pdf_product_series(validate(1, 2, 1.3, 0.7, 0.4), x),
+    lambda x: pdf_single_zero_mean(validate(1, 0, 1, 1, 0), x),
+    lambda x: pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.2), 3), x),
+], ids=["product", "series", "single", "zero_means"])
+def test_non_finite_x_rejected(density, x):
+    # used to raise a bare ValueError, NonPositiveArgument or return NaN
+    with pytest.raises(NonFiniteParameter):
+        density(x)
 
 
 class TestDoubleSeries:

@@ -19,6 +19,8 @@ from normprod import (
     skewness,
     validate,
 )
+from normprod.moments import _solve, _solve_exact
+from normprod.stein import a1_table, a2_table
 from conftest import random_equal_ratio_params, random_mean_params
 
 
@@ -59,11 +61,37 @@ class TestExactRecursion:
             for k in range(9):
                 assert central[k] == binomial_raw_to_central(raw, raw[1], k)
 
+    def test_integer_path_matches_fraction_recursion(self, rng):
+        # the exact moments run on integers (W = d Z); the same solver on
+        # the Fraction table is the reference, including odd denominators
+        tables = [a1_table(random_mean_params(rng), Fraction)
+                  for _ in range(10)]
+        tables.append(((Fraction(-1, 3), Fraction(1)),
+                       (Fraction(2, 9), Fraction(5, 6)),
+                       (Fraction(1, 27), Fraction(-7, 10))))
+        for table in tables:
+            for central in (False, True):
+                assert _solve_exact(table, 12, central) == \
+                    _solve(table, 12, central)
+
     def test_rational_parameters_give_exact_fractions(self):
         p = validate(0.5, 0.25, 1, 1, 0.5)
         mu = raw_moments_exact(MeanParams(p, 2), 4)
         assert all(isinstance(v, Fraction) for v in mu)
         assert mu[1] == Fraction(5, 8)  # mu_x mu_y + rho s = 1/8 + 1/2
+
+
+class TestNegativeKmax:
+    @pytest.mark.parametrize("fn", [
+        raw_moments_exact, central_moments_exact, raw_moments, central_moments,
+        raw_moments_equal_ratio, central_moments_equal_ratio])
+    def test_rejected_by_every_entry_point(self, fn):
+        # zero means: every recursion applies, so only kmax can be at fault
+        mp = MeanParams(validate(0, 0, 1.5, 0.5, 0.3), 2)
+        with pytest.raises(ValueError):
+            fn(mp, -1)
+        table = fn(mp, 0)
+        assert list(getattr(table, "values", table)) == [1]
 
 
 class TestFloatTables:
@@ -103,6 +131,18 @@ class TestEqualRatioRecursions:
             reduced_c = central_moments_equal_ratio(mp, 8).values
             np.testing.assert_allclose(reduced_c, general_c, rtol=1e-10,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("params", [(0.5, 1, 1, 2, 0.25),
+                                        (-0.5, -0.25, 2, 1, -0.5),
+                                        (0, 0, 1, 0.5, 0.75)])
+    def test_third_order_table_gives_exact_moments(self, params, n):
+        # dyadic parameters with exactly equal ratios: the third-order table
+        # in Fractions reproduces the fourth-order table's moments exactly
+        mp = MeanParams(validate(*params), n)
+        table = a2_table(mp, Fraction)
+        assert _solve(table, 16) == raw_moments_exact(mp, 16)
+        assert _solve(table, 16, central=True) == central_moments_exact(mp, 16)
 
     def test_guarded_against_general_case(self):
         mp = MeanParams(validate(1, 2, 1, 1, 0.1), 1)

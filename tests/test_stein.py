@@ -60,8 +60,8 @@ class TestTestFunctions:
         assert got[1] == pytest.approx(1 - np.tanh(0.5) ** 2, rel=1e-8)
 
     def test_from_callable_derivatives(self):
-        # the wrapper reads the density module's stencil table; its own
-        # copy of the third-derivative stencil had the sign reversed
+        # the wrapper reads the shared stencil table; its own copy of the
+        # third-derivative stencil had the sign reversed
         f = stein.from_callable(np.sin, h=1e-2)
         x = np.array([-0.4, 0.7])
         expected = (np.sin(x), np.cos(x), -np.sin(x), -np.cos(x), np.sin(x))
