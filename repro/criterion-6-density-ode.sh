@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fourth-order density ODE: normalized residuals <= 1e-8 for the zero-mean
-# closed form (analytic derivatives) and <= 1e-4 for the general density
-# (finite-difference derivatives).
+# closed form (analytic derivatives) and for the general density
+# (derivatives under the integral).
 set -euo pipefail
 NORMPROD="${NORMPROD:-normprod}"
 
@@ -23,7 +23,7 @@ for n in 2 3 5; do
     done
 done
 
-echo "general params (finite-difference derivatives):"
-check 1e-4 --mu-x 1 --mu-y 0.5 --rho 0.2 \
+echo "general params (derivatives under the integral):"
+check 1e-8 --mu-x 1 --mu-y 0.5 --rho 0.2 \
     --x -1.5 --x -0.6 --x 0.7 --x 1.0 --x 2.2
 echo "OK: density ODE residuals within tolerance"

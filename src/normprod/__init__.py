@@ -27,11 +27,11 @@ from .density import (
     SeriesControl,
     cdf_product,
     cdf_product_series,
-    finite_difference_derivatives,
     mean_zero_means_derivatives,
     ode_residual_density,
     pdf_mean_zero_means,
     pdf_product,
+    pdf_product_derivatives,
     pdf_product_series,
     pdf_single_zero_mean,
 )

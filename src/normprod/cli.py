@@ -9,6 +9,7 @@ validation error, 3 non-convergence, 64 unknown subcommand.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -458,16 +459,18 @@ def ode_check(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json, xs, as_json):
 
     def body():
         mp = _mean_params(mu_x, mu_y, sigma_x, sigma_y, rho, n, params_json)
-        zero_means = mp.base.mu_x == 0 and mp.base.mu_y == 0
+        if mp.base.mu_x == 0 and mp.base.mu_y == 0:
+            method, derivs = "closed_form", functools.partial(
+                density.mean_zero_means_derivatives, mp)
+        elif mp.n == 1:
+            method, derivs = "integral", functools.partial(
+                density.pdf_product_derivatives, mp.base)
+        else:
+            raise CaseMismatch("no density of the mean for n > 1 with "
+                               "non-zero means")
         points = []
         for xv in xs:
-            if zero_means:
-                derivs = density.mean_zero_means_derivatives(mp, xv)
-                method = "closed_form"
-            else:
-                derivs = density.finite_difference_derivatives(mp.base, xv)
-                method = "finite_difference"
-            res = density.ode_residual_density(mp, xv, derivs)
+            res = density.ode_residual_density(mp, xv, derivs(xv))
             points.append({"x": xv, "residual": res, "derivatives": method})
         _emit("ode-check", mp, {"points": points}, started, as_json)
 

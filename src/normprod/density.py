@@ -14,6 +14,7 @@ kernel, with no series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .bessel import BesselOrder, log_bessel_k_sequence
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
                      SingularPoint)
 from .params import MeanParams, ProductNormalParams
-from .stein import STENCILS, a1_table
+from .stein import a1_table
 
 _LOG_DBL_MIN = math.log(np.finfo(float).tiny)
 
@@ -232,22 +233,22 @@ def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
 
 
 def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
-                   x: float, floor: float = -np.inf) -> tuple[float, int]:
-    """(log trapezoid sum, nodes) of exp(log_integrand), whose (2, n) values
-    at n nodes on [lo, hi] hold one row per sign of u.  Each pass trims to
-    within 45 nats of the peak and halves the step, until two sums agree to
-    1e-15 relative to the exponent (its roundoff floor) or drop below
-    ``floor``; NotConverged past 2^18 nodes (formatted only then: 1 us)."""
+                   x: float, floor: float = -np.inf):
+    """(log trapezoid sum, nodes t, q) of exp(log_integrand), whose (2, n)
+    values q at n nodes t on [lo, hi] hold one row per sign of u.  Each pass
+    trims to within 45 nats of the peak and halves the step, until two sums
+    agree to 1e-15 relative to the exponent (its roundoff floor) or drop
+    below ``floor``; NotConverged past 2^18 nodes (formatted only then)."""
     prev = math.nan
     while n <= 1 << 18:  # caps the temporaries at about 40 MB
         t, h = np.linspace(lo, hi, n, retstep=True)
         q = log_integrand(t)
         peak = float(q.max())
         if peak == -np.inf:
-            return peak, q.size
+            return peak, t, q
         log_sum = peak + math.log(h * np.exp(q - peak).sum())
         if log_sum < floor or abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
-            return log_sum, q.size
+            return log_sum, t, q
         prev = log_sum
         keep = np.flatnonzero((q > peak - 45).any(axis=0))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
@@ -255,8 +256,9 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
     raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
 
 
-def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
-    """Density of Z at x != 0 from f(x) = int phi_2(u, x/u) / |u| du.
+def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
+    """(log f(x), nodes s, log integrand at s) of the density of Z at x != 0
+    from f(x) = int phi_2(u, x/u) / |u| du.
 
     With u = +-e^s the integrand decays double-exponentially, so the
     trapezoid rule in s converges spectrally (Trefethen & Weideman, SIAM
@@ -281,10 +283,41 @@ def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     lo = math.log(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
     hi = math.log(abs(p.mu_x) + r * p.sigma_x)
     step = math.sqrt(1 - abs(p.rho)) / (2 * (max(abs(p.r_x), abs(p.r_y)) + r))
-    log_sum, nodes = _log_trapezoid(exponent, lo, hi, int((hi - lo) / step) + 2,
-                                    "product density integral", x)
-    log_norm = -math.log(2 * math.pi * p.s * math.sqrt(om))
-    return DensityValue(log_norm + log_sum, 1, True, nodes)
+    log_sum, s, q = _log_trapezoid(exponent, lo, hi, int((hi - lo) / step) + 2,
+                                   "product density integral", x)
+    return log_sum - math.log(2 * math.pi * p.s * math.sqrt(om)), s, q
+
+
+def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
+    log_f, _, q = _pdf_product_trapezoid(p, x)
+    return DensityValue(log_f, 1, True, q.size)
+
+
+def pdf_product_derivatives(p: ProductNormalParams, x: float,
+                            order: int = 4) -> list[float]:
+    """Density of Z and its derivatives up to ``order``, under the integral.
+
+    The exponent E of phi_2(u, x/u) is quadratic in x, so f^(j)(x) =
+    int H_j e^E ds, H_0 = 1, H_1 = g, H_(j+1) = g H_j + j c H_(j-1), with
+    g = dE/dx and c = d^2E/dx^2, summed on the nodes on which the density
+    converged.  SingularPoint at x = 0; NotConverged where the integral
+    runs out of nodes (from about |rho| = 0.9999)."""
+    if order < 0:
+        raise ValueError(f"order={order} must be >= 0")
+    x = _finite_x(x)
+    log_f, s, q = _pdf_product_trapezoid(p, x)
+    u = np.exp(s) * np.array([[1.0], [-1.0]])  # as in the exponent
+    a, b = (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
+    om = 1.0 - p.rho ** 2
+    g = (p.rho * a - b) / (om * u * p.sigma_y)  # db/dx = 1 / (u sigma_y)
+    c = -1.0 / (om * (u * p.sigma_y) ** 2)
+    w = np.exp(q - q.max())
+    f, total = math.exp(log_f), w.sum()
+    h_prev, h, out = 0.0, 1.0, []
+    for j in range(order + 1):
+        out.append(f * float((h * w).sum() / total))
+        h_prev, h = h, g * h + j * c * h_prev
+    return out
 
 
 def pdf_single_zero_mean(p: ProductNormalParams, x: float,
@@ -377,7 +410,7 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
     if order < 0:
         raise ValueError(f"order={order} must be >= 0")
     nu, c, log_base = _mean_zero_means_form(mp)
-    x = float(x)
+    x = _finite_x(x)
     if x == 0:
         raise SingularPoint("derivatives at the singular point are undefined")
     sgn, ax, rc = math.copysign(1.0, x), abs(x), mp.base.rho * c
@@ -399,33 +432,8 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
     return [float(v) for v in scale * taylor * fact]
 
 
-def finite_difference_derivatives(p: ProductNormalParams,
-                                 x: float) -> list[float]:
-    """Density of Z and its first four derivatives by Richardson-extrapolated
-    central differences of ``pdf_product``.
-
-    The step h = max(1e-2, 1e-2*|x|) was tuned against the zero-mean
-    closed form; smaller steps are noise-dominated for the fourth
-    derivative, whose stencil divides the rounding error of each density
-    value by h^4.
-    """
-    h = max(1e-2, 1e-2 * abs(x))
-
-    def val(t):
-        if t == 0:
-            raise SingularPoint("finite-difference stencil crosses x = 0")
-        return pdf_product(p, t).value
-
-    f_h = np.array([val(x + k * h) for k in range(-3, 4)])
-    f_h2 = np.array([val(x + k * h / 2) for k in range(-3, 4)])
-    out = [float(f_h[3])]
-    for order in range(1, 5):
-        weights, power, acc = STENCILS[order]
-        d_h = weights @ f_h / h ** power
-        d_h2 = weights @ f_h2 / (h / 2) ** power
-        factor = 2.0 ** acc
-        out.append((factor * d_h2 - d_h) / (factor - 1.0))
-    return out
+# The old name; perfbench's ode_finite_difference op still calls it.
+finite_difference_derivatives = pdf_product_derivatives
 
 
 def ode_residual_density(mp: MeanParams, x: float,
@@ -529,8 +537,8 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
 
     log_norm = math.log(math.sqrt(2 * math.pi) * p.sigma_x * c1)
     # below -750 the probability underflows, resolved or not
-    log_sum, _ = _log_trapezoid(log_integrand, lo, hi, int(hi - lo) + 2,
-                                "cdf integral", x, log_norm - 750)
+    log_sum, _, _ = _log_trapezoid(log_integrand, lo, hi, int(hi - lo) + 2,
+                                   "cdf integral", x, log_norm - 750)
     tail = min(math.exp(log_sum - log_norm), 1.0)
     return 1.0 - tail if upper else tail
 
@@ -578,29 +586,18 @@ def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
     quad_tol = 1e-9
     from scipy import integrate  # its only user; keeps it off import
-
-    def f(t):
-        return _pdf_value(p, t, ctl)
-
-    lo = -_tail_cutoff(p)
-    pieces = []
+    f = functools.partial(_pdf_value, p, ctl=ctl)
     x = float(x)
-    if x <= lo:
-        return 0.0
-    if x <= 0:
-        pieces.append((lo, x))
-    else:
-        pieces.append((lo, 0.0))
-        pieces.append((0.0, min(x, -lo)))
-    total = 0.0
-    err = 0.0
-    for a, b in pieces:
-        if a == b:
-            continue
-        val, abserr = integrate.quad(f, a, b, limit=400,
-                                     epsabs=quad_tol, epsrel=quad_tol)
-        total += val
-        err += abserr
+    if not math.isfinite(x):  # 0 or 1, or NonFiniteParameter at NaN
+        return cdf_product(p, x)
+    lo = -_tail_cutoff(p)
+    total = err = 0.0
+    for a, b in ((lo, min(x, 0.0)), (0.0, min(x, -lo))):
+        if a < b:
+            val, abserr = integrate.quad(f, a, b, limit=400,
+                                         epsabs=quad_tol, epsrel=quad_tol)
+            total += val
+            err += abserr
     if err > 1e-6:
         raise NotConverged(f"cdf quadrature error estimate {err:.2e} too large")
     return min(max(total, 0.0), 1.0)

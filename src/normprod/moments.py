@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DegenerateVariance
 from .params import MeanParams
@@ -32,8 +32,7 @@ EXACT_KMAX = 20
 class MomentTable:
     kind: str                      # "raw" | "central"
     values: tuple[float, ...]      # indexed 0..kmax
-    provenance: str                # "recursion" | "closed_form" | "monte_carlo"
-    stderr: Optional[tuple[float, ...]] = None
+    provenance: str                # "recursion"
 
     def __post_init__(self):
         if self.kind not in ("raw", "central"):

@@ -25,7 +25,6 @@ from normprod import (
     determinant_exact,
     estimate_cf,
     estimate_stein_expectation,
-    finite_difference_derivatives,
     in_span,
     mean_zero_means_derivatives,
     moment_system,
@@ -33,6 +32,7 @@ from normprod import (
     operator_exists,
     pdf_mean_zero_means,
     pdf_product,
+    pdf_product_derivatives,
     pdf_single_zero_mean,
     raw_moments,
     raw_moments_exact,
@@ -176,8 +176,8 @@ def test_criterion_6_density_ode():
                     assert abs(ode_residual_density(mp, x, derivs)) <= 1e-8
         mp = MeanParams(validate(1.0, 0.5, 1, 1, 0.2), 1)
         for x in (-1.5, -0.6, 0.7, 1.0, 2.2):
-            derivs = finite_difference_derivatives(mp.base, x)
-            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-4
+            derivs = pdf_product_derivatives(mp.base, x)
+            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-8
 
 
 def test_criterion_7_characteristic_function():

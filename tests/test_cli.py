@@ -141,6 +141,13 @@ class TestSubcommands:
         assert point["derivatives"] == "closed_form"
         assert abs(point["residual"]) < 1e-8
 
+    def test_ode_check_general(self, runner):
+        env = run_json(runner, ["ode-check", "--mu-x", "1", "--mu-y", "0.5",
+                                "--rho", "0.2", "--x", "0.7"])
+        point = env["results"]["points"][0]
+        assert point["derivatives"] == "integral"
+        assert abs(point["residual"]) < 1e-8
+
     def test_opsearch_reports_determinant(self, runner):
         env = run_json(runner, ["opsearch", "--mu-x", "1", "--order", "3",
                                 "--rows", "8", "--det"])
@@ -223,9 +230,11 @@ class TestExitCodes:
                                      "--max-outer", "3"])
         assert result.exit_code == 3
 
-    def test_cdf_at_nan_is_2(self, runner):
+    @pytest.mark.parametrize("method", ["conditional", "series"])
+    def test_cdf_at_nan_is_2(self, runner, method):
         # used to exit 0 with a CDF of 0.5
-        result = runner.invoke(cli, ["cdf", "--x", "nan", "--json"])
+        result = runner.invoke(cli, ["cdf", "--x", "nan", "--method", method,
+                                     "--json"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("args", [["--n", "3", "--x", "inf", "--json"],
@@ -240,6 +249,21 @@ class TestExitCodes:
     def test_negative_kmax_is_2(self, runner, exact):
         # used to exit 1 with a traceback, or 0 with --exact
         result = runner.invoke(cli, ["moments", "--kmax", "-1", *exact])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [["--n", "3", "--x", "nan"],
+                                      ["--mu-x", "1", "--x", "nan"]])
+    def test_ode_check_at_nan_is_2(self, runner, args):
+        # used to exit 0 with a NaN residual
+        result = runner.invoke(cli, ["ode-check", *args, "--json"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_ode_check_of_mean_with_means_is_case_mismatch(self, runner):
+        # used to check the n = 1 density against the n = 3 ODE and exit 0
+        result = runner.invoke(cli, ["ode-check", "--mu-x", "1", "--mu-y",
+                                     "0.5", "--rho", "0.2", "--n", "3",
+                                     "--x", "0.7", "--json"])
         assert result.exit_code == 2
 
     def test_cdf_of_mean_is_case_mismatch(self, runner):

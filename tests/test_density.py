@@ -2,6 +2,7 @@ import inspect
 import math
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -18,15 +19,16 @@ from normprod import (
     cdf_product,
     cdf_product_series,
     closed_form_four,
-    finite_difference_derivatives,
     mean_zero_means_derivatives,
     ode_residual_density,
     pdf_mean_zero_means,
     pdf_product,
+    pdf_product_derivatives,
     pdf_product_series,
     pdf_single_zero_mean,
     validate,
 )
+from normprod.stein import STENCILS
 from conftest import NORMALIZATION_SWEEP, random_mean_params
 
 GRID = np.concatenate([np.linspace(-4, -0.05, 20), np.linspace(0.05, 4, 21)])
@@ -47,11 +49,42 @@ def test_logsumexp_matches_scipy(a):
     lambda x: pdf_product_series(validate(1, 2, 1.3, 0.7, 0.4), x),
     lambda x: pdf_single_zero_mean(validate(1, 0, 1, 1, 0), x),
     lambda x: pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.2), 3), x),
-], ids=["product", "series", "single", "zero_means"])
+    lambda x: pdf_product_derivatives(validate(1, 2, 1.3, 0.7, 0.4), x),
+    lambda x: mean_zero_means_derivatives(
+        MeanParams(validate(0, 0, 1, 1, 0.2), 3), x),
+], ids=["product", "series", "single", "zero_means", "derivatives",
+        "zero_means_derivatives"])
 def test_non_finite_x_rejected(density, x):
     # used to raise a bare ValueError, NonPositiveArgument or return NaN
     with pytest.raises(NonFiniteParameter):
         density(x)
+
+
+@pytest.mark.parametrize("cdf", [cdf_product, cdf_product_series])
+def test_cdf_at_non_finite_x(cdf):
+    # the series CDF used to return 0.5 at NaN
+    p = validate(0.6, -0.8, 1.0, 1.2, 0.25)
+    assert cdf(p, -math.inf) == 0.0 and cdf(p, math.inf) == 1.0
+    with pytest.raises(NonFiniteParameter):
+        cdf(p, math.nan)
+
+
+def _central_differences(p, x):
+    """Test-only oracle for ``pdf_product_derivatives``: Richardson-
+    extrapolated central differences of ``pdf_product`` at steps h and h/2,
+    h = max(1e-2, 1e-2 |x|) (smaller steps are noise-dominated for the
+    fourth derivative)."""
+    h = max(1e-2, 1e-2 * abs(x))
+    f_h = np.array([pdf_product(p, x + k * h).value for k in range(-3, 4)])
+    f_h2 = np.array([pdf_product(p, x + k * h / 2).value
+                     for k in range(-3, 4)])
+    out = [float(f_h[3])]
+    for order in range(1, 5):
+        weights, power, acc = STENCILS[order]
+        d_h = weights @ f_h / h ** power
+        d_h2 = weights @ f_h2 / (h / 2) ** power
+        out.append((2.0 ** acc * d_h2 - d_h) / (2.0 ** acc - 1.0))
+    return out
 
 
 class TestDoubleSeries:
@@ -277,13 +310,25 @@ class TestMeanZeroMeans:
 
 
 class TestDerivativesAndOde:
-    def test_fd_matches_high_precision_derivatives(self):
-        mp = MeanParams(validate(0, 0, 1, 1, 0.2), 1)
-        fd = finite_difference_derivatives(mp.base, 0.8)
-        exact = mean_zero_means_derivatives(mp, 0.8)
-        for k, (a, b) in enumerate(zip(fd, exact)):
-            tol = 1e-10 if k == 0 else 10.0 ** (-9 + k)
-            assert a == pytest.approx(b, rel=tol)
+    @pytest.mark.parametrize("rho", [0.0, 0.4, -0.4])
+    @pytest.mark.parametrize("sigmas", [(1.0, 1.0), (0.6, 1.7)])
+    def test_integral_matches_closed_form_derivatives(self, rho, sigmas):
+        mp = MeanParams(validate(0, 0, *sigmas, rho), 1)
+        for x in (-1.5, 0.7, 0.8, 2.0):
+            got = pdf_product_derivatives(mp.base, x)
+            exact = mean_zero_means_derivatives(mp, x)
+            assert got == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [(1.0, 0.5, 1, 1, 0.2),
+                                        (-0.7, 1.3, 0.8, 1.6, -0.5)])
+    def test_integral_matches_central_differences(self, params):
+        p = validate(*params)
+        for x in (-1.5, 0.7, 2.2):
+            got = pdf_product_derivatives(p, x)
+            assert got[0] == pdf_product(p, x).value
+            for k, (a, b) in enumerate(zip(got, _central_differences(p, x))):
+                tol = 1e-10 if k == 0 else 10.0 ** (-9 + k)
+                assert a == pytest.approx(b, rel=tol), f"order {k}"
 
     def test_ode_residual_closed_form(self):
         for n in (2, 3, 5):
@@ -342,20 +387,53 @@ class TestDerivativesAndOde:
         with pytest.raises(ValueError):
             mean_zero_means_derivatives(mp, 0.9, order=-1)
 
-    def test_ode_residual_general_fd(self):
-        mp = MeanParams(validate(1.0, 0.5, 1, 1, 0.2), 1)
+    def test_integral_order_argument(self):
+        p = validate(1.0, 0.5, 1, 1, 0.2)
+        full = pdf_product_derivatives(p, 0.9, order=6)
+        assert len(full) == 7 and all(math.isfinite(d) for d in full)
+        assert pdf_product_derivatives(p, 0.9) == full[:5]
+        assert pdf_product_derivatives(p, 0.9, order=0) == full[:1]
+        with pytest.raises(ValueError):
+            pdf_product_derivatives(p, 0.9, order=-1)
+
+    @pytest.mark.parametrize("means, rho", [((1.0, 0.5), 0.2),
+                                            ((-0.7, 1.3), -0.5)])
+    def test_ode_residual_general(self, means, rho):
+        mp = MeanParams(validate(*means, 1, 1, rho), 1)
         for x in (-1.5, -0.6, 0.7, 1.0, 2.2):
-            derivs = finite_difference_derivatives(mp.base, x)
-            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-4
+            derivs = pdf_product_derivatives(mp.base, x)
+            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-8
+
+    @pytest.mark.parametrize("rho", [0.999, -0.999])
+    def test_ode_residual_strong_correlation(self, rho):
+        # central differences left residuals up to 1.1 at rho = -0.999
+        mp = MeanParams(validate(1.0, 0.5, 1, 1, rho), 1)
+        for x in (-0.6, 0.7, 2.2):
+            derivs = pdf_product_derivatives(mp.base, x)
+            assert derivs[0] > 0
+            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-10
+
+    def test_integral_derivatives_past_node_budget(self):
+        # the integral needs over 2^18 nodes from about |rho| = 0.9999; the
+        # derivatives have no series fallback and must fail fast
+        started = time.perf_counter()
+        with pytest.raises(NotConverged):
+            pdf_product_derivatives(validate(1.0, 0.5, 1, 1, 0.9999), 0.7)
+        assert time.perf_counter() - started < 2.0
 
     def test_ode_requires_unit_variances(self):
         mp = MeanParams(validate(0, 0, 2, 1, 0.0), 2)
         with pytest.raises(CaseMismatch):
             ode_residual_density(mp, 1.0, [1.0] * 5)
 
-    def test_fd_stencil_rejects_origin_crossing(self):
+    def test_integral_derivatives_singular_at_origin(self):
         with pytest.raises(SingularPoint):
-            finite_difference_derivatives(validate(1, 1, 1, 1, 0), 0.01)
+            pdf_product_derivatives(validate(1, 1, 1, 1, 0), 0.0)
+
+    def test_integral_derivatives_near_origin(self):
+        # the finite-difference stencil used to cross x = 0 here
+        derivs = pdf_product_derivatives(validate(1, 1, 1, 1, 0), 0.01)
+        assert all(math.isfinite(d) for d in derivs) and derivs[0] > 0
 
 
 class TestCdf:
