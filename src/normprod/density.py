@@ -14,7 +14,6 @@ kernel, with no series.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -256,6 +255,13 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
     raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
 
 
+def _product_coords(p: ProductNormalParams, x: float, s):
+    """(u, a, b) at u = +-e^s, a row per sign: the standardised arguments
+    a = (u - mu_x)/sigma_x, b = (x/u - mu_y)/sigma_y of phi_2(u, x/u)."""
+    u = np.exp(s) * np.array([[1.0], [-1.0]])
+    return u, (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
+
+
 def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
     """(log f(x), nodes s, log integrand at s) of the density of Z at x != 0
     from f(x) = int phi_2(u, x/u) / |u| du.
@@ -271,9 +277,7 @@ def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
     om = 1.0 - p.rho ** 2
 
     def exponent(s):
-        u = np.exp(s) * np.array([[1.0], [-1.0]])
-        a = (u - p.mu_x) / p.sigma_x
-        b = (x / u - p.mu_y) / p.sigma_y
+        _, a, b = _product_coords(p, x, s)
         return -(a * a - 2 * p.rho * a * b + b * b) / (2 * om)
 
     # the peak's Q is at most Q at the balance points u = +-sqrt(|x| sx/sy)
@@ -293,28 +297,24 @@ def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     return DensityValue(log_f, 1, True, q.size)
 
 
-def pdf_product_derivatives(p: ProductNormalParams, x: float,
-                            order: int = 4) -> list[float]:
-    """Density of Z and its derivatives up to ``order``, under the integral.
+def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
+    """Density of Z and its first four derivatives, under the integral.
 
     The exponent E of phi_2(u, x/u) is quadratic in x, so f^(j)(x) =
     int H_j e^E ds, H_0 = 1, H_1 = g, H_(j+1) = g H_j + j c H_(j-1), with
     g = dE/dx and c = d^2E/dx^2, summed on the nodes on which the density
     converged.  SingularPoint at x = 0; NotConverged where the integral
     runs out of nodes (from about |rho| = 0.9999)."""
-    if order < 0:
-        raise ValueError(f"order={order} must be >= 0")
     x = _finite_x(x)
     log_f, s, q = _pdf_product_trapezoid(p, x)
-    u = np.exp(s) * np.array([[1.0], [-1.0]])  # as in the exponent
-    a, b = (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
+    u, a, b = _product_coords(p, x, s)
     om = 1.0 - p.rho ** 2
     g = (p.rho * a - b) / (om * u * p.sigma_y)  # db/dx = 1 / (u sigma_y)
     c = -1.0 / (om * (u * p.sigma_y) ** 2)
     w = np.exp(q - q.max())
     f, total = math.exp(log_f), w.sum()
     h_prev, h, out = 0.0, 1.0, []
-    for j in range(order + 1):
+    for j in range(5):
         out.append(f * float((h * w).sum() / total))
         h_prev, h = h, g * h + j * c * h_prev
     return out
@@ -586,18 +586,31 @@ def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
     quad_tol = 1e-9
     from scipy import integrate  # its only user; keeps it off import
-    f = functools.partial(_pdf_value, p, ctl=ctl)
+
+    def f(t):
+        return _pdf_value(p, t, ctl)
+
+    lo = -_tail_cutoff(p)
+    pieces = []
     x = float(x)
     if not math.isfinite(x):  # 0 or 1, or NonFiniteParameter at NaN
         return cdf_product(p, x)
-    lo = -_tail_cutoff(p)
-    total = err = 0.0
-    for a, b in ((lo, min(x, 0.0)), (0.0, min(x, -lo))):
-        if a < b:
-            val, abserr = integrate.quad(f, a, b, limit=400,
-                                         epsabs=quad_tol, epsrel=quad_tol)
-            total += val
-            err += abserr
+    if x <= lo:
+        return 0.0
+    if x <= 0:
+        pieces.append((lo, x))
+    else:
+        pieces.append((lo, 0.0))
+        pieces.append((0.0, min(x, -lo)))
+    total = 0.0
+    err = 0.0
+    for a, b in pieces:
+        if a == b:
+            continue
+        val, abserr = integrate.quad(f, a, b, limit=400,
+                                     epsabs=quad_tol, epsrel=quad_tol)
+        total += val
+        err += abserr
     if err > 1e-6:
         raise NotConverged(f"cdf quadrature error estimate {err:.2e} too large")
     return min(max(total, 0.0), 1.0)

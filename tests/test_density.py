@@ -387,15 +387,6 @@ class TestDerivativesAndOde:
         with pytest.raises(ValueError):
             mean_zero_means_derivatives(mp, 0.9, order=-1)
 
-    def test_integral_order_argument(self):
-        p = validate(1.0, 0.5, 1, 1, 0.2)
-        full = pdf_product_derivatives(p, 0.9, order=6)
-        assert len(full) == 7 and all(math.isfinite(d) for d in full)
-        assert pdf_product_derivatives(p, 0.9) == full[:5]
-        assert pdf_product_derivatives(p, 0.9, order=0) == full[:1]
-        with pytest.raises(ValueError):
-            pdf_product_derivatives(p, 0.9, order=-1)
-
     @pytest.mark.parametrize("means, rho", [((1.0, 0.5), 0.2),
                                             ((-0.7, 1.3), -0.5)])
     def test_ode_residual_general(self, means, rho):
