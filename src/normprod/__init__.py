@@ -15,7 +15,6 @@ from .bessel import (
     log_bessel_k_sequence,
 )
 from .charfn import (
-    BranchAmbiguityWarning,
     cf_grid,
     cf_mean,
     cf_mean_derivative,

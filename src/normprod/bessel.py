@@ -1,14 +1,16 @@
 """Modified Bessel function of the second kind K_nu for the density series.
 
 Orders are encoded as 2*nu so integers and half-integers are exact.
-K_{-nu} = K_nu is applied canonically.  Base values come from scipy
-(integer orders) or the half-integer closed forms; sequences use the
-forward recurrence K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x),
-which is stable in the growth direction (K increases with nu).
+K_{-nu} = K_nu is applied canonically.  Every value comes from one
+forward recurrence, K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x), which
+is stable in the growth direction (K increases with nu).  It is seeded
+from scipy's ``kve`` (integer orders) or the half-integer closed forms,
+and from the asymptotic forms at the ends of the double range, where
+``kve`` is not finite.
 
-For the series work the package operates on log K_nu directly: the
-recurrence has all-positive terms, so it runs in log space via
-logaddexp with no overflow for any order.
+The package operates on log K_nu directly: the recurrence has
+all-positive terms, so it runs in log space with no overflow for any
+order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 from scipy import special
@@ -23,6 +26,7 @@ from scipy import special
 from .errors import NonPositiveArgument, OverflowUnscaled
 
 _LOG_HALF_PI = 0.5 * math.log(0.5 * math.pi)
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -58,31 +62,42 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _log_k_forward(x: float, half: bool):
+    """log K_nu(x) for nu = 0, 1, ... (1/2, 3/2, ... if ``half``), without
+    end: the forward recurrence from two seeds, each step a log-add-exp of
+    two scalars, larger argument first."""
+    base = _LOG_HALF_PI - 0.5 * math.log(x) - x  # log K_1/2 (DLMF 10.39.2)
+    if half:  # K_3/2 = K_1/2 (1 + 1/x); 1/x is inf below x = 1/DBL_MAX
+        l0, l1 = base, base + (math.log1p(1 / x) if 1 / x < math.inf
+                               else math.log1p(x) - math.log(x))
+    else:
+        k0, k1 = special.kve(0, x), special.kve(1, x)
+        if math.isfinite(k0 + k1):
+            l0, l1 = math.log(k0) - x, math.log(k1) - x
+        elif x > 1:  # kve is NaN past x = 2^30: two terms of DLMF 10.40.2
+            l0, l1 = base + math.log1p(-0.125 / x), base + math.log1p(0.375 / x)
+        else:  # and inf below about 2e-305: DLMF 10.30.2-3
+            l0, l1 = (math.log(math.log(2) - math.log(x) - np.euler_gamma),
+                      -math.log(x))
+    for nu in count(1.5 if half else 1.0):
+        yield l0
+        r = 2 * nu / x  # inf where x < 2 nu / DBL_MAX
+        b = (math.log(r) if r < math.inf else math.log(2 * nu) - math.log(x)) + l1
+        hi, lo = (l0, b) if l0 > b else (b, l0)
+        l0, l1 = l1, hi + math.log1p(math.exp(lo - hi))
+
+
 def log_bessel_k_sequence(max_order: BesselOrder, x: float) -> np.ndarray:
     """log K_nu(x) for nu stepping by 1 up to |max_order|.
 
     Starts at nu = 0 for integer orders, nu = 1/2 for half-integer ones.
-    Runs the forward recurrence in log space (logaddexp), so arbitrarily
-    large orders never overflow.
+    Runs the forward recurrence in log space, so arbitrarily large orders
+    never overflow.
     """
-    x = _check_x(x)
     max_order = max_order.canonical()
-    if max_order.is_integer:
-        length = max_order.twice_nu // 2 + 1
-        l0 = math.log(special.kve(0, x)) - x
-        l1 = math.log(special.kve(1, x)) - x
-        nu0 = 0.0
-    else:
-        length = (max_order.twice_nu + 1) // 2
-        l0 = _LOG_HALF_PI - 0.5 * math.log(x) - x          # K_{1/2}
-        l1 = l0 + math.log1p(1.0 / x)                       # K_{3/2}
-        nu0 = 0.5
-    out = np.empty(max(length, 2))
-    out[0], out[1] = l0, l1
-    for i in range(2, len(out)):
-        nu = nu0 + i - 1
-        out[i] = np.logaddexp(out[i - 2], math.log(2 * nu / x) + out[i - 1])
-    return out[:length]
+    length = max_order.twice_nu // 2 + 1
+    return np.fromiter(islice(_log_k_forward(_check_x(x), not max_order.is_integer),
+                              length), float, length)
 
 
 def log_bessel_k(order: BesselOrder, x: float) -> float:
@@ -100,14 +115,10 @@ def bessel_k(order: BesselOrder, x: float, scaled: bool = False) -> float:
     x = _check_x(x)
     log_k = log_bessel_k(order, x)
     exponent = log_k + x if scaled else log_k
-    if exponent > math.log(np.finfo(float).max):
-        if not scaled:
-            raise OverflowUnscaled(
-                f"K_{order.nu}({x}) overflows; use scaled=True or log_bessel_k"
-            )
+    if exponent > _LOG_DBL_MAX:
+        what, hint = ("e^x K", "") if scaled else ("K", "scaled=True or ")
         raise OverflowUnscaled(
-            f"e^x K_{order.nu}({x}) overflows; use log_bessel_k"
-        )
+            f"{what}_{order.nu}({x}) overflows; use {hint}log_bessel_k")
     return math.exp(exponent)
 
 
@@ -117,7 +128,7 @@ def bessel_k_sequence(max_order: BesselOrder, x: float,
     x = _check_x(x)
     logs = log_bessel_k_sequence(max_order, x)
     exponent = logs + x if scaled else logs
-    if np.any(exponent > math.log(np.finfo(float).max)):
+    if np.any(exponent > _LOG_DBL_MAX):
         raise OverflowUnscaled(
             f"K sequence up to nu={max_order.nu} at x={x} overflows; "
             "use log_bessel_k_sequence"

@@ -5,25 +5,18 @@ by rescaling t -> sigma_x*sigma_y*t with the mean-to-sd ratios in place
 of the means.  The complex power uses the principal branch: the base
 1 + (1-rho^2)t^2/n^2 - 2i rho t/n has strictly positive real part for
 all real t, so the principal branch *is* the continuous branch with
-value 1 at t = 0 and no branch cut is ever crossed.  Evaluation over
-ordered grids still verifies continuity and emits BranchAmbiguityWarning
-if it were ever violated.
+value 1 at t = 0 and no branch cut is ever crossed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import CaseMismatch
 from .params import MeanParams
 from .stein import a1_table
-
-
-class BranchAmbiguityWarning(UserWarning):
-    """Complex-power branch could not be confirmed continuous."""
 
 
 def _cf_unit(mx: float, my: float, rho: float, n: int, t) -> np.ndarray:
@@ -67,23 +60,12 @@ def cf_mean_derivative(mp: MeanParams, t):
 
 
 def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
-    """Characteristic function over an ordered grid with branch tracking.
+    """Characteristic function over a float array of t.
 
-    The principal branch is continuous because the power's base stays in
-    the right half-plane for all real t; this path re-checks that
-    certificate at every sample and warns if it were ever violated.
+    The principal branch is continuous there: the power's base has real
+    part 1 + (1-rho^2) s^2 t^2 / n^2 >= 1.
     """
-    ts = np.asarray(ts, dtype=float)
-    p = mp.base
-    base = ((1 - (1 + p.rho) * 1j * p.s * ts / mp.n)
-            * (1 + (1 - p.rho) * 1j * p.s * ts / mp.n))
-    if np.any(base.real <= 0):
-        warnings.warn(
-            "complex power base left the right half-plane; principal "
-            "branch no longer certified continuous",
-            BranchAmbiguityWarning,
-        )
-    return cf_mean(mp, ts)
+    return cf_mean(mp, np.asarray(ts, dtype=float))
 
 
 def cf_ode_residual(mp: MeanParams, t: float,

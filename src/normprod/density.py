@@ -5,11 +5,11 @@ The product density is the all-positive integral f(x) = int phi_2(u, x/u)
 / |u| du, by a log-space trapezoid rule in double precision.  The Bessel
 double series is its oracle (``pdf_product_series``) and its fallback
 where the integral runs out of nodes (|rho| near 1).  Its terms can be
-negative (odd powers of possibly negative linear-combination
-coefficients) and overflow, so positive and negative partial sums are
-kept as log-magnitudes and combined once at the end.  The CDF conditions
-on X and integrates the normal CDF of Y given X on the same trapezoid
-kernel, with no series.
+negative (odd powers of x c_x c_y) and overflow, so positive and negative
+partial sums are kept as log-magnitudes and combined once at the end.
+Each series block or term takes one new order from ``bessel``'s log K
+recurrence.  The CDF conditions on X and integrates the normal CDF of Y
+given X on the same trapezoid kernel, with no series.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .bessel import BesselOrder, log_bessel_k_sequence
+from .bessel import BesselOrder, _log_k_forward, log_bessel_k_sequence
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
                      SingularPoint)
 from .params import MeanParams, ProductNormalParams
 from .stein import a1_table
 
-_LOG_DBL_MIN = math.log(np.finfo(float).tiny)
+_DBL_MIN = np.finfo(float).tiny
+_LOG_DBL_MIN = math.log(_DBL_MIN)
 
 # Nats of cancellation between the positive and negative partial sums
 # beyond which the series is abandoned for the positive integral.  Within
@@ -38,24 +39,6 @@ _CANCEL_NATS = 8.0
 # Bound T on |argument of Phi| over which the conditional-CDF integrand is
 # resolved at a unit step of its grid variable (see cdf_product).
 _CDF_ARG_RANGE = 4.0
-
-
-class _LazyLogK:
-    """Integer-order log K_nu(x) extended on demand by the forward
-    recurrence; avoids paying for the worst-case order budget on every
-    density evaluation."""
-
-    def __init__(self, x: float):
-        self.x = x
-        self.logs = [math.log(special.kve(0, x)) - x,
-                     math.log(special.kve(1, x)) - x]
-
-    def upto(self, order: int) -> np.ndarray:
-        while len(self.logs) <= order:
-            nu = len(self.logs) - 1
-            self.logs.append(np.logaddexp(
-                self.logs[-2], math.log(2 * nu / self.x) + self.logs[-1]))
-        return np.asarray(self.logs[:order + 1])
 
 
 @dataclass(frozen=True)
@@ -157,52 +140,37 @@ def _series_parts(p: ProductNormalParams, x: float,
     c_x = p.mu_x / p.sigma_x ** 2 - p.rho * p.mu_y / s
     c_y = p.mu_y / p.sigma_y ** 2 - p.rho * p.mu_x / s
     w = abs(x) / (om * s)
-    log_k = _LazyLogK(w)
+    if w < _DBL_MIN:  # a subnormal w has lost the digits log K_n(w) needs
+        raise NotConverged(f"product density series: subnormal w at x={x}")
+    log_k = _log_k_forward(w, False)
+    k_vals = np.empty(ctl.max_outer + 1)
     log_ax = math.log(abs(x))
     log_sx, log_sy = math.log(p.sigma_x), math.log(p.sigma_y)
-    log_cx = math.log(abs(c_x)) if c_x else -np.inf
-    log_cy = math.log(abs(c_y)) if c_y else -np.inf
-    sign_x = 1 if x > 0 else -1
+    # every odd-m term carries the sign of x c_x c_y
+    flip = int((x < 0) ^ (c_x < 0) ^ (c_y < 0))
 
     log_blocks: list[np.ndarray] = []
     sign_blocks: list[np.ndarray] = []
-    terms = 0
     run_max = -np.inf
     small_blocks = 0
     converged = False
     log_tol = math.log(ctl.rel_tol)
     for n in range(ctl.max_outer + 1):
-        k_vals = log_k.upto(n)
+        k_vals[n] = next(log_k)
         m = np.arange(2 * n + 1)
-        keep = np.ones(2 * n + 1, dtype=bool)
-        if c_x == 0:
-            keep &= m == 0
-        if c_y == 0:
-            keep &= m == 2 * n
-        m = m[keep]
-        if m.size == 0:
-            # a vanished linear-combination coefficient terminates the
-            # series exactly (all further blocks are identically zero)
-            converged = True
-            break
-        # (2n choose m)/(2n)! = 1/(m!(2n-m)!)
+        # (2n choose m)/(2n)! = 1/(m!(2n-m)!); a vanished c_x or c_y makes
+        # its terms -inf (xlogy), and they are dropped below
         lt = (n * log_ax + (m - n - 1) * log_sx - math.log(math.pi)
               - (2 * n + 0.5) * math.log(om) - (m - n + 1) * log_sy
               - special.gammaln(m + 1) - special.gammaln(2 * n - m + 1)
-              + (m * log_cx if c_x != 0 else 0.0)
-              + ((2 * n - m) * log_cy if c_y != 0 else 0.0)
+              + special.xlogy(m, abs(c_x)) + special.xlogy(2 * n - m, abs(c_y))
               + k_vals[np.abs(m - n)])
-        sg = np.ones(m.size, dtype=int)
-        if sign_x < 0:
-            sg[m % 2 == 1] *= -1
-        if c_x < 0:
-            sg[m % 2 == 1] *= -1
-        if c_y < 0:
-            sg[(2 * n - m) % 2 == 1] *= -1
-        log_blocks.append(lt)
-        sign_blocks.append(sg)
-        terms += m.size
         block_max = float(lt.max())
+        if block_max == -np.inf:  # a vanished coefficient ends the series
+            converged = True
+            break
+        log_blocks.append(lt)
+        sign_blocks.append(1 - 2 * flip * (m % 2))
         run_max = max(run_max, block_max)
         if block_max < log_tol + run_max:
             small_blocks += 1
@@ -216,8 +184,10 @@ def _series_parts(p: ProductNormalParams, x: float,
             f"product density series: max_outer={ctl.max_outer} blocks "
             f"insufficient at x={x}"
         )
-    return (log_pref, np.concatenate(log_blocks),
-            np.concatenate(sign_blocks), terms)
+    logs = np.concatenate(log_blocks)
+    live = logs > -np.inf
+    return (log_pref, logs[live], np.concatenate(sign_blocks)[live],
+            int(live.sum()))
 
 
 def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
@@ -280,11 +250,16 @@ def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
         _, a, b = _product_coords(p, x, s)
         return -(a * a - 2 * p.rho * a * b + b * b) / (2 * om)
 
+    def log_of(v):  # v underflows to 0 only a few ulps from x = 0
+        if v == 0:
+            raise NotConverged(f"product density integral: x={x} is too small")
+        return math.log(v)
+
     # the peak's Q is at most Q at the balance points u = +-sqrt(|x| sx/sy)
-    q_ref = -2 * om * float(exponent(0.5 * math.log(abs(x) * p.sigma_x
-                                                     / p.sigma_y)).max())
+    q_ref = -2 * om * float(exponent(0.5 * log_of(abs(x) * p.sigma_x
+                                                   / p.sigma_y)).max())
     r = math.sqrt((q_ref + 90 * om) / (1 - abs(p.rho)))
-    lo = math.log(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
+    lo = log_of(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
     hi = math.log(abs(p.mu_x) + r * p.sigma_x)
     step = math.sqrt(1 - abs(p.rho)) / (2 * (max(abs(p.r_x), abs(p.r_y)) + r))
     log_sum, s, q = _log_trapezoid(exponent, lo, hi, int((hi - lo) / step) + 2,
@@ -340,13 +315,15 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     s = p.s
     w = abs(x) / s
-    log_k = _LazyLogK(w)
+    if w < _DBL_MIN:  # as in _series_parts
+        raise NotConverged(f"single-series density: subnormal w at x={x}")
+    log_k = _log_k_forward(w, False)
     log_mu = math.log(abs(mu)) if mu else -np.inf
     terms = []
     for n in range(ctl.max_outer + 1):
         lt = ((2 * n * log_mu if n else 0.0) + n * math.log(abs(x))
               - math.lgamma(2 * n + 1) - 3 * n * math.log(s_cubed)
-              - n * math.log(s_lin) + float(log_k.upto(n)[n]))
+              - n * math.log(s_lin) + next(log_k))
         terms.append(lt)
         if mu == 0:
             break
@@ -445,12 +422,16 @@ def ode_residual_density(mp: MeanParams, x: float,
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
     the ODE left-hand side divided by the largest absolute term, so a
     value near zero certifies the ODE regardless of the density's scale.
+    NotConverged if a derivative is not finite (p'''' ~ x^-4 overflows
+    from about |x| = 1e-77).
     """
     p = mp.base
     if p.sigma_x != 1 or p.sigma_y != 1:
         raise CaseMismatch("the density ODE is stated for unit variances")
     if len(derivs) != 5:
         raise ValueError("derivs must contain p and its first four derivatives")
+    if not all(map(math.isfinite, derivs)):
+        raise NotConverged(f"density ODE: a derivative at x={x} is not finite")
     # the adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] of the operator: the
     # coefficient of p^(i) is (-1)^i [(a0_i + a1_i x) - (i + 1) a1_(i+1)]
     table = a1_table(mp)

@@ -94,6 +94,29 @@ class TestValues:
         assert log_val > math.log(np.finfo(float).max)
 
 
+class TestExtremeArguments:
+    # scipy's kve is NaN past x = 2^30 and inf below about 2e-305, and
+    # 1/x and 2 nu/x overflow near the smallest subnormal
+    @pytest.mark.parametrize("nu", [0, 1, 2, 0.5, 1.5, 7.5])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300, 1e9, 2e9, 1.7e308])
+    def test_against_mpmath(self, nu, x):
+        got = log_bessel_k(BesselOrder.from_nu(nu), x)
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.besselk(nu, mpmath.mpf(x))))
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("order", [BesselOrder(40), BesselOrder(41)])
+    def test_sequence_finite_at_largest_double(self, order):
+        # kve is NaN here, and was the seed of every order
+        logs = log_bessel_k_sequence(order, 1.7e308)
+        assert len(logs) == 21 and np.all(np.isfinite(logs))
+
+    def test_order_two_below_double_range(self):
+        # K_2(x) ~ 2/x^2 as x -> 0; was inf
+        assert log_bessel_k(BesselOrder(4), 1e-310) == pytest.approx(
+            math.log(2) + 2 * 310 * math.log(10), rel=1e-15)
+
+
 class TestErrors:
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_nonpositive_argument(self, x):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -160,6 +161,15 @@ class TestSubcommands:
         assert env["results"]["value"] == pytest.approx(0.4210244382407083,
                                                         rel=1e-12)
 
+    @pytest.mark.parametrize("args, key", [
+        (["besselk", "--nu", "0", "--x", "2e9"], "log_value"),
+        (["pdf", "--n", "3", "--x", "1e9"], "points")])
+    def test_past_scipy_kve_range_is_finite(self, runner, args, key):
+        # scipy's kve is NaN past x = 2^30; these printed NaN with exit 0
+        value = run_json(runner, args)["results"][key]
+        value = value if key == "log_value" else value[0]["log_pdf"]
+        assert math.isfinite(value) and value < -1e9
+
     def test_sample_csv_reproducible(self, runner):
         a = runner.invoke(cli, ["sample", "--count", "10", "--seed", "42"])
         b = runner.invoke(cli, ["sample", "--count", "10", "--seed", "42"])
@@ -258,6 +268,24 @@ class TestExitCodes:
         result = runner.invoke(cli, ["ode-check", *args, "--json"])
         assert result.exit_code == 2
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("args", [["--n", "1", "--rho", "0.3"],
+                                      ["--mu-x", "1", "--mu-y", "0.5"]])
+    def test_ode_check_past_derivative_range_is_3(self, runner, args):
+        # the fourth derivative ~ x^-4 overflows; used to exit 0 with a
+        # NaN residual
+        result = runner.invoke(cli, ["ode-check", *args, "--x", "1e-100",
+                                     "--json"])
+        assert result.exit_code == 3
+        assert "not finite" in result.output
+
+    @pytest.mark.parametrize("x", ["5e-324", "-5e-324", "1e-320"])
+    def test_pdf_at_subnormal_x_is_3(self, runner, x):
+        # 5e-324 used to end in a ValueError traceback
+        result = runner.invoke(cli, ["pdf", "--mu-x", "1", "--mu-y", "0.5",
+                                     "--rho", "0.2", "--x", x])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
 
     def test_ode_check_of_mean_with_means_is_case_mismatch(self, runner):
         # used to check the n = 1 density against the n = 3 ODE and exit 0

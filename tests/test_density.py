@@ -245,6 +245,56 @@ class TestDoubleSeries:
                 checked += 1
         assert checked >= 90
 
+    # (params, x, terms, negative terms, log f), from the series as it was
+    # built with per-block masks for a vanished c_x or c_y and one sign
+    # flip per negative factor of x, c_x and c_y
+    SERIES_PINS = [
+        ((0.2, 0.4, 1, 1, 0.5), 0.7, 10, 0, -1.302623262498587),  # c_x = 0
+        ((0.2, 0.4, 1, 1, 0.5), -1.9, 11, 0, -4.990279610203585),
+        ((1.2, 0, 1, 1, 0), 0.7, 17, 0, -1.5413772370547199),  # c_y = 0
+        ((1.2, 0, 1, 1, 0), -1.9, 17, 0, -2.6269266158186557),
+        ((0, 0, 1.3, 0.7, -0.5), 0.7, 1, 0, -2.320995285958259),  # both
+        ((0, 0, 1.3, 0.7, -0.5), -1.9, 1, 0, -2.6234953195096926),
+        ((1.0, -2.0, 1.3, 0.7, 0.6), 0.7, 1849, 903, -2.56556457527111),
+        ((1.0, -2.0, 1.3, 0.7, 0.6), -1.9, 1849, 0, -1.5917024089047267),
+    ]
+
+    @pytest.mark.parametrize("tup, x, terms, negative, log_f", SERIES_PINS)
+    def test_series_terms_and_values_pinned(self, tup, x, terms, negative,
+                                            log_f):
+        from normprod.density import _series_parts
+        p = validate(*tup)
+        _, logs, signs, used = _series_parts(p, x, SeriesControl())
+        assert (used, logs.size, int((signs < 0).sum())) == (
+            terms, terms, negative)
+        assert np.all(np.isfinite(logs))
+        dv = pdf_product_series(p, x)
+        assert (dv.log_abs, dv.terms_used) == (log_f, terms)
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-320, -1e-320])
+    @pytest.mark.parametrize("tup", [(1, 0.5, 1, 1, 0.2), (2.0, 0, 0.4, 3, 0),
+                                     (0, 0, 1, 1, 0),
+                                     (-1.3, 2.1, 0.6, 1.7, 0.9)])
+    def test_subnormal_x_not_converged(self, tup, x):
+        # the integral's nodes and the series' Bessel argument underflow;
+        # this used to end in a bare ValueError, and at zero means in an
+        # infinite single-series density
+        p = validate(*tup)
+        for density in (pdf_product, pdf_product_series,
+                        pdf_product_derivatives):
+            with pytest.raises(NotConverged):
+                density(p, x)
+        if p.rho == 0:
+            with pytest.raises(NotConverged):
+                pdf_single_zero_mean(p, x)
+
+    def test_subnormal_x_keeps_its_value(self):
+        # the integral resolves this point; the series agrees
+        p = validate(1, 0.5, 1, 1, 0.2)
+        assert pdf_product(p, 1e-310).log_abs == 4.900266822868941
+        assert pdf_product_series(p, 1e-310).log_abs == pytest.approx(
+            4.900266822868941, abs=1e-14)
+
     def test_integral_node_budget(self):
         # near |rho| = 1 the integrand's peak is too narrow for the node
         # budget; the fallback says so instead of allocating without bound
@@ -411,6 +461,13 @@ class TestDerivativesAndOde:
         with pytest.raises(NotConverged):
             pdf_product_derivatives(validate(1.0, 0.5, 1, 1, 0.9999), 0.7)
         assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_ode_residual_rejects_non_finite_derivatives(self, bad):
+        # p'''' ~ x^-4 overflows from about |x| = 1e-77; the residual was NaN
+        mp = MeanParams(validate(0, 0, 1, 1, 0.3), 1)
+        with pytest.raises(NotConverged):
+            ode_residual_density(mp, 1e-100, [1.0, 2.0, 3.0, 4.0, bad])
 
     def test_ode_requires_unit_variances(self):
         mp = MeanParams(validate(0, 0, 2, 1, 0.0), 2)
