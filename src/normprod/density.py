@@ -9,7 +9,10 @@ negative (odd powers of x c_x c_y) and overflow, so positive and negative
 partial sums are kept as log-magnitudes and combined once at the end.
 Each series block or term takes one new order from ``bessel``'s log K
 recurrence.  The CDF conditions on X and integrates the normal CDF of Y
-given X on the same trapezoid kernel, with no series.
+given X on the same trapezoid kernel, with no series.  The kernel judges
+each grid against the sum on its own even nodes, so a first grid that is
+fine enough is also the last; the derivatives under the integral apply
+the same test to their own sums, on the density's untrimmed bracket.
 """
 
 from __future__ import annotations
@@ -205,20 +208,27 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
                    x: float, floor: float = -np.inf):
     """(log trapezoid sum, nodes t, q) of exp(log_integrand), whose (2, n)
     values q at n nodes t on [lo, hi] hold one row per sign of u.  Each pass
-    trims to within 45 nats of the peak and halves the step, until two sums
-    agree to 1e-15 relative to the exponent (its roundoff floor) or drop
-    below ``floor``; NotConverged past 2^18 nodes (formatted only then)."""
-    prev = math.nan
+    compares the sum at step h with the sum at step 2h on the even nodes of
+    the same grid (the standard test of a spectrally convergent rule), and
+    accepts the fine sum when the two agree to 1e-15 relative to the
+    exponent (its roundoff floor) or it drops below ``floor``; otherwise it
+    trims to within 45 nats of the peak and halves the step.  NotConverged
+    past 2^18 nodes (formatted only then)."""
     while n <= 1 << 18:  # caps the temporaries at about 40 MB
-        t, h = np.linspace(lo, hi, n, retstep=True)
+        h = (hi - lo) / (n - 1)
+        t = np.arange(n) * h + lo  # np.linspace's nodes, without its overhead
+        t[-1] = hi
         q = log_integrand(t)
         peak = float(q.max())
         if peak == -np.inf:
             return peak, t, q
-        log_sum = peak + math.log(h * np.exp(q - peak).sum())
-        if log_sum < floor or abs(log_sum - prev) <= 1e-15 * max(1.0, -peak):
+        w = np.exp(q - peak)
+        total = w.sum()
+        log_sum = peak + math.log(h * total)
+        # the sums' relative gap, which is their log ratio to first order
+        if (log_sum < floor or abs(2 * w[:, ::2].sum() - total)
+                <= 1e-15 * max(1.0, -peak) * total):
             return log_sum, t, q
-        prev = log_sum
         keep = np.flatnonzero((q > peak - 45).any(axis=0))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
         lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
@@ -232,15 +242,17 @@ def _product_coords(p: ProductNormalParams, x: float, s):
     return u, (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
 
 
-def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
-    """(log f(x), nodes s, log integrand at s) of the density of Z at x != 0
-    from f(x) = int phi_2(u, x/u) / |u| du.
+def _pdf_product_bracket(p: ProductNormalParams, x: float):
+    """(E, lo, hi, n, log_norm) with f(x) = e^-log_norm int e^E(s) ds the
+    density of Z at x != 0 from f(x) = int phi_2(u, x/u) / |u| du, and n
+    nodes on [lo, hi] the first grid of E, its log integrand.
 
     With u = +-e^s the integrand decays double-exponentially, so the
     trapezoid rule in s converges spectrally (Trefethen & Weideman, SIAM
     Rev. 2014).  Q(a, b) >= (1 - |rho|)(a^2 + b^2) bounds the s-range within
     45 nats of the peak (to log|x| - log(|mu_y| + r sigma_y) as x -> 0); the
-    first pass is at the narrowest possible peak width.
+    first grid is at the narrowest possible peak width, so it is usually
+    also the last.
     """
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
@@ -262,14 +274,15 @@ def _pdf_product_trapezoid(p: ProductNormalParams, x: float):
     lo = log_of(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
     hi = math.log(abs(p.mu_x) + r * p.sigma_x)
     step = math.sqrt(1 - abs(p.rho)) / (2 * (max(abs(p.r_x), abs(p.r_y)) + r))
-    log_sum, s, q = _log_trapezoid(exponent, lo, hi, int((hi - lo) / step) + 2,
-                                   "product density integral", x)
-    return log_sum - math.log(2 * math.pi * p.s * math.sqrt(om)), s, q
+    return (exponent, lo, hi, int((hi - lo) / step) + 2,
+            math.log(2 * math.pi * p.s * math.sqrt(om)))
 
 
 def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
-    log_f, _, q = _pdf_product_trapezoid(p, x)
-    return DensityValue(log_f, 1, True, q.size)
+    exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
+    log_sum, _, q = _log_trapezoid(exponent, lo, hi, n,
+                                   "product density integral", x)
+    return DensityValue(log_sum - log_norm, 1, True, q.size)
 
 
 def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
@@ -277,22 +290,49 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
 
     The exponent E of phi_2(u, x/u) is quadratic in x, so f^(j)(x) =
     int H_j e^E ds, H_0 = 1, H_1 = g, H_(j+1) = g H_j + j c H_(j-1), with
-    g = dE/dx and c = d^2E/dx^2, summed on the nodes on which the density
-    converged.  SingularPoint at x = 0; NotConverged where the integral
-    runs out of nodes (from about |rho| = 0.9999)."""
+    g = dE/dx and c = d^2E/dx^2.  At small |x|, H_j e^E has mass near
+    u -> 0, outside the 45 nats of e^E's peak to which the density trims
+    its grid.  So the ratios sum H_j e^E / sum e^E are summed on the
+    density's untrimmed bracket, from the step on which the density
+    converged, and the step is halved until each agrees with the same
+    ratio on the even nodes to 1e-13 of sum |H_j| e^E / sum e^E.
+    SingularPoint at x = 0; NotConverged where a derivative is not finite
+    (f'''' ~ x^-4 overflows from about |x| = 1e-77) or the integral runs
+    out of nodes (from about |rho| = 0.9999)."""
     x = _finite_x(x)
-    log_f, s, q = _pdf_product_trapezoid(p, x)
-    u, a, b = _product_coords(p, x, s)
+    exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
+    log_sum, s, q = _log_trapezoid(exponent, lo, hi, n,
+                                   "product density integral", x)
+    while (hi - lo) / (n - 1) > 1.5 * (s[1] - s[0]):  # the density's step
+        n = 2 * n - 1
     om = 1.0 - p.rho ** 2
-    g = (p.rho * a - b) / (om * u * p.sigma_y)  # db/dx = 1 / (u sigma_y)
-    c = -1.0 / (om * (u * p.sigma_y) ** 2)
-    w = np.exp(q - q.max())
-    f, total = math.exp(log_f), w.sum()
-    h_prev, h, out = 0.0, 1.0, []
-    for j in range(5):
-        out.append(f * float((h * w).sum() / total))
-        h_prev, h = h, g * h + j * c * h_prev
-    return out
+    while n <= 1 << 18:
+        if s.size != n or s[0] != lo:  # the density's grid was trimmed
+            s = np.linspace(lo, hi, n)
+            q = exponent(s)
+        u, a, b = _product_coords(p, x, s)
+        w = np.exp(q - q.max())
+        total, total_even = w.sum(), w[:, ::2].sum()
+        h_prev, h, hs = 0.0, np.ones_like(w), []
+        # near x = 0, g ~ 1/u overflows; that is caught below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = (p.rho * a - b) / (om * u * p.sigma_y)  # db/dx = 1/(u sigma_y)
+            c = -1.0 / (om * (u * p.sigma_y) ** 2)
+            for j in range(5):
+                hs.append(h)
+                h_prev, h = h, g * h + j * c * h_prev
+            hw = np.array(hs) * w
+            fine = hw.sum(axis=(1, 2)) / total
+            coarse = hw[..., ::2].sum(axis=(1, 2)) / total_even
+            scale = np.abs(hw).sum(axis=(1, 2)) / total
+        if not np.isfinite(scale).all():
+            raise NotConverged(f"product density derivatives: a derivative "
+                               f"at x={x} is not finite")
+        if np.all(np.abs(fine - coarse) <= 1e-13 * scale):
+            f = math.exp(log_sum - log_norm)
+            return [f * float(r) for r in fine]
+        n = 2 * n - 1
+    raise NotConverged(f"product density derivatives: over 2^18 nodes at x={x}")
 
 
 def pdf_single_zero_mean(p: ProductNormalParams, x: float,
@@ -356,14 +396,17 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
     """Closed-form density of the mean of n copies when both means are zero.
 
     Finite everywhere for n >= 2 (at x = 0 the power prefactor balances
-    the Bessel singularity); for n = 1 the log singularity at x = 0
-    raises SingularPoint.
+    the Bessel singularity, and where c|x| is subnormal the x -> 0 limit
+    is returned); for n = 1 the log singularity at x = 0 raises
+    SingularPoint, and a subnormal c|x| NotConverged.
     """
     nu, c, log_base = _mean_zero_means_form(mp)
     x = _finite_x(x)
-    if x == 0:
+    if x == 0 and mp.n == 1:
+        raise SingularPoint("the n=1 density diverges logarithmically at x = 0")
+    if c * abs(x) < _DBL_MIN:  # a subnormal c|x| has lost its digits
         if mp.n == 1:
-            raise SingularPoint("the n=1 density diverges logarithmically at x = 0")
+            raise NotConverged(f"zero-mean density: subnormal c|x| at x={x}")
         # lim |x|^nu K_nu(c|x|) = Gamma(nu) 2^(nu-1) / c^nu
         log_lim = math.lgamma(nu) + (nu - 1) * math.log(2) - nu * math.log(c)
         return DensityValue(log_base + log_lim, 1, True, 1)

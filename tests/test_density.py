@@ -309,6 +309,48 @@ class TestDoubleSeries:
         assert dv.log_abs < math.log(np.finfo(float).tiny)
 
 
+class TestTrapezoidKernel:
+    # points like the pdf benchmark's: means within +-3, sigmas 0.5-2,
+    # |rho| <= 0.9, x = mean + k sd for k in {-6, 0.5, 6}
+    ONE_PASS_POINTS = [((1.0, 2.0, 1.0, 1.0, 0.3), 1.5),
+                       ((-2.4, 0.8, 1.7, 0.6, -0.9), -21.166),
+                       ((2.9, -1.6, 0.55, 1.9, 0.85), 26.111),
+                       ((0.3, -2.2, 1.2, 0.8, 0.0), 0.75)]
+
+    def test_first_grid_is_the_last(self, monkeypatch):
+        # the sum on the even nodes of the first grid certifies it, where
+        # a second grid at half the step used to be built to compare with
+        from normprod import density
+        kernel, calls = density._log_trapezoid, []
+
+        def counting(log_integrand, *args, **kwargs):
+            def counted(t):
+                calls.append(t.size)
+                return log_integrand(t)
+            return kernel(counted, *args, **kwargs)
+        monkeypatch.setattr(density, "_log_trapezoid", counting)
+        for tup, x in self.ONE_PASS_POINTS:
+            calls.clear()
+            dv = pdf_product(validate(*tup), x)
+            assert len(calls) == 1
+            assert dv.terms_used == 2 * calls[0]
+
+    def test_coarse_first_grid_is_refined(self):
+        # a Gaussian of sd 0.05 on a unit step: the first grid holds one
+        # node of it, so the kernel must trim and halve the step
+        from normprod.density import _log_trapezoid
+        calls = []
+
+        def narrow(t):
+            calls.append(t.size)
+            return np.vstack([-0.5 * ((t - 0.3) / 0.05) ** 2,
+                              np.full_like(t, -np.inf)])
+        log_sum, _, _ = _log_trapezoid(narrow, -10.0, 10.0, 21, "test", 0.0)
+        assert len(calls) >= 2
+        assert log_sum == pytest.approx(
+            math.log(0.05 * math.sqrt(2 * math.pi)), abs=1e-14)
+
+
 class TestSingleSeries:
     def test_requires_uncorrelated(self):
         with pytest.raises(CaseMismatch):
@@ -343,6 +385,18 @@ class TestMeanZeroMeans:
         for n in (2, 3, 5):
             v = pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.2), n), 0.0)
             assert math.isfinite(v.value) and v.value > 0
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-320])
+    def test_subnormal_x(self, x):
+        # c|x| rounds to a coarse subnormal: n = 2 used to give log f =
+        # 0.0472 at 5e-324 and 3.95e-5 at 1e-320, against the limit 0.0
+        for n in (2, 3):
+            mp = MeanParams(validate(0, 0, 1, 1, 0.3), n)
+            assert pdf_mean_zero_means(mp, x) == pdf_mean_zero_means(mp, 0.0)
+            assert pdf_mean_zero_means(mp, x).log_abs == pytest.approx(
+                pdf_mean_zero_means(mp, 1e-300).log_abs, abs=1e-12)
+        with pytest.raises(NotConverged):
+            pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.3), 1), x)
 
     def test_zero_limit_continuous(self):
         mp = MeanParams(validate(0, 0, 1.3, 0.7, -0.3), 4)
@@ -453,6 +507,73 @@ class TestDerivativesAndOde:
             derivs = pdf_product_derivatives(mp.base, x)
             assert derivs[0] > 0
             assert abs(ode_residual_density(mp, x, derivs)) <= 1e-10
+
+    # (params, x, f, f', f'', f''', f'''', rel): f^(j) = sum over u = +-e^s
+    # of mpmath.quad(H_j e^E, linspace(-60, 6, 67)) / (2 pi sx sy sqrt(1 -
+    # rho^2)), with E and the H_j recurrence of pdf_product_derivatives
+    # written out in mpf, at 40 digits for the first two points and 30 for
+    # the third (a run of the first two at 30 digits gives the same 15
+    # digits).  At these small |x| the mass of H_j e^E lies near u -> 0,
+    # outside the 45-nat window of the density's trimmed grid, on which f''
+    # to f'''' used to be summed (relative errors up to 1.58, and f''' of
+    # the wrong sign at the third point).  The density takes one pass at
+    # the first two points and three at the third, where the signed sums
+    # cancel to about 9 digits in f''''.
+    SMALL_X_POINTS = [
+        ((-2.6698649039592857, -0.031804206304171245, 0.27528137607370784,
+          0.3378122576271159, 0.13502143663088573), -6.229117663844421e-11,
+         [0.44571834122247, 0.0330383366925725, 0.99530645597062,
+          50538291124.5932, 2.43397029499715e21], 1e-10),
+        ((-2.178263025547313, -0.6831645193743343, 0.20700658433386715,
+          3.6522746914019306, 0.1969261678499412), 2.1737306359721626e-07,
+         [0.0498936278222125, 0.000951311082389052, -0.00081629078544941,
+          -4.70581146554366e-05, 164.212255902338], 1e-10),
+        ((-2.497739058797082, -0.1877633951452644, 0.3247749245616069,
+          2.7088034396894094, -0.5), -2.759734324749884e-10,
+         [0.059323986650335475, 0.0018297329332920963, 28.760796430665919,
+          208440685620.21184, 2.2658777314783432e+21], 2e-9),
+    ]
+
+    @pytest.mark.parametrize("tup, x, ref, rel", SMALL_X_POINTS)
+    def test_derivatives_near_origin_match_mpmath(self, tup, x, ref, rel):
+        got = pdf_product_derivatives(validate(*tup), x)
+        for k, (a, b) in enumerate(zip(got, ref)):
+            assert a == pytest.approx(b, rel=rel), f"order {k}"
+
+    def test_derivatives_refine_a_coarse_grid(self, monkeypatch):
+        # the density accepts, by force here, a first grid at 8 times its
+        # step (and log f = 0); the derivatives must halve that step until
+        # their own check passes, and then give f^(j)/f as before
+        from normprod import density
+        p, x = validate(1, 0.5, 1, 1, 0.2), 0.7
+        ref = pdf_product_derivatives(p, x)
+        bracket, coords, sizes = (density._pdf_product_bracket,
+                                  density._product_coords, [])
+
+        def coarse(p, x):
+            exponent, lo, hi, n, log_norm = bracket(p, x)
+            return exponent, lo, hi, n // 8, log_norm
+
+        def first_grid(log_integrand, lo, hi, n, what, x):
+            t = np.linspace(lo, hi, n)
+            return 0.0, t, log_integrand(t)
+
+        def counted(p, x, s):
+            sizes.append(np.size(s))
+            return coords(p, x, s)
+        monkeypatch.setattr(density, "_pdf_product_bracket", coarse)
+        monkeypatch.setattr(density, "_log_trapezoid", first_grid)
+        monkeypatch.setattr(density, "_product_coords", counted)
+        got = pdf_product_derivatives(p, x)
+        assert sizes[-1] > 4 * sizes[1]  # at least three halvings
+        assert [g / got[0] for g in got] == pytest.approx(
+            [r / ref[0] for r in ref], rel=1e-13)
+
+    def test_overflowing_derivatives_not_converged(self):
+        # g ~ 1/u overflows at these u; the derivatives used to be NaN,
+        # with numpy's RuntimeWarning
+        with pytest.raises(NotConverged, match="not finite"):
+            pdf_product_derivatives(validate(1, 0.5, 1, 1, 0.2), 1e-310)
 
     def test_integral_derivatives_past_node_budget(self):
         # the integral needs over 2^18 nodes from about |rho| = 0.9999; the
