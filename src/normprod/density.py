@@ -9,10 +9,12 @@ negative (odd powers of x c_x c_y) and overflow, so positive and negative
 partial sums are kept as log-magnitudes and combined once at the end.
 Each series block or term takes one new order from ``bessel``'s log K
 recurrence.  The CDF conditions on X and integrates the normal CDF of Y
-given X on the same trapezoid kernel, with no series.  The kernel judges
+given X on the same trapezoid kernel, with no series, from a quarter of
+its unit step on a bracket that a lower bound on the integrand's peak
+cuts 45 nats below it (see ``cdf_product``).  The kernel judges
 each grid against the sum on its own even nodes, so a first grid that is
 fine enough is also the last; the derivatives under the integral apply
-the same test to their own sums, on the density's untrimmed bracket.
+the same test to their own sums, on a grid trimmed to their own mass.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .params import MeanParams, ProductNormalParams
 from .stein import a1_table
 
 _DBL_MIN = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 _LOG_DBL_MIN = math.log(_DBL_MIN)
 
 # Nats of cancellation between the positive and negative partial sums
@@ -42,6 +45,15 @@ _CANCEL_NATS = 8.0
 # Bound T on |argument of Phi| over which the conditional-CDF integrand is
 # resolved at a unit step of its grid variable (see cdf_product).
 _CDF_ARG_RANGE = 4.0
+
+# cdf_product's first grid: a guessed lower bound on the peak of its log
+# integrand, which the first grid must reach to be accepted; the nodes of
+# the probe that bounds the peak where that grid would be too large; and
+# the grid size up to which numpy's fixed cost per pass outweighs the cost
+# of the nodes, so that a quarter step beats a coarser grid refined later.
+_CDF_PEAK_GUESS = -24.0
+_CDF_PROBE_NODES = 65
+_CDF_SMALL_GRID = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -212,8 +224,9 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
     the same grid (the standard test of a spectrally convergent rule), and
     accepts the fine sum when the two agree to 1e-15 relative to the
     exponent (its roundoff floor) or it drops below ``floor``; otherwise it
-    trims to within 45 nats of the peak and halves the step.  NotConverged
-    past 2^18 nodes (formatted only then)."""
+    trims to within 45 nats of the peak and halves the step, or quarters it
+    where the square of the relative gap still exceeds the tolerance.
+    NotConverged past 2^18 nodes (formatted only then)."""
     while n <= 1 << 18:  # caps the temporaries at about 40 MB
         h = (hi - lo) / (n - 1)
         t = np.arange(n) * h + lo  # np.linspace's nodes, without its overhead
@@ -226,12 +239,17 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
         total = w.sum()
         log_sum = peak + math.log(h * total)
         # the sums' relative gap, which is their log ratio to first order
-        if (log_sum < floor or abs(2 * w[:, ::2].sum() - total)
-                <= 1e-15 * max(1.0, -peak) * total):
+        gap = abs(2 * w[:, ::2].sum() - total)
+        tol = 1e-15 * max(1.0, -peak) * total
+        if log_sum < floor or gap <= tol:
             return log_sum, t, q
         keep = np.flatnonzero((q > peak - 45).any(axis=0))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
         lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
+        # the relative gap about squares with each halving, so where its
+        # square still fails the test, halve twice (within the budget)
+        if gap * gap > tol * total and 2 * n - 1 <= 1 << 18:
+            n = 2 * n - 1
     raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
 
 
@@ -293,21 +311,24 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
     g = dE/dx and c = d^2E/dx^2.  At small |x|, H_j e^E has mass near
     u -> 0, outside the 45 nats of e^E's peak to which the density trims
     its grid.  So the ratios sum H_j e^E / sum e^E are summed on the
-    density's untrimmed bracket, from the step on which the density
-    converged, and the step is halved until each agrees with the same
-    ratio on the even nodes to 1e-13 of sum |H_j| e^E / sum e^E.
+    density's first grid, on its untrimmed bracket, and then trimmed to
+    within 45 nats of the peak of each |H_j| e^E (or of its sum, where that
+    cancels) and the step halved, down to the one on which the density
+    converged, until each agrees with the same ratio on the even nodes to
+    1e-13 of sum |H_j| e^E / sum e^E.
     SingularPoint at x = 0; NotConverged where a derivative is not finite
-    (f'''' ~ x^-4 overflows from about |x| = 1e-77) or the integral runs
-    out of nodes (from about |rho| = 0.9999)."""
+    (f'''' ~ x^-4 overflows from about |x| = 1e-77), where a sum cancels
+    to its roundoff, |sum H_j e^E| <= nodes eps sum |H_j| e^E (at tiny
+    |x| the leading 1/x^2 terms of H_2 e^E integrate to zero), or where
+    the integral runs out of nodes (from about |rho| = 0.9999)."""
     x = _finite_x(x)
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
     log_sum, s, q = _log_trapezoid(exponent, lo, hi, n,
                                    "product density integral", x)
-    while (hi - lo) / (n - 1) > 1.5 * (s[1] - s[0]):  # the density's step
-        n = 2 * n - 1
+    step = 1.5 * (s[1] - s[0])  # over the density's, by a margin
     om = 1.0 - p.rho ** 2
     while n <= 1 << 18:
-        if s.size != n or s[0] != lo:  # the density's grid was trimmed
+        if s.size != n or s[0] != lo:  # not the density's grid
             s = np.linspace(lo, hi, n)
             q = exponent(s)
         u, a, b = _product_coords(p, x, s)
@@ -324,14 +345,29 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
             hw = np.array(hs) * w
             fine = hw.sum(axis=(1, 2)) / total
             coarse = hw[..., ::2].sum(axis=(1, 2)) / total_even
-            scale = np.abs(hw).sum(axis=(1, 2)) / total
+            mag = np.abs(hw)
+            scale = mag.sum(axis=(1, 2)) / total
         if not np.isfinite(scale).all():
             raise NotConverged(f"product density derivatives: a derivative "
                                f"at x={x} is not finite")
-        if np.all(np.abs(fine - coarse) <= 1e-13 * scale):
+        if ((hi - lo) / (n - 1) < step
+                and np.all(np.abs(fine - coarse) <= 1e-13 * scale)):
+            # the even-node test cannot see this: both sums carry the
+            # same roundoff
+            if np.any(np.abs(fine) <= w.size * _EPS * scale):
+                raise NotConverged(f"product density derivatives: a sum "
+                                   f"cancels to its roundoff at x={x}")
             f = math.exp(log_sum - log_norm)
             return [f * float(r) for r in fine]
-        n = 2 * n - 1
+        # keep what is within 45 nats of the peak of some |H_j| e^E, or of
+        # |sum H_j e^E| where cancellation makes that the smaller
+        cut = np.minimum(mag.max(axis=(1, 2)), np.abs(fine) * total)
+        keep = np.flatnonzero((mag > cut[:, None, None] * math.exp(-45))
+                              .any(axis=(0, 1)))
+        i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
+        lo, hi, n = s[i0], s[i1], 2 * (i1 - i0) + 1
+        while (hi - lo) / (n - 1) > step:
+            n = 2 * n - 1
     raise NotConverged(f"product density derivatives: over 2^18 nodes at x={x}")
 
 
@@ -504,11 +540,27 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     width s / sqrt(b^2 + 4kz) in v.  The substitution
     |u| = (c0/c1) log(1 + e^(tau/c0)), with c0 = |b|/s + T and
     c1 = 1/sigma_x + 2|k|/s, is u = +-e^v near 0 and linear far from it,
-    and its nodes are never further apart than those rates allow, so a
-    unit step in tau resolves every feature.  Close to 0, where nothing
-    but e^v changes, tau(t) widens the step in v from 1/c0 to 1.  The
-    trapezoid rule in t converges spectrally (Trefethen & Weideman, SIAM
-    Rev. 2014) as ``_log_trapezoid`` halves the step.
+    and its nodes are never further apart than those rates allow: a unit
+    step in tau moves each argument by about one unit at most.  Close to
+    0, where nothing but e^v changes, tau(t) widens the step in v from
+    1/c0 to 1.  The trapezoid rule in t converges spectrally (Trefethen &
+    Weideman, SIAM Rev. 2014): the gap between the sums at steps h and 2h
+    about squares with each halving, from 1e-7 to 1e-4 at the unit step
+    to below 1e-15 at a quarter, so the first grid takes a quarter step.
+
+    The bracket starts where the integrand vanishes near u = 0 and ends
+    where a lower bound q* on the peak of its log proves the rest
+    negligible: past |u| = |mu_x| + a sigma_x, log phi_X < -a^2/2 while
+    Phi <= 1 and du/dt <= c0/c1, so with a^2 = 2(45 + log(c0 c1 sigma_x)
+    - q*) the integrand there is 45 nats below the peak, and so is its
+    integral (a = 40 bounds the bracket at any q*).  First q* = -24 is
+    guessed, and the quarter-step grid it gives, if of at most 2^9 nodes,
+    is accepted where its peak reaches the guess.  Otherwise q* is the
+    peak of that grid, or of a 65-node probe of the whole bracket.  Where
+    the grid q* gives would outgrow both 2^9 nodes and the unit-step grid
+    of the whole bracket (|rho| near 1, where phi_X spans hundreds of
+    unit steps), it takes the unit step, which ``_log_trapezoid`` trims
+    and refines.
     """
     z = float(x)
     if math.isnan(z):
@@ -560,9 +612,35 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
         return -0.5 * a * a + log_du_dt + special.log_ndtr(arg)
 
     log_norm = math.log(math.sqrt(2 * math.pi) * p.sigma_x * c1)
-    # below -750 the probability underflows, resolved or not
-    log_sum, _, _ = _log_trapezoid(log_integrand, lo, hi, int(hi - lo) + 2,
-                                   "cdf integral", x, log_norm - 750)
+    log_c = math.log(c0 * c1 * p.sigma_x)
+    n_unit = int(hi - lo) + 2  # the unit step on the whole bracket
+
+    def upper_end(q_star):  # the end that the peak bound q_star proves
+        a = math.sqrt(2 * (45 + log_c - q_star))
+        if a >= 40:
+            return hi
+        return min(hi, tau_of(abs(p.mu_x) + a * p.sigma_x) + 1)
+
+    end = upper_end(_CDF_PEAK_GUESS)
+    n = int(4 * (end - lo)) + 2
+    if lo < end and n <= _CDF_SMALL_GRID:
+        # a grid that reaches the guess sums to over e^guess / 4, so this
+        # floor only stops a grid whose bracket the guess does not prove
+        log_sum, _, q = _log_trapezoid(log_integrand, lo, end, n,
+                                       "cdf integral", x, _CDF_PEAK_GUESS - 2)
+        q_star = float(q.max())
+        done = q_star >= _CDF_PEAK_GUESS
+    else:
+        t = np.linspace(lo, hi, _CDF_PROBE_NODES)
+        q_star, done = float(log_integrand(t).max()), False
+    if not done:
+        end = upper_end(q_star)
+        n = int(4 * (end - lo)) + 2
+        if n > max(n_unit, _CDF_SMALL_GRID):
+            n = int(end - lo) + 2
+        # below -750 the probability underflows, resolved or not
+        log_sum, _, _ = _log_trapezoid(log_integrand, lo, end, n,
+                                       "cdf integral", x, log_norm - 750)
     tail = min(math.exp(log_sum - log_norm), 1.0)
     return 1.0 - tail if upper else tail
 

@@ -309,6 +309,21 @@ class TestDoubleSeries:
         assert dv.log_abs < math.log(np.finfo(float).tiny)
 
 
+def count_kernel_evaluations(monkeypatch, first_grid=lambda n: n):
+    """Patch the trapezoid kernel to record the node count of every
+    evaluation of its integrand, with its first grid resized."""
+    from normprod import density
+    kernel, calls = density._log_trapezoid, []
+
+    def counting(log_integrand, lo, hi, n, *args):
+        def counted(t):
+            calls.append(t.size)
+            return log_integrand(t)
+        return kernel(counted, lo, hi, first_grid(n), *args)
+    monkeypatch.setattr(density, "_log_trapezoid", counting)
+    return calls
+
+
 class TestTrapezoidKernel:
     # points like the pdf benchmark's: means within +-3, sigmas 0.5-2,
     # |rho| <= 0.9, x = mean + k sd for k in {-6, 0.5, 6}
@@ -320,15 +335,7 @@ class TestTrapezoidKernel:
     def test_first_grid_is_the_last(self, monkeypatch):
         # the sum on the even nodes of the first grid certifies it, where
         # a second grid at half the step used to be built to compare with
-        from normprod import density
-        kernel, calls = density._log_trapezoid, []
-
-        def counting(log_integrand, *args, **kwargs):
-            def counted(t):
-                calls.append(t.size)
-                return log_integrand(t)
-            return kernel(counted, *args, **kwargs)
-        monkeypatch.setattr(density, "_log_trapezoid", counting)
+        calls = count_kernel_evaluations(monkeypatch)
         for tup, x in self.ONE_PASS_POINTS:
             calls.clear()
             dv = pdf_product(validate(*tup), x)
@@ -540,6 +547,24 @@ class TestDerivativesAndOde:
         for k, (a, b) in enumerate(zip(got, ref)):
             assert a == pytest.approx(b, rel=rel), f"order {k}"
 
+    # At these tiny |x| the signed sums of H_2 e^E to H_4 e^E cancel to
+    # their roundoff: |sum H_2 e^E| / sum |H_2| e^E is 1.8e-14 and 1.8e-15,
+    # against nodes eps 6.7e-12 and 1.4e-12 (at the points above the
+    # smallest such ratio is 5e-7, and over 0.16 at criterion-6's).  A
+    # 30-digit mpmath quadrature gives f'' = 4.03241e-9 and 0.11503, where
+    # the sums gave -47.5 and 1422.3 with no error.
+    CANCELLING_POINTS = [
+        ((2.5793131698260643, 3.852925201523078, 0.4082974310882157,
+          0.2122205137831837, -0.8739018626631361), 1.8926023425921564e-11),
+        ((-0.6376420624088741, -2.296582756332537, 0.5673936231947289,
+          0.31195424318612985, -0.5), -3.767949681175018e-09),
+    ]
+
+    @pytest.mark.parametrize("tup, x", CANCELLING_POINTS)
+    def test_derivatives_cancelled_to_roundoff_not_converged(self, tup, x):
+        with pytest.raises(NotConverged, match="roundoff"):
+            pdf_product_derivatives(validate(*tup), x)
+
     def test_derivatives_refine_a_coarse_grid(self, monkeypatch):
         # the density accepts, by force here, a first grid at 8 times its
         # step (and log f = 0); the derivatives must halve that step until
@@ -637,8 +662,10 @@ class TestCdf:
     # F(x) from mpmath.quad of phi_X(u) Phi(+-(x/u - m(u))/s) over
     # mu_x +- 40 sigma_x at 60 digits, with breakpoints at 0, mu_x, the
     # roots of x/u = m(u) and 2 and 8 step widths either side of each root
-    # (40 digits agree to 1e-40).  The first three sit on the narrow step
-    # of Phi at |rho| = 0.999; F(-1e4) is 4.5e-90536.
+    # (40 digits agree to 1e-31 or better).  The first three sit on the
+    # narrow step of Phi at |rho| = 0.999, and the next three at |rho| =
+    # 0.9999, where the unit-step grid of the whole bracket spans thousands
+    # of steps; F(-1e4) is 4.5e-90536.
     REFERENCES = [
         ((0.90703, 2.99599, 0.66968, 0.54007, 0.999), 1e-8,
          "0.087800717210774389873893958680964"),
@@ -646,6 +673,11 @@ class TestCdf:
          "2.4981128181462654113902159952975e-8"),
         ((-7.26895, -6.11308, 4.65257, 0.18192, 0.999), 45.311,
          "0.51172250139384553279172723669806"),
+        ((1, 0.5, 1, 1, 0.9999), 0.7, "0.49677688703396938300481071149337"),
+        ((-0.308735, 1.79364, 0.853275, 0.979677, 0.9999), 3.9988,
+         "0.95582510132092309139102042130850"),
+        ((1.10523, -0.217054, 0.832833, 1.46141, -0.9999), -2.92911,
+         "0.18659749091939515049195972507322"),
         ((1, 1, 1, 1, 0.9), 1e-30, "0.086329833006197499771710896901486"),
         ((1, 1, 1, 1, 0.9), -1e-30, "0.086329833006197499771710896842308"),
         ((1, 1, 1, 1, 0.9), 1e4, "1"),
@@ -680,6 +712,33 @@ class TestCdf:
         assert proc.stdout.strip() == "False"
 
     def test_node_budget(self):
-        # the step of Phi at rho = -0.999999 is too narrow for 2^18 nodes
+        # the step of Phi at rho = -0.999999 is too narrow for 2^18 nodes;
+        # the failure must be fast, whatever the first grid
+        started = time.perf_counter()
         with pytest.raises(NotConverged):
             cdf_product(validate(-4.38, -5.4, 0.496, 0.146, -0.999999), 3.2)
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("tup", NORMALIZATION_SWEEP)
+    def test_first_grid_is_the_last(self, tup, monkeypatch):
+        # at mean -+ sd, the quarter-step grid on the bracket of the
+        # guessed peak bound is accepted: one evaluation of the integrand
+        # and no probe, where the unit step took three
+        moments = closed_form_four(MeanParams(validate(*tup), 1))
+        mean, sd = moments.raw[0], math.sqrt(moments.variance)
+        calls = count_kernel_evaluations(monkeypatch)
+        for x in (mean - sd, mean + sd):
+            calls.clear()
+            assert 0 < cdf_product(validate(*tup), x) < 1
+            assert len(calls) == 1 and calls[0] <= 512
+
+    @pytest.mark.parametrize("tup, x", [((0, 0, 0.5, 2, 0.9), -0.4454),
+                                        ((1, 1, 1, 1, 0.9), 4.2685),
+                                        ((-3, 0, 2, 1, 0.0), -3.6056)])
+    def test_coarse_first_grid_is_refined(self, tup, x, monkeypatch):
+        # forced to start at 8 times its step, the kernel must trim and
+        # refine to the same value
+        ref = cdf_product(validate(*tup), x)
+        calls = count_kernel_evaluations(monkeypatch, lambda n: n // 8 + 2)
+        assert abs(cdf_product(validate(*tup), x) - ref) <= 1e-15
+        assert len(calls) >= 3
