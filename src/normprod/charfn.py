@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import CaseMismatch
+from .errors import CaseMismatch, NonFiniteParameter, NotConverged
 from .params import MeanParams
 from .stein import a1_table
 
@@ -45,10 +45,33 @@ def _complex_or_array(values: np.ndarray):
 
 def cf_mean(mp: MeanParams, t):
     """E[exp(i t mean)] at real t (complex t accepted for contour work):
-    a Python complex at a scalar t, an array over an array of t."""
+    a Python complex at a scalar t, an array over an array of t.
+
+    NonFiniteParameter at a non-finite t, NotConverged where the closed
+    form overflows: from about |t| = 1e154 n / (sigma_x sigma_y), where
+    |phi| < 1e-154 at real t, or at mean-to-sd ratios past about 1e154.
+    """
     p = mp.base
-    return _complex_or_array(
-        _cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * np.asarray(t)))
+    t = np.asarray(t)
+    # At real t no intermediate of the closed form exceeds about
+    # 8 (1 + r_x^2 + r_y^2)(1 + s |t|)^2, and sum |t|^2 bounds |t|^2 (it
+    # is NaN or inf at a non-finite t), so below 1e300 nothing can overflow
+    size = (1 + p.r_x * p.r_x + p.r_y * p.r_y) * (1 + p.s) * (1 + p.s) \
+        * (1 + float(np.vdot(t, t).real))
+    if np.isrealobj(t) and size < 1e300:
+        return _complex_or_array(_cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * t))
+    if not np.isfinite(t).all():
+        raise NonFiniteParameter("t must be finite")
+    if not math.isfinite(p.r_x * p.r_x + p.r_y * p.r_y):
+        raise NotConverged("the closed form overflows at mean-to-sd ratios "
+                           f"({p.r_x:.3g}, {p.r_y:.3g})")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = _cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * t)
+    except FloatingPointError:
+        raise NotConverged("the closed form overflows at |t| = "
+                           f"{np.max(np.abs(t)):.3g}") from None
+    return _complex_or_array(values)
 
 
 def cf_mean_derivative(mp: MeanParams, t):
@@ -85,7 +108,10 @@ def cf_ode_residual(mp: MeanParams, t: float,
         dphi = cf_mean_derivative(mp, t)
     # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
     table = a1_table(mp)
-    powers = [(1j * t) ** j for j in range(len(table))]
+    try:
+        powers = [(1j * t) ** j for j in range(len(table))]
+    except OverflowError:
+        raise NotConverged(f"(i t)^4 overflows at t = {t!r}") from None
     c_phi = sum(a0 * w for (a0, _), w in zip(table, powers))
     c_dphi = -1j * sum(a1 * w for (_, a1), w in zip(table, powers))
     t1, t2 = c_dphi * dphi, c_phi * phi

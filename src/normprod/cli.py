@@ -19,7 +19,8 @@ import click
 import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
-from .errors import CaseMismatch, NormProdError, NotConverged
+from .errors import (CaseMismatch, InvalidTestFunction, NormProdError,
+                     NotConverged)
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -166,18 +167,19 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_test_function(spec: str) -> stein.TestFunction:
     kind, _, arg = spec.partition(":")
-    builders = {
-        "poly": lambda a: stein.monomial(int(a)),
-        "exp": lambda a: stein.exponential(float(a)),
-        "sin": lambda a: stein.sine(float(a)),
-        "cos": lambda a: stein.cosine(float(a)),
-        "gauss": lambda a: stein.gaussian_bump(float(a)),
-    }
+    builders = {"poly": stein.monomial, "exp": stein.exponential,
+                "sin": stein.sine, "cos": stein.cosine,
+                "gauss": stein.gaussian_bump}
     if kind not in builders:
         raise click.BadParameter(
             f"unknown test function {spec!r}; use poly:K, exp:A, sin:T, "
             "cos:T or gauss:A")
-    return builders[kind](arg)
+    try:
+        value = int(arg) if kind == "poly" else float(arg)
+    except ValueError:
+        raise InvalidTestFunction(f"{spec!r}: {arg!r} is not a number") \
+            from None
+    return builders[kind](value)
 
 
 _OPERATOR_BUILDERS = {

@@ -22,7 +22,13 @@ class NonFiniteParameter(ValidationError, ValueError):
 
 
 class InvalidCount(ValidationError, ValueError):
-    """A copy, sample or batch count was not an integer >= 1."""
+    """A copy, sample or batch count was not an integer >= 1, or an
+    estimate with a standard error was asked of fewer than 2 samples."""
+
+
+class InvalidTestFunction(ValidationError, ValueError):
+    """A built-in test function's parameter was out of range, not finite,
+    or large enough that its derivatives overflow."""
 
 
 class CaseMismatch(NormProdError):

@@ -12,8 +12,18 @@ n - 1 degrees of freedom, so
                                      - (a- N2 + sqrt(n)(r_x - r_y))^2 - a-^2 C2]
 
 with a+- = sqrt(2(1 +- rho)), N1, N2 standard normals and C1, C2
-chi-square(n - 1) (zero for n = 1), the latter drawn as twice a gamma of
-integer shape plus one squared normal when n - 1 is odd.
+chi-square(n - 1) (zero for n = 1).  A chi-square(n - 1) is twice a gamma
+of integer shape k = (n - 1) // 2 plus one squared normal when n - 1 is
+odd.  Up to k = 6 the gamma is drawn as -log of a product of k uniforms
+(Devroye 1986, section IX.3), which is cheaper than numpy's
+Marsaglia-Tsang gamma there; above it, as a numpy gamma (see _chi_square).
+
+The empirical characteristic function takes cos and sin of t z from one
+tangent of the half angle, w = tan(t z / 2): cos = (1 - w^2)/(1 + w^2),
+sin = 2w/(1 + w^2), within 2.2e-16 of numpy's cos and sin at any
+magnitude.  numpy's vectorised tan costs a tenth of cos and sin together
+(on a CPU without AVX-512 it is libm's, still one call where there were
+two), and |w| stays below about 2e18, so w^2 cannot overflow.
 
 Streams are generated batch-by-batch with an independent SFC64 generator
 (the fastest of numpy's bit generators for normals) keyed on
@@ -27,11 +37,14 @@ pooling; merge order only moves results at floating roundoff level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .errors import (InvalidCount, NonFiniteParameter, NotConverged,
+                     ValidationError)
 from .params import MeanParams, positive_int
 from .stein import SteinOperatorSpec, TestFunction, apply
 
@@ -43,6 +56,11 @@ class SamplerConfig:
     batch: int = 1 << 15
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+                or seed < 0:
+            raise ValidationError(f"seed={seed!r}; must be an integer >= 0")
+        object.__setattr__(self, "seed", int(seed))
         count = positive_int("count", self.count)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "batch", min(positive_int("batch", self.batch),
@@ -64,11 +82,38 @@ def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:
         np.random.SFC64(np.random.SeedSequence((cfg.seed, index))))
 
 
+#: Largest gamma shape k drawn as -log of a product of k uniforms.  Per
+#: chi-square(2k) draw, batches of 2^15 on a 2-vCPU Xeon with AVX-512,
+#: medians of 41 alternated rounds, uniforms against numpy's gamma:
+#: k = 1: 5.1 against 8.3 ns; 2: 8.6 / 27.3; 4: 16.3 / 25.5;
+#: 6: 23.1 / 26.4 (faster in 37 of 41 rounds); 7: 26.7 / 24.7 (faster in
+#: 4 of 41).  Each factor costs about 3.7 ns, numpy's Marsaglia-Tsang
+#: gamma about 25 ns at any k >= 2.
+_UNIFORM_GAMMA_MAX = 6
+
+
 def _chi_square(rng: np.random.Generator, dof: int, size: int) -> np.ndarray:
-    """chi-square(dof) draws as 2 Gamma(dof // 2), plus one squared normal
-    when dof is odd (a half-integer gamma shape is several times slower)."""
-    out = (2.0 * rng.standard_gamma(dof // 2, size) if dof >= 2
-           else np.zeros(size))
+    """chi-square(dof) draws: 2 Gamma(k), k = dof // 2, plus one squared
+    normal when dof is odd (a half-integer gamma shape is several times
+    slower).  For k <= _UNIFORM_GAMMA_MAX, Gamma(k) = -log prod_i (1 - U_i)
+    over k uniforms U_i in [0, 1), so each factor lies in (0, 1] and the
+    log is finite; for larger k it is numpy's gamma."""
+    k = dof // 2
+    if k == 0:
+        g = rng.standard_normal(size)
+        return g * g
+    if k <= _UNIFORM_GAMMA_MAX:
+        out = rng.random(size)
+        np.subtract(1.0, out, out=out)
+        u = np.empty(size) if k > 1 else None
+        for _ in range(k - 1):
+            rng.random(out=u)
+            np.subtract(1.0, u, out=u)
+            out *= u
+        np.log(out, out=out)
+        out *= -2.0
+    else:
+        out = 2.0 * rng.standard_gamma(k, size)
     if dof % 2:
         g = rng.standard_normal(size)
         out += g * g
@@ -127,7 +172,8 @@ class _Pool:
     def add(self, values: np.ndarray):
         n_b = values.size
         mean_b = float(values.mean())
-        m2_b = float(((values - mean_b) ** 2).sum())
+        d = values - mean_b
+        m2_b = float(np.dot(d, d))
         delta = mean_b - self.mean
         total = self.count + n_b
         self.m2 += m2_b + delta * delta * self.count * n_b / total
@@ -135,7 +181,7 @@ class _Pool:
         self.count = total
 
     def estimate(self) -> EstimateWithError:
-        var = self.m2 / (self.count - 1) if self.count > 1 else 0.0
+        var = self.m2 / (self.count - 1)
         return EstimateWithError(self.mean, math.sqrt(var / self.count), self.count)
 
 
@@ -148,12 +194,20 @@ class _Pool:
 _APPLY_SLICE = 1 << 13
 
 
+def _two_samples(cfg: SamplerConfig):
+    """InvalidCount unless cfg draws the two samples a standard error needs."""
+    if cfg.count < 2:
+        raise InvalidCount(f"count={cfg.count}; a standard error needs "
+                           "at least 2 samples")
+
+
 def estimate_stein_expectation(mp: MeanParams, spec: SteinOperatorSpec,
                                f: TestFunction,
                                cfg: SamplerConfig) -> EstimateWithError:
     """Sample mean and standard error of the operator applied to f along
     the stream; near-zero z-scores are the empirical face of the
     characterising equation."""
+    _two_samples(cfg)
     pool = _Pool()
     for batch in sample_mean_of_products(mp, cfg):
         for start in range(0, batch.size, _APPLY_SLICE):
@@ -172,12 +226,42 @@ class ComplexEstimate:
         return complex(self.re.mean, self.im.mean)
 
 
+def _cos_sin_from_half(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2w, overwriting w: with v = tan(w),
+    cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
+    np.tan(w, out=w)
+    w2 = w * w
+    den = 1.0 + w2
+    cos = np.subtract(1.0, w2, out=w2)
+    cos /= den
+    sin = np.multiply(2.0, w, out=w)
+    sin /= den
+    return cos, sin
+
+
 def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate:
-    """Empirical characteristic function at t with per-component errors."""
+    """Empirical characteristic function at t with per-component errors.
+
+    cos and sin of t z come from w = tan(t z / 2) (module docstring).
+    NonFiniteParameter at a non-finite t; NotConverged where t z / 2
+    overflows for some sample z.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise NonFiniteParameter(f"t={t}; must be finite")
+    _two_samples(cfg)
+    half_t = 0.5 * t
     pool_re, pool_im = _Pool(), _Pool()
     for batch in sample_mean_of_products(mp, cfg):
-        pool_re.add(np.cos(t * batch))
-        pool_im.add(np.sin(t * batch))
+        try:
+            with np.errstate(over="raise"):
+                w = np.multiply(half_t, batch, out=batch)
+        except FloatingPointError:
+            raise NotConverged(f"t={t}: t z / 2 overflows for a sample z "
+                               "of the mean") from None
+        cos, sin = _cos_sin_from_half(w)
+        pool_re.add(cos)
+        pool_im.add(sin)
     return ComplexEstimate(pool_re.estimate(), pool_im.estimate())
 
 
@@ -191,6 +275,7 @@ def estimate_moment(mp: MeanParams, k: int, central: bool,
     each sample on the sample mean.
     """
     k = positive_int("k", k)
+    _two_samples(cfg)
     if not central:
         pool = _Pool()
         for batch in sample_mean_of_products(mp, cfg):
@@ -216,5 +301,5 @@ def estimate_moment(mp: MeanParams, k: int, central: bool,
 
     mean = centred(k) / count
     m2 = max(centred(2 * k) - count * mean * mean, 0.0)
-    var = m2 / (count - 1) if count > 1 else 0.0
+    var = m2 / (count - 1)
     return EstimateWithError(mean, math.sqrt(var / count), count)

@@ -12,12 +12,14 @@ printed, diffed, exported, and fed to the exact-arithmetic order search.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CaseMismatch
+from .errors import CaseMismatch, InvalidTestFunction
 from .params import DistributionCase, MeanParams, classify
 
 
@@ -41,7 +43,9 @@ class SteinOperatorSpec:
 class TestFunction:
     """Bundle of f and derivatives f', f'', f''', f'''' evaluated jointly.
 
-    ``evaluate`` maps x (scalar or ndarray) to the 5-tuple of values.
+    ``evaluate`` maps x (scalar or ndarray) to the five values, as a
+    tuple or stacked in one (5, *x.shape) array; ``monomial`` and
+    ``gaussian_bump`` stack theirs, which ``apply`` then reads in place.
     Membership of the theorems' function class (moment-finiteness of the
     derivatives under the target law) is the caller's obligation; the
     built-ins below all qualify against product-normal laws.
@@ -55,26 +59,47 @@ class TestFunction:
         return self.evaluate(x)
 
 
+def _parameter(name: str, value: float, positive: bool = False) -> float:
+    """value as a float whose fourth power times 16, the largest factor
+    the built-ins' derivatives take, is finite (so |value| < 5.8e76);
+    InvalidTestFunction otherwise, or unless value > 0 where required."""
+    value = float(value)
+    if not math.isfinite(16 * value * value * value * value):
+        raise InvalidTestFunction(f"{name}={value!r}; must be finite with "
+                                  f"|{name}| < 5.8e76")
+    if positive and not value > 0:
+        raise InvalidTestFunction(f"{name}={value!r}; must be positive")
+    return value
+
+
+def _stacked(x):
+    """x as a float array, an uninitialised (5, *x.shape) array for its
+    derivatives, and that array's rows as views ufuncs can write into
+    (0-d arrays for a scalar x)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((5,) + x.shape)
+    return x, out, [out[j, ...] for j in range(5)]
+
+
 def monomial(k: int) -> TestFunction:
     """f(x) = x**k with exact derivative formulas, k <= 8."""
-    if not 0 <= k <= 8:
-        raise ValueError("monomial degree must be in 0..8")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) \
+            or not 0 <= k <= 8:
+        raise InvalidTestFunction(f"k={k!r}; the monomial degree must be "
+                                  "an integer in 0..8")
+    k = int(k)
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
-        powers = [np.ones_like(x)]
-        for _ in range(k):
-            powers.append(powers[-1] * x)
-        out = []
-        fall = 1.0
-        for j in range(5):
-            p = k - j
-            if p < 0:
-                out.append(np.zeros_like(x))
-            else:
-                out.append(fall * powers[p])
-                fall *= p
-        return tuple(out)
+        # f^(j) = k!/(k - j)! x^(k - j), zero past j = k
+        x, out, rows = _stacked(x)
+        out[k + 1:] = 0.0
+        power = 1.0
+        for p in range(k + 1):
+            if p:
+                power = power * x
+            if k - p <= 4:
+                np.multiply(math.perm(k, k - p), power, out=rows[k - p])
+        return out
 
     return TestFunction(ev, f"x^{k}")
 
@@ -94,6 +119,7 @@ def polynomial(coeffs: Sequence[float]) -> TestFunction:
 def exponential(a: float) -> TestFunction:
     """f(x) = exp(a*x); valid test function for |a| small enough that the
     exponential moments exist (caller's obligation)."""
+    a = _parameter("a", a)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -105,6 +131,8 @@ def exponential(a: float) -> TestFunction:
 
 
 def sine(t: float) -> TestFunction:
+    t = _parameter("t", t)
+
     def ev(x):
         x = np.asarray(x, dtype=float)
         s, c = np.sin(t * x), np.cos(t * x)
@@ -114,6 +142,8 @@ def sine(t: float) -> TestFunction:
 
 
 def cosine(t: float) -> TestFunction:
+    t = _parameter("t", t)
+
     def ev(x):
         x = np.asarray(x, dtype=float)
         s, c = np.sin(t * x), np.cos(t * x)
@@ -124,18 +154,28 @@ def cosine(t: float) -> TestFunction:
 
 def gaussian_bump(a: float) -> TestFunction:
     """f(x) = exp(-a*x**2), a > 0; bounded with bounded derivatives."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    a = _parameter("a", a, positive=True)
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
+        # f, -2a x f, (4a^2 x^2 - 2a) f, (12a^2 - 8a^3 x^2) x f and
+        # (12a^2 + (16a^4 x^2 - 48a^3) x^2) f, each row written in place
+        x, out, (f, d1, d2, d3, d4) = _stacked(x)
         x2 = x * x
-        f = np.exp(-a * x2)
-        return (f,
-                -2 * a * x * f,
-                (4 * a * a * x2 - 2 * a) * f,
-                (12 * a * a - 8 * a ** 3 * x2) * x * f,
-                (12 * a * a + (16 * a ** 4 * x2 - 48 * a ** 3) * x2) * f)
+        np.exp(np.multiply(-a, x2, out=f), out=f)
+        np.multiply(-2 * a, x, out=d1)
+        d1 *= f
+        np.multiply(4 * a * a, x2, out=d2)
+        d2 -= 2 * a
+        d2 *= f
+        np.subtract(12 * a * a, np.multiply(8 * a ** 3, x2, out=d3), out=d3)
+        d3 *= x
+        d3 *= f
+        np.multiply(16 * a ** 4, x2, out=d4)
+        d4 -= 48 * a ** 3
+        d4 *= x2
+        d4 += 12 * a * a
+        d4 *= f
+        return out
 
     return TestFunction(ev, f"exp(-{a}x^2)", "bounded with bounded derivatives")
 
@@ -312,14 +352,18 @@ def apply(spec: SteinOperatorSpec, f: TestFunction, x):
     derivs = f(x)
     if len(derivs) <= spec.order:
         raise ValueError("test function supplies too few derivatives")
-    # sum_j a0_j f^(j) + x * sum_j a1_j f^(j): two accumulations and one
-    # product by x, skipping zero coefficients
-    const, slope = 0.0, 0.0
-    for (a0, a1), d in zip(spec.coeffs, derivs):
-        if a0:
-            const = const + a0 * d
-        if a1:
-            slope = slope + a1 * d
+    # sum_j a0_j f^(j) + x * sum_j a1_j f^(j): the (2, order + 1) table
+    # (coeffs transposed) times the stacked derivatives, then one product
+    # by x.  einsum sums each point in one fixed order, so a point's value
+    # does not depend on how many points share the call (BLAS matmul sums
+    # a lone point in another order than a batch)
+    derivs = derivs[:spec.order + 1]
+    if not isinstance(derivs, np.ndarray):
+        # a tuple may hold scalars, such as 0.0 for a vanishing derivative
+        derivs = np.broadcast_arrays(*derivs)
+    const, slope = np.einsum("ji,j...->i...",
+                             np.array(spec.coeffs, dtype=float),
+                             np.asarray(derivs, dtype=float))
     return const + np.asarray(x, dtype=float) * slope
 
 

@@ -7,6 +7,8 @@ import pytest
 from normprod import (
     CaseMismatch,
     MeanParams,
+    NonFiniteParameter,
+    NotConverged,
     cf_grid,
     cf_mean,
     cf_mean_derivative,
@@ -85,6 +87,45 @@ class TestOde:
     def test_requires_unit_variances(self):
         with pytest.raises(CaseMismatch):
             cf_ode_residual(MeanParams(validate(0, 0, 2, 1, 0), 1), 1.0)
+
+
+class TestLargeAndNonFiniteT:
+    MP = MeanParams(validate(0.7, -1.1, 1.2, 0.9, 0.35), 2)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.5, np.nan])])
+    def test_non_finite_t(self, t):
+        # NaN used to come back as a NaN value
+        with pytest.raises(NonFiniteParameter):
+            cf_mean(self.MP, t)
+
+    @pytest.mark.parametrize("t", [1e154, -1e200, 1e308,
+                                   np.array([0.5, 1e200])])
+    def test_overflowing_base(self, t):
+        # used to warn of an overflow and return NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged):
+                cf_mean(self.MP, t)
+
+    def test_below_overflow(self):
+        # |phi| <= |base|^(-n/2) with |base| ~ (1 - rho^2) s^2 t^2 / n^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < abs(cf_mean(self.MP, 1e100)) < 1e-199
+            assert 0 < abs(cf_mean(self.MP, 1e153)) < 1e-305
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300])
+    def test_overflowing_ratios(self, t):
+        # the squared ratio overflows; phi = 1 at t = 0, near 1 at 1e-300,
+        # and the closed form used to give NaN and 0 there
+        mp = MeanParams(validate(1e200, 1, 1, 1, 0.3), 1)
+        with pytest.raises(NotConverged):
+            cf_mean(mp, t)
+
+    def test_ode_residual_past_coefficient_range(self):
+        # (i t)^4 used to end in an OverflowError from complex power
+        with pytest.raises(NotConverged):
+            cf_ode_residual(MeanParams(validate(0.5, 1, 1, 1, 0.3), 1), 1e100)
 
 
 class TestMomentExtraction:

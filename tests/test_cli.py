@@ -305,6 +305,43 @@ class TestExitCodes:
                                      "--which", "a2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["stein-check", "stein-apply"])
+    @pytest.mark.parametrize("fspec", ["cos:nan", "sin:nan", "gauss:nan",
+                                       "gauss:inf", "exp:nan", "poly:9",
+                                       "poly:abc", "gauss:-1", "exp:1e200",
+                                       "cos:1e308"])
+    def test_bad_test_function_is_2(self, runner, command, fspec):
+        # the NaN ones used to exit 0 with a NaN estimate, the others with
+        # a ValueError or OverflowError traceback
+        extra = (["--count", "1000"] if command == "stein-check"
+                 else ["--which", "a1", "--x", "0.7"])
+        result = runner.invoke(cli, [command, "--f", fspec, *extra, "--json"])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    @pytest.mark.parametrize("args", [["sample", "--seed", "-1"],
+                                      ["stein-check", "--seed", "-3",
+                                       "--count", "1000"],
+                                      ["stein-check", "--count", "1"]])
+    def test_bad_seed_or_count_is_2(self, runner, args):
+        # a negative seed used to end in numpy's traceback, and one sample
+        # in an infinite z-score with exit 0
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    def test_single_sample_is_printed(self, runner):
+        result = runner.invoke(cli, ["sample", "--count", "1"])
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 2
+
+    @pytest.mark.parametrize("t,code", [("nan", 2), ("1e308", 3)])
+    def test_cf_at_bad_t(self, runner, t, code):
+        # both used to exit 0 with a NaN value
+        result = runner.invoke(cli, ["cf", "--t", t, "--json"])
+        assert result.exit_code == code
+        assert "error:" in result.output
+
     def test_unknown_subcommand_is_64(self):
         proc = subprocess.run(
             [sys.executable, "-m", "normprod.cli", "frobnicate"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,7 +7,10 @@ import scipy.stats
 from normprod import (
     InvalidCount,
     MeanParams,
+    NonFiniteParameter,
+    NotConverged,
     SamplerConfig,
+    ValidationError,
     central_moments_exact,
     cf_mean,
     closed_form_four,
@@ -41,21 +46,32 @@ class TestSampler:
         # each batch is keyed by (seed, batch index): regenerating any
         # batch from its key must reproduce the sequential stream.  The
         # draw formula is restated here: two normals, then for n > 1 two
-        # chi-square(n - 1) draws, each 2 Gamma((n - 1) // 2) plus one
-        # squared normal when n - 1 is odd
-        from normprod.mc import _batch_rng
+        # chi-square(n - 1) draws, each 2 Gamma(k), k = (n - 1) // 2, plus
+        # one squared normal when n - 1 is odd; Gamma(k) is -log of a
+        # product of k factors 1 - U up to the cutoff, numpy's gamma above
+        from normprod.mc import _UNIFORM_GAMMA_MAX, _batch_rng
         p = MP.base
         size = 1000
 
         def chi_square(rng, dof):
-            out = (2.0 * rng.standard_gamma(dof // 2, size) if dof >= 2
-                   else np.zeros(size))
+            k = dof // 2
+            if k == 0:
+                out = np.zeros(size)
+            elif k <= _UNIFORM_GAMMA_MAX:
+                prod = np.ones(size)
+                for _ in range(k):
+                    prod *= 1.0 - rng.random(size)
+                out = -2.0 * np.log(prod)
+            else:
+                out = 2.0 * rng.standard_gamma(k, size)
             if dof % 2:
                 g = rng.standard_normal(size)
                 out += g * g
             return out
 
-        for n in (1, 2, 5):
+        # n = 14 and 17 draw the largest uniform-product gamma and the
+        # smallest numpy one
+        for n in (1, 2, 5, 14, 17):
             mp = MeanParams(p, n)
             cfg = SamplerConfig(seed=3, count=3 * size, batch=size)
             batches = list(sample_mean_of_products(mp, cfg))
@@ -73,12 +89,30 @@ class TestSampler:
                 expected = p.sigma_x * p.sigma_y / (4 * n) * total
                 assert np.array_equal(batches[idx], expected)
 
+    @pytest.mark.parametrize("n,expected", [
+        (1, [-0.14680133866453768, 1.772182591593905, -1.648382370407639,
+             1.359094643727662, 0.913672972780132]),
+        (2, [-0.3859599151928867, 1.9512277115720769, -1.6651354893751593,
+             1.2677309463118716, 0.14849756009654771]),
+    ])
+    def test_small_n_streams_unchanged(self, n, expected):
+        # the n = 1 and n = 2 streams draw no gamma; their bits are pinned
+        # so that a change of the chi-square draw cannot move them
+        got = collect(MeanParams(MP.base, n), SamplerConfig(seed=3, count=5))
+        assert got.tolist() == expected
+
     def test_count_respected(self):
         assert collect(MP, SamplerConfig(seed=0, count=12345)).size == 12345
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, count=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+    def test_invalid_seed(self, seed):
+        # a negative seed used to reach numpy's SeedSequence and fail there
+        with pytest.raises(ValidationError):
+            SamplerConfig(seed=seed, count=10)
 
     @pytest.mark.parametrize("batch", [0, -5])
     def test_invalid_batch(self, batch):
@@ -104,6 +138,41 @@ class TestSampler:
         neg = collect(MeanParams(validate(0, 0, 1, 1, -0.8), 1),
                       SamplerConfig(seed=9, count=200_000))
         assert pos.mean() > 0.5 > -0.5 > neg.mean()
+
+
+class TestChiSquare:
+    @pytest.mark.parametrize("dof", range(1, 16))
+    def test_ks_against_scipy(self, dof):
+        # 1..2 * cutoff + 3 degrees of freedom: the uniform-product gamma
+        # up to the cutoff, numpy's gamma above it, each with and without
+        # the squared normal of an odd dof
+        from normprod.mc import _UNIFORM_GAMMA_MAX, _batch_rng, _chi_square
+        assert 2 * _UNIFORM_GAMMA_MAX + 3 == 15
+        rng = _batch_rng(SamplerConfig(seed=808, count=1), dof)
+        draws = _chi_square(rng, dof, 200_000)
+        assert np.all(np.isfinite(draws)) and np.all(draws >= 0)
+        assert scipy.stats.kstest(draws, scipy.stats.chi2(dof).cdf).pvalue > 1e-3
+
+
+class TestHalfAngle:
+    @pytest.mark.parametrize("magnitude", [10.0 ** e for e in range(0, 301, 20)])
+    def test_matches_cos_and_sin(self, magnitude):
+        from normprod.mc import _cos_sin_from_half
+        theta = np.random.default_rng(17).uniform(-1, 1, 200_000) * magnitude
+        theta = np.concatenate([theta, [np.pi, -np.pi, 3 * np.pi]])
+        cos, sin = _cos_sin_from_half(0.5 * theta)
+        assert np.max(np.abs(cos - np.cos(theta))) <= 4.4e-16
+        assert np.max(np.abs(sin - np.sin(theta))) <= 4.4e-16
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cf_means_match_cos_and_sin(self, n):
+        mp = MeanParams(MP.base, n)
+        cfg = SamplerConfig(seed=41, count=100_000)
+        z = collect(mp, cfg)
+        for t in (0.3, 2.5, 40.0):
+            est = estimate_cf(mp, t, cfg)
+            assert abs(est.re.mean - np.cos(t * z).mean()) <= 1e-15
+            assert abs(est.im.mean - np.sin(t * z).mean()) <= 1e-15
 
 
 class TestSteinExpectation:
@@ -146,6 +215,32 @@ class TestCfAndMoments:
         assert abs(raw2.mean - cf4.raw[1]) <= 4 * raw2.stderr
         cen2 = estimate_moment(MP, 2, central=True, cfg=cfg)
         assert abs(cen2.mean - cf4.central[1]) <= 4 * cen2.stderr
+
+    def test_estimators_need_two_samples(self):
+        # one sample used to give a zero standard error and an infinite z
+        cfg = SamplerConfig(seed=0, count=1)
+        with pytest.raises(InvalidCount):
+            estimate_stein_expectation(MP, stein.operator_a1(MP),
+                                       stein.monomial(2), cfg)
+        with pytest.raises(InvalidCount):
+            estimate_cf(MP, 1.0, cfg)
+        for central in (False, True):
+            with pytest.raises(InvalidCount):
+                estimate_moment(MP, 2, central, cfg)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_cf_at_non_finite_t(self, t):
+        with pytest.raises(NonFiniteParameter):
+            estimate_cf(MP, t, SamplerConfig(seed=0, count=10))
+
+    def test_cf_where_t_z_overflows(self):
+        # used to warn of an overflow and return NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged):
+                estimate_cf(MP, 1e308, SamplerConfig(seed=0, count=1000))
+            est = estimate_cf(MP, 1e300, SamplerConfig(seed=0, count=1000))
+        assert np.isfinite(est.re.mean) and np.isfinite(est.im.mean)
 
     @pytest.mark.parametrize("k", [0, -1, 2.0])
     def test_invalid_order(self, k):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from normprod import CaseMismatch, MeanParams, validate
+from normprod import CaseMismatch, InvalidTestFunction, MeanParams, validate
 from normprod import stein
 
 
@@ -72,6 +72,29 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             stein.monomial(9)
 
+    @pytest.mark.parametrize("build,arg", [
+        (stein.monomial, -1), (stein.monomial, 2.0),
+        (stein.monomial, True),
+        (stein.cosine, float("nan")), (stein.sine, float("nan")),
+        (stein.cosine, 1e308), (stein.sine, -float("inf")),
+        (stein.gaussian_bump, float("nan")), (stein.gaussian_bump, float("inf")),
+        (stein.gaussian_bump, -1.0), (stein.gaussian_bump, 0.0),
+        (stein.gaussian_bump, 1e77),
+        (stein.exponential, float("nan")), (stein.exponential, 1e200),
+    ])
+    def test_builders_reject_bad_parameters(self, build, arg):
+        # NaN used to give NaN values, and a fourth power past the double
+        # range an OverflowError on the first evaluation
+        with pytest.raises(InvalidTestFunction):
+            build(arg)
+        assert issubclass(InvalidTestFunction, ValueError)
+
+    def test_builders_accept_largest_parameters(self):
+        for build in (stein.sine, stein.cosine, stein.exponential,
+                      stein.gaussian_bump):
+            derivs = build(5.7e76)(0.0)
+            assert all(np.isfinite(d) for d in derivs)
+
 
 class TestOperatorTables:
     def test_general_operator_order(self):
@@ -124,6 +147,14 @@ class TestApply:
             lhs = stein.apply(spec, combo, x)
             rhs = alpha * stein.apply(spec, f, x) + beta * stein.apply(spec, g, x)
             assert lhs == pytest.approx(rhs, rel=4e-16, abs=1e-13)
+
+    def test_tuple_with_scalar_derivatives(self):
+        # a hand-written f may give a vanishing derivative as a scalar
+        spec = stein.operator_a1(MeanParams(validate(1, -1, 1.1, 0.9, 0.2), 2))
+        square = stein.TestFunction(lambda x: (x * x, 2 * x, 2.0, 0.0, 0.0),
+                                    "x^2 by hand")
+        np.testing.assert_array_equal(stein.apply(spec, square, POINTS),
+                                      stein.apply(spec, stein.monomial(2), POINTS))
 
     def test_vectorized_matches_scalar(self):
         mp = MeanParams(validate(0.5, 1.5, 1, 1, -0.3), 1)
