@@ -91,21 +91,15 @@ def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
     return cf_mean(mp, np.asarray(ts, dtype=float))
 
 
-def cf_ode_residual(mp: MeanParams, t: float,
-                    dphi: complex | None = None) -> float:
+def cf_ode_residual(mp: MeanParams, t: float) -> float:
     """Normalized magnitude of the first-order ODE the characteristic
-    function satisfies (unit variances).
-
-    ``dphi`` may supply the derivative; by default it is computed
-    analytically from the closed form.
-    """
+    function satisfies (unit variances), with the derivative computed
+    analytically from the closed form."""
     p = mp.base
     if p.sigma_x != 1 or p.sigma_y != 1:
         raise CaseMismatch("the characteristic-function ODE is stated for "
                            "unit variances")
-    phi = cf_mean(mp, t)
-    if dphi is None:
-        dphi = cf_mean_derivative(mp, t)
+    phi, dphi = cf_mean(mp, t), cf_mean_derivative(mp, t)
     # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
     table = a1_table(mp)
     try:

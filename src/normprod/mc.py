@@ -74,7 +74,10 @@ class EstimateWithError:
     count: int
 
     def z_score(self, target: float = 0.0) -> float:
-        return (self.mean - target) / self.stderr if self.stderr > 0 else math.inf
+        """(mean - target) / stderr: inf at a zero standard error, NaN at
+        a NaN one."""
+        return math.inf if self.stderr == 0 else \
+            (self.mean - target) / self.stderr
 
 
 def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:

@@ -79,10 +79,9 @@ class TestOde:
             t = float(rng.uniform(-5, 5))
             assert abs(cf_ode_residual(mp, t)) <= 1e-10
 
-    def test_residual_with_supplied_derivative(self):
+    def test_residual_with_analytic_derivative(self):
         mp = MeanParams(validate(1, 2, 1, 1, 0.3), 2)
-        t = 0.8
-        assert abs(cf_ode_residual(mp, t, cf_mean_derivative(mp, t))) <= 1e-12
+        assert abs(cf_ode_residual(mp, 0.8)) <= 1e-12
 
     def test_requires_unit_variances(self):
         with pytest.raises(CaseMismatch):

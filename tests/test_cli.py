@@ -348,6 +348,21 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 64
 
+    @pytest.mark.parametrize("args", [
+        ["stein-apply", "--which", "a1", "--f", "exp:100", "--x", "10",
+         "--json"],
+        ["stein-check", "--f", "exp:300", "--count", "100000", "--json"],
+        ["sample", "--mu-x", "1e200", "--count", "3"]])
+    def test_nan_result_is_3(self, args):
+        # exp(a x) or the sampled product overflows; these used to exit 0
+        # with NaN output.  A child process keeps numpy's overflow
+        # warnings on its own stderr
+        proc = subprocess.run([sys.executable, "-m", "normprod.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+
 
 class TestTableOutput:
     def test_human_readable_default(self, runner):
@@ -355,3 +370,73 @@ class TestTableOutput:
         assert result.exit_code == 0
         assert result.output.startswith("# besselk")
         assert "value" in result.output
+
+
+#: Every subcommand's options other than the parameter flags, each with
+#: its default ("required" where it has none).
+PARAM_FLAGS = {"--mu-x": 0.0, "--mu-y": 0.0, "--sigma-x": 1.0,
+               "--sigma-y": 1.0, "--rho": 0.0, "--n": 1, "--params-json": None}
+SURFACE = {
+    "besselk": {"--nu": "required", "--x": "required", "--scaled": False,
+                "--json": False},
+    "pdf": {"--x": None, "--grid": None, "--json": False, "--csv": False,
+            "--out": None, "--rel-tol": 1e-14, "--max-outer": 300,
+            "--method": "auto"},
+    "cdf": {"--x": "required", "--json": False, "--method": "conditional"},
+    "moments": {"--kmax": 8, "--central": False, "--closed-form": False,
+                "--exact": False, "--json": False, "--csv": False,
+                "--out": None},
+    "operator": {"--which": "required", "--json": False},
+    "stein-apply": {"--which": None, "--f": "required", "--x": "required",
+                    "--identity": None, "--json": False},
+    "stein-check": {"--which": "a1", "--f": "poly:2", "--count": 1000000,
+                    "--seed": 0, "--json": False},
+    "cf": {"--t": None, "--grid": None, "--check-ode": False,
+           "--json": False},
+    "ode-check": {"--x": "required", "--json": False},
+    "opsearch": {"--order": 3, "--rows": None, "--det": False,
+                 "--print-system": False, "--json": False},
+    "sample": {"--count": 1000, "--seed": 0, "--out": None},
+}
+
+#: One cheap --json invocation of each subcommand but sample (CSV only).
+JSON_RUNS = {
+    "besselk": ["--nu", "1", "--x", "0.5"],
+    "pdf": ["--x", "0.5"],
+    "cdf": ["--x", "0.5"],
+    "moments": ["--kmax", "3"],
+    "operator": ["--which", "a1"],
+    "stein-apply": ["--which", "a1", "--f", "poly:2", "--x", "0.5"],
+    "stein-check": ["--count", "1000"],
+    "cf": ["--t", "0.5"],
+    "ode-check": ["--x", "0.5"],
+    "opsearch": ["--order", "2"],
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_and_defaults(self, command):
+        params = cli.commands[command].params
+        got = {p.opts[0]: "required" if p.required else p.default
+               for p in params}
+        want = dict(SURFACE[command])
+        if command != "besselk":
+            want.update(PARAM_FLAGS)
+        assert got == want
+        assert len(params) == len(want)
+
+    def test_every_subcommand_is_pinned(self):
+        assert sorted(cli.commands) == sorted(SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(JSON_RUNS))
+    def test_json_envelope(self, runner, command):
+        flags = [] if command == "besselk" else ["--rho", "0.25"]
+        env = run_json(runner, [command, *flags, *JSON_RUNS[command]])
+        assert sorted(env) == ["command", "params_echo", "results",
+                               "schema_version", "timing_ms"]
+        assert env["command"] == command
+        assert env["results"]
+        assert env["params_echo"] == ({} if command == "besselk" else {
+            "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
+            "rho": 0.25, "n": 1})

@@ -198,6 +198,11 @@ class TestSteinExpectation:
         from normprod.mc import EstimateWithError
         assert EstimateWithError(1.0, 0.0, 10).z_score() == np.inf
 
+    def test_nan_stderr_gives_nan_z(self):
+        # NaN > 0 is false, so this used to be +inf
+        from normprod.mc import EstimateWithError
+        assert np.isnan(EstimateWithError(1.0, np.nan, 10).z_score())
+
 
 class TestCfAndMoments:
     def test_empirical_cf_matches_analytic(self):

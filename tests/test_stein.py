@@ -157,12 +157,14 @@ class TestApply:
                                       stein.apply(spec, stein.monomial(2), POINTS))
 
     def test_vectorized_matches_scalar(self):
+        # from_callable's stencils used to differ between a lone point
+        # and a batch in the last bits
         mp = MeanParams(validate(0.5, 1.5, 1, 1, -0.3), 1)
         spec = stein.operator_a1(mp)
-        f = stein.gaussian_bump(0.5)
-        vec = stein.apply(spec, f, POINTS)
-        for x, v in zip(POINTS, vec):
-            assert v == stein.apply(spec, f, float(x))
+        for f in (stein.gaussian_bump(0.5), stein.from_callable(np.tanh)):
+            vec = stein.apply(spec, f, POINTS)
+            for x, v in zip(POINTS, vec):
+                assert v == stein.apply(spec, f, float(x))
 
 
 class TestSubstitutionIdentities:
