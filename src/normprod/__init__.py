@@ -39,6 +39,7 @@ from .errors import (
     CorrelationOutOfRange,
     DegenerateVariance,
     InvalidCount,
+    InvalidOrder,
     InvalidTestFunction,
     NonFiniteParameter,
     NonPositiveArgument,

@@ -23,7 +23,7 @@ from itertools import count, islice
 import numpy as np
 from scipy import special
 
-from .errors import NonPositiveArgument, OverflowUnscaled
+from .errors import InvalidOrder, NonPositiveArgument, OverflowUnscaled
 
 _LOG_HALF_PI = 0.5 * math.log(0.5 * math.pi)
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -37,9 +37,14 @@ class BesselOrder:
 
     @classmethod
     def from_nu(cls, nu) -> "BesselOrder":
-        two = Fraction(nu) * 2
-        if two.denominator != 1:
-            raise ValueError(f"order {nu} is not an integer or half-integer")
+        """From nu as a number or a string such as "3/2"; InvalidOrder
+        unless it is a finite integer or half-integer."""
+        try:
+            two = Fraction(nu) * 2
+        except (ArithmeticError, TypeError, ValueError):  # "abc", "1/0", inf
+            two = None
+        if two is None or two.denominator != 1:
+            raise InvalidOrder(f"order {nu} is not an integer or half-integer")
         return cls(int(two))
 
     @property

@@ -3,8 +3,8 @@
 One binary with subcommands; every numeric result is emitted inside an
 envelope echoing the parameters that produced it, so runs are
 reproducible from the output alone.  Exit codes: 0 success, 2 parameter
-validation error, 3 non-convergence or a NaN result, 64 unknown
-subcommand.
+validation error, 3 non-convergence, a NaN result or a sample that is not
+finite, 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def _mean_params(options: dict, params_json) -> MeanParams:
 
 def _jsonify(obj):
     """obj in JSON types; NotConverged if it holds a NaN, so that no
-    command exits 0 with one.  A float array, such as a batch of samples,
-    is checked in one pass."""
+    command exits 0 with one.  A float array is checked in one pass."""
     if isinstance(obj, (float, np.floating)):
         if math.isnan(obj):
             raise NotConverged("the result holds a NaN")
@@ -218,7 +217,7 @@ _OPERATOR_BUILDERS = {"a1": stein.operator_a1, "a2": stein.operator_a2, **{
 @click.option("--scaled", is_flag=True)
 def besselk(mp, nu, x, scaled):
     """Modified Bessel function of the second kind (debug/oracle access)."""
-    order = bessel.BesselOrder.from_nu(Fraction(nu))
+    order = bessel.BesselOrder.from_nu(nu)
     return {"nu": float(order.nu), "x": x, "scaled": scaled,
             "value": bessel.bessel_k(order, x, scaled=scaled),
             "log_value": bessel.log_bessel_k(order, x)}
@@ -441,14 +440,18 @@ def opsearch_cmd(mp, order, rows, want_det, print_system):
 def sample(mp, count, seed, out):
     """Emit reproducible samples of the mean of n products as CSV."""
     cfg = mc.SamplerConfig(seed, count)
-    # one format call per batch, in _write_csv's row format; _jsonify
-    # refuses a batch with a NaN, the first before the header is written
-    chunks = ("%d,%.17g\n" * batch.size % tuple(_jsonify(
-        np.c_[np.arange(batch.size) + i * cfg.batch, batch].ravel()))
-        for i, batch in enumerate(mc.sample_mean_of_products(mp, cfg)))
-    with _output(out) as target:
-        target.write("index,value\n" + next(chunks))
-        target.writelines(chunks)
+
+    def chunks():  # one format call per batch, in _write_csv's row format
+        for i, batch in enumerate(mc.sample_mean_of_products(mp, cfg)):
+            if not np.isfinite(batch).all():
+                raise NotConverged("a sample is NaN or overflows")
+            yield "%d,%.17g\n" * batch.size % tuple(np.c_[
+                np.arange(batch.size) + i * cfg.batch, batch].ravel().tolist())
+    rows = chunks()
+    with np.errstate(over="ignore", invalid="ignore"), _output(out) as target:
+        # the header goes with the first batch, which a refusal leaves unsent
+        target.write("index,value\n" + next(rows))
+        target.writelines(rows)
 
 
 def main():

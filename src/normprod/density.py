@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy import special
 
-from .bessel import BesselOrder, _log_k_forward, log_bessel_k_sequence
+from .bessel import _log_k_forward
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
                      SingularPoint)
 from .params import MeanParams, ProductNormalParams
@@ -34,6 +35,7 @@ from .stein import a1_table
 _DBL_MIN = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 _LOG_DBL_MIN = math.log(_DBL_MIN)
+_SIGN_U = np.array([[1.0], [-1.0]])  # a row per sign of u in the integrals
 
 # Nats of cancellation between the positive and negative partial sums
 # beyond which the series is abandoned for the positive integral.  Within
@@ -78,7 +80,8 @@ class SeriesControl:
 
 @dataclass(frozen=True)
 class DensityValue:
-    """A density value carried as (log|value|, sign).
+    """A density value carried as (log|value|, sign); NotConverged where
+    log|value| is not finite, out of the double range.
 
     ``sign`` is +1 for every converged value that escapes this module;
     a converged -1 would indicate an internal accumulation error.
@@ -89,6 +92,10 @@ class DensityValue:
     sign: int
     converged: bool
     terms_used: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.log_abs):
+            raise NotConverged(f"the log density is {self.log_abs}")
 
     @property
     def value(self) -> float:
@@ -150,13 +157,17 @@ def _series_parts(p: ProductNormalParams, x: float,
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     om = 1.0 - p.rho ** 2
     s = p.s
-    log_pref = -(p.r_x ** 2 + p.r_y ** 2
-                 - 2 * p.rho * (x + p.mu_x * p.mu_y) / s) / (2 * om)
-    c_x = p.mu_x / p.sigma_x ** 2 - p.rho * p.mu_y / s
-    c_y = p.mu_y / p.sigma_y ** 2 - p.rho * p.mu_x / s
-    w = abs(x) / (om * s)
-    if w < _DBL_MIN:  # a subnormal w has lost the digits log K_n(w) needs
-        raise NotConverged(f"product density series: subnormal w at x={x}")
+    try:  # the squares overflow only at the ends of the double range
+        log_pref = -(p.r_x ** 2 + p.r_y ** 2
+                     - 2 * p.rho * (x + p.mu_x * p.mu_y) / s) / (2 * om)
+        c_x = p.mu_x / p.sigma_x ** 2 - p.rho * p.mu_y / s
+        c_y = p.mu_y / p.sigma_y ** 2 - p.rho * p.mu_x / s
+        w = abs(x) / (om * s)
+    except ArithmeticError:
+        w = math.nan  # refused below, before c_x and c_y are read
+    # a subnormal w has lost the digits log K_n(w) needs
+    if not (_DBL_MIN <= w < math.inf and math.isfinite(log_pref + c_x + c_y)):
+        raise NotConverged(f"product density series: out of range at x={x}")
     log_k = _log_k_forward(w, False)
     k_vals = np.empty(ctl.max_outer + 1)
     log_ax = math.log(abs(x))
@@ -253,11 +264,17 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
     raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
 
 
-def _product_coords(p: ProductNormalParams, x: float, s):
-    """(u, a, b) at u = +-e^s, a row per sign: the standardised arguments
-    a = (u - mu_x)/sigma_x, b = (x/u - mu_y)/sigma_y of phi_2(u, x/u)."""
-    u = np.exp(s) * np.array([[1.0], [-1.0]])
-    return u, (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
+def _product_coords(p: ProductNormalParams, x: float, u):
+    """The standardised arguments a = (u - mu_x)/sigma_x and b = (x/u -
+    mu_y)/sigma_y of phi_2(u, x/u), at a scalar u or an array."""
+    return (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
+
+
+def _product_q(p: ProductNormalParams, x: float, u):
+    """Q(a, b) = a^2 - 2 rho a b + b^2 of phi_2(u, x/u), the exponent E
+    times -2(1 - rho^2), at a scalar u or an array."""
+    a, b = _product_coords(p, x, u)
+    return a * a - 2 * p.rho * a * b + b * b
 
 
 def _pdf_product_bracket(p: ProductNormalParams, x: float):
@@ -267,31 +284,36 @@ def _pdf_product_bracket(p: ProductNormalParams, x: float):
 
     With u = +-e^s the integrand decays double-exponentially, so the
     trapezoid rule in s converges spectrally (Trefethen & Weideman, SIAM
-    Rev. 2014).  Q(a, b) >= (1 - |rho|)(a^2 + b^2) bounds the s-range within
-    45 nats of the peak (to log|x| - log(|mu_y| + r sigma_y) as x -> 0); the
-    first grid is at the narrowest possible peak width, so it is usually
-    also the last.
+    Rev. 2014).  Q at the balance points u = +-sqrt(|x| sigma_x/sigma_y),
+    two scalars, bounds Q at the peak, and Q(a, b) >= (1 - |rho|)(a^2 +
+    b^2) bounds the s-range within 45 nats of it (to log|x| - log(|mu_y| +
+    r sigma_y) as x -> 0); the first grid is at the narrowest possible peak
+    width, so it is usually also the last.  NotConverged where the bracket
+    leaves the double range, or where |rho| -> 1 cancels the bound's digits.
     """
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     om = 1.0 - p.rho ** 2
 
     def exponent(s):
-        _, a, b = _product_coords(p, x, s)
-        return -(a * a - 2 * p.rho * a * b + b * b) / (2 * om)
+        return -_product_q(p, x, np.exp(s) * _SIGN_U) / (2 * om)
 
-    def log_of(v):  # v underflows to 0 only a few ulps from x = 0
-        if v == 0:
-            raise NotConverged(f"product density integral: x={x} is too small")
+    def log_of(v):  # v leaves the double range only at its ends
+        if not 0 < v < math.inf:
+            raise NotConverged(f"product density integral: out of range at x={x}")
         return math.log(v)
 
-    # the peak's Q is at most Q at the balance points u = +-sqrt(|x| sx/sy)
-    q_ref = -2 * om * float(exponent(0.5 * log_of(abs(x) * p.sigma_x
-                                                   / p.sigma_y)).max())
-    r = math.sqrt((q_ref + 90 * om) / (1 - abs(p.rho)))
+    u = math.exp(0.5 * log_of(abs(x) * p.sigma_x / p.sigma_y))
+    q_ref = min(_product_q(p, x, u), _product_q(p, x, -u))
+    r = math.sqrt((max(q_ref, 0.0) + 90 * om) / (1 - abs(p.rho)))
     lo = log_of(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
-    hi = math.log(abs(p.mu_x) + r * p.sigma_x)
-    step = math.sqrt(1 - abs(p.rho)) / (2 * (max(abs(p.r_x), abs(p.r_y)) + r))
+    hi = log_of(abs(p.mu_x) + r * p.sigma_x)
+    big = max(abs(p.r_x), abs(p.r_y)) + r
+    # |a|, |b| < 2 big on the bracket, so E stays finite there; lo <= log u
+    # <= hi holds in exact arithmetic and fails only where Q lost its digits
+    if not (0 <= q_ref < 1e145 and big < 1e145 and lo < hi):
+        raise NotConverged(f"product density integral: out of range at x={x}")
+    step = math.sqrt(1 - abs(p.rho)) / (2 * big)
     return (exponent, lo, hi, int((hi - lo) / step) + 2,
             math.log(2 * math.pi * p.s * math.sqrt(om)))
 
@@ -331,7 +353,8 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
         if s.size != n or s[0] != lo:  # not the density's grid
             s = np.linspace(lo, hi, n)
             q = exponent(s)
-        u, a, b = _product_coords(p, x, s)
+        u = np.exp(s) * _SIGN_U
+        a, b = _product_coords(p, x, u)
         w = np.exp(q - q.max())
         total, total_even = w.sum(), w[:, ::2].sum()
         h_prev, h, hs = 0.0, np.ones_like(w), []
@@ -391,19 +414,18 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     s = p.s
     w = abs(x) / s
-    if w < _DBL_MIN:  # as in _series_parts
-        raise NotConverged(f"single-series density: subnormal w at x={x}")
+    if not _DBL_MIN <= w < math.inf:  # as in _series_parts
+        raise NotConverged(f"single-series density: out of range at x={x}")
     log_k = _log_k_forward(w, False)
     log_mu = math.log(abs(mu)) if mu else -np.inf
-    terms = []
+    log_ax, log_s3, log_sl = math.log(abs(x)), math.log(s_cubed), math.log(s_lin)
+    log_tol, peak, terms = math.log(ctl.rel_tol), -math.inf, []
     for n in range(ctl.max_outer + 1):
-        lt = ((2 * n * log_mu if n else 0.0) + n * math.log(abs(x))
-              - math.lgamma(2 * n + 1) - 3 * n * math.log(s_cubed)
-              - n * math.log(s_lin) + next(log_k))
+        lt = ((2 * n * log_mu if n else 0.0) + n * log_ax - math.lgamma(2 * n + 1)
+              - 3 * n * log_s3 - n * log_sl + next(log_k))
         terms.append(lt)
-        if mu == 0:
-            break
-        if n >= 2 and lt < math.log(ctl.rel_tol) + max(terms):
+        peak = max(peak, lt)
+        if mu == 0 or n >= 2 and lt < log_tol + peak:
             break
     else:
         raise NotConverged(
@@ -440,13 +462,16 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
     x = _finite_x(x)
     if x == 0 and mp.n == 1:
         raise SingularPoint("the n=1 density diverges logarithmically at x = 0")
+    if not c * abs(x) < math.inf:
+        raise NotConverged(f"zero-mean density: out of range at x={x}")
     if c * abs(x) < _DBL_MIN:  # a subnormal c|x| has lost its digits
         if mp.n == 1:
             raise NotConverged(f"zero-mean density: subnormal c|x| at x={x}")
         # lim |x|^nu K_nu(c|x|) = Gamma(nu) 2^(nu-1) / c^nu
         log_lim = math.lgamma(nu) + (nu - 1) * math.log(2) - nu * math.log(c)
         return DensityValue(log_base + log_lim, 1, True, 1)
-    log_k = log_bessel_k_sequence(BesselOrder(mp.n - 1), c * abs(x))[-1]
+    log_k = next(islice(_log_k_forward(c * abs(x), mp.n % 2 == 0),
+                        (mp.n - 1) // 2, None))
     log_val = log_base + nu * math.log(abs(x)) + mp.base.rho * x * c + log_k
     return DensityValue(log_val, 1, True, 1)
 
@@ -475,17 +500,25 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
     # Taylor coefficients f^(j)(x)/j! of each factor, scaled by its value
     # at x (for the Bessel factor, by e^(-c|x|)); their convolution is the
     # Leibniz rule.
-    power = np.cumprod(np.r_[1.0, (nu - j[:-1]) * sgn / ax]) / fact
-    expo = rc ** j / fact
-    kv = special.kve(np.abs(nu + np.arange(-order, order + 1)), c * ax)
-    bessel = np.array([
-        (-0.5 * c * sgn) ** d
-        * sum(math.comb(d, k) * kv[order - d + 2 * k] for k in range(d + 1))
-        for d in j
-    ]) / fact
-    taylor = np.convolve(np.convolve(power, expo), bessel)[:order + 1]
-    scale = math.exp(log_base + nu * math.log(ax) + rc * x - c * ax)
-    return [float(v) for v in scale * taylor * fact]
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        power = np.cumprod(np.concatenate(([1.0], (nu - j[:-1]) * sgn / ax)))
+        power /= fact
+        expo = rc ** j / fact
+        # as floats, so that the sums below run without numpy's scalar costs
+        kv = special.kve(np.abs(nu + np.arange(-order, order + 1)),
+                         c * ax).tolist()
+        bessel = np.array([
+            (-0.5 * c * sgn) ** d
+            * sum(math.comb(d, k) * kv[order - d + 2 * k] for k in range(d + 1))
+            for d in j
+        ]) / fact
+        taylor = np.convolve(np.convolve(power, expo), bessel)[:order + 1]
+        scale = math.exp(log_base + nu * math.log(ax) + rc * x - c * ax)
+        derivs = [float(v) for v in scale * taylor * fact]
+    if not all(map(math.isfinite, derivs)):
+        raise NotConverged(f"zero-mean density derivatives: a derivative "
+                           f"at x={x} is not finite")
+    return derivs
 
 
 # The old name; perfbench's ode_finite_difference op still calls it.
@@ -574,8 +607,7 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     c0 = (abs(b) / s if z else 0.0) + _CDF_ARG_RANGE
     c1 = 1.0 / p.sigma_x + 2.0 * abs(k) / s
     upper = z > p.mu_x * p.mu_y + p.rho * p.sigma_x * p.sigma_y
-    sign_u = np.array([[1.0], [-1.0]])
-    sign_phi = -sign_u if upper else sign_u
+    sign_phi = -_SIGN_U if upper else _SIGN_U
 
     def tau_of(w):  # inverse of w = (c0/c1) log(1 + e^(tau/c0))
         y = c1 * w / c0
@@ -603,7 +635,7 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
 
     def log_integrand(t):
         tau = t - (c0 - 1) * np.logaddexp(0.0, t_e - t)
-        u = (c0 / c1) * np.logaddexp(0.0, tau / c0) * sign_u
+        u = (c0 / c1) * np.logaddexp(0.0, tau / c0) * _SIGN_U
         a = (u - p.mu_x) / p.sigma_x
         arg = sign_phi * (z / u - p.mu_y - k * (u - p.mu_x)) / s
         log_du_dt = (np.log1p((c0 - 1) * special.expit(t_e - t))

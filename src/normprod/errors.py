@@ -26,6 +26,10 @@ class InvalidCount(ValidationError, ValueError):
     estimate with a standard error was asked of fewer than 2 samples."""
 
 
+class InvalidOrder(ValidationError, ValueError):
+    """A Bessel order was not a number, or not an integer or half-integer."""
+
+
 class InvalidTestFunction(ValidationError, ValueError):
     """A built-in test function's parameter was out of range, not finite,
     or large enough that its derivatives overflow."""

@@ -6,6 +6,7 @@ import pytest
 
 from normprod import (
     BesselOrder,
+    InvalidOrder,
     NonPositiveArgument,
     OverflowUnscaled,
     bessel_k,
@@ -47,6 +48,14 @@ class TestOrder:
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
             BesselOrder.from_nu(0.3)
+
+    @pytest.mark.parametrize("nu", [0.3, "abc", "1/0", float("inf"),
+                                    float("nan"), None])
+    def test_bad_order_is_invalid_order(self, nu):
+        # "abc" and "1/0" used to escape as Fraction's own ValueError and
+        # ZeroDivisionError
+        with pytest.raises(InvalidOrder, match="integer or half-integer"):
+            BesselOrder.from_nu(nu)
 
     def test_negative_order_symmetry(self):
         x = 1.7

@@ -348,6 +348,44 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 64
 
+    HUGE_X = [["--mu-x", "-2", "--mu-y", "3", "--sigma-x", "0.5",
+               "--sigma-y", "2", "--rho", "0.999", "--x", x]
+              for x in ("1.7e308", "-1.7e308")] + [
+        ["--mu-x", "1e150", "--mu-y", "1e150", "--rho", "0.5",
+         "--x", "-1.7e308"],
+        ["--mu-x", "1", "--mu-y", "0.5", "--sigma-x", "1e-150",
+         "--sigma-y", "1e150", "--rho", "-0.3", "--x", "1.7e308"]]
+
+    @pytest.mark.parametrize("args", HUGE_X)
+    def test_pdf_at_huge_x_is_3(self, runner, args):
+        # used to exit 1 with a ValueError traceback, the first after an
+        # overflow warning (which the suite now raises)
+        result = runner.invoke(cli, ["pdf", *args])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("nu", ["abc", "1/0", "0.25", "inf"])
+    def test_besselk_bad_order_is_2(self, runner, nu):
+        # used to exit 1 with a ValueError or ZeroDivisionError traceback
+        result = runner.invoke(cli, ["besselk", "--nu", nu, "--x", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: order {nu} is not an integer or half-integer\n")
+
+    @pytest.mark.parametrize("args", [
+        ["pdf", *HUGE_X[0]],
+        ["sample", "--mu-x", "1e200", "--mu-y", "1e200", "--count", "3"]])
+    def test_overflow_is_3_without_warning(self, args):
+        # sample used to print three inf rows and exit 0, after numpy's
+        # overflow warning; a child process shows any warning on stderr
+        proc = subprocess.run([sys.executable, "-m", "normprod.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("args", [
         ["stein-apply", "--which", "a1", "--f", "exp:100", "--x", "10",
          "--json"],

@@ -13,6 +13,7 @@ from normprod import (
     CaseMismatch,
     MeanParams,
     NonFiniteParameter,
+    NormProdError,
     NotConverged,
     SeriesControl,
     SingularPoint,
@@ -31,6 +32,7 @@ from normprod import (
 from normprod.stein import STENCILS
 from conftest import NORMALIZATION_SWEEP, random_mean_params
 
+_EPS = np.finfo(float).eps
 GRID = np.concatenate([np.linspace(-4, -0.05, 20), np.linspace(0.05, 4, 21)])
 
 
@@ -358,6 +360,130 @@ class TestTrapezoidKernel:
             math.log(0.05 * math.sqrt(2 * math.pi)), abs=1e-14)
 
 
+class TestPinnedValues:
+    # pdf_product at points like the pdf benchmark's, at |rho| = 0.99 and
+    # 0.999 and at tiny |x|, taken with the peak bound from the vectorised
+    # exponent; the bound in scalars may pick another first grid, which
+    # moves the value by roundoff only
+    PRODUCT_PINS = [
+        ((0.632, -1.5223, 0.9175, 0.682, -0.2114), -7.78734, -6.07877339410722),
+        ((0.632, -1.5223, 0.9175, 0.682, -0.2114), 0.578968, -1.8958794879258378),
+        ((0.632, -1.5223, 0.9175, 0.682, -0.2114), 3.92549, -6.744529501042589),
+        ((0.632, -1.5223, 0.9175, 0.682, -0.2114), 8.94527, -14.88691763404372),
+        ((-0.2314, -2.2538, 0.8127, 0.937, 0.7512), -12.1958, -38.247341897081476),
+        ((-0.2314, -2.2538, 0.8127, 0.937, 0.7512), -1.12122, -1.857286354577289),
+        ((-0.2314, -2.2538, 0.8127, 0.937, 0.7512), 5.52353, -3.7179313595392944),
+        ((-0.2314, -2.2538, 0.8127, 0.937, 0.7512), 12.1683, -7.146159267441551),
+        ((-2.5527, 2.7304, 0.7528, 1.6155, -0.8542), -32.7542, -7.42777617414558),
+        ((-2.5527, 2.7304, 0.7528, 1.6155, -0.8542), -1.82244, -2.761099542443449),
+        ((-2.5527, 2.7304, 0.7528, 1.6155, -0.8542), 10.5503, -35.98067412844458),
+        ((-2.5527, 2.7304, 0.7528, 1.6155, -0.8542), 29.1093, -118.54524816014747),
+        ((-1.2633, 1.4512, 1.8319, 1.0922, 0.2868), -21.3385, -10.578294664791189),
+        ((-1.2633, 1.4512, 1.8319, 1.0922, 0.2868), -4.60595, -2.939322458077266),
+        ((-1.2633, 1.4512, 1.8319, 1.0922, 0.2868), 5.43359, -4.5422643654985375),
+        ((-1.2633, 1.4512, 1.8319, 1.0922, 0.2868), 15.4731, -8.473328192999762),
+        ((0.7506, 2.3833, 1.6635, 0.8378, 0.99), -4.80819, -47.049772550342624),
+        ((2.2413, -2.9684, 1.7318, 1.6956, 0.99), -4.87183, -2.0537551934632488),
+        ((-1.1818, -1.3294, 0.8823, 1.1676, 0.99), 2.69766, -2.1801254418007736),
+        ((0.321, 2.973, 1.689, 1.4333, -0.99), 20.8425, -328.5186121871817),
+        ((-1.7081, -2.0387, 1.4188, 0.5659, -0.99), -5.6529, -5.507224034378234),
+        ((0.0893, -0.2028, 1.8758, 1.4438, -0.99), -2.26508, -2.252122887359454),
+        ((-0.0188, -1.5149, 0.5177, 0.7886, 0.999), 1.95044, -2.5565153238341414),
+        ((-1.7964, -0.7828, 0.5056, 1.7451, 0.999), -8.06206, -2166.8431522244614),
+        ((-1.3944, 2.282, 1.2647, 1.7707, 0.999), 2.62631, -3.4975909506888194),
+        ((1.4506, -2.451, 1.3117, 1.2617, -0.999), 11.3087, -4825.121462479909),
+        ((-0.8324, 0.5891, 0.5889, 1.0814, -0.999), -3.30375, -2.888885437594044),
+        ((-2.0988, 1.898, 1.0692, 1.9681, -0.999), -1.1619, -2.3366865843148164),
+        ((0.6303, 0.828, 1.5147, 0.7262, -0.1074), 1e-12, 1.332908164039995),
+        ((-1.5626, -0.585, 0.6451, 1.9517, -0.513), -1e-40, -0.8440249661716646),
+        ((1.0306, -1.1975, 1.8111, 1.4933, -0.6631), 1e-100, 3.2694645651158436),
+        ((2.0704, 2.6697, 1.8559, 1.3546, -0.6382), -1e-200, -1.9668464290765446),
+        ((-1.8452, 2.5674, 1.3285, 0.7708, 0.6913), 1e-300, -3.320991861780666),
+        ((0.8494, 0.4182, 1.0644, 1.1164, -0.4689), 1e-310, 4.701425280375015),
+        ((-2.7717, 2.2573, 1.2016, 1.3215, 0.99), 1e-08, -3.961418834181388),
+        ((-1.067, 1.5079, 0.5378, 1.0583, -0.99), -1e-30, -0.35894483532727406),
+        ((-2.8179, -2.2626, 1.9507, 1.4866, 0.999), 1e-150, 4.143982180702692),
+        ((-0.4307, 0.1424, 1.8092, 1.0163, -0.999), -3e-05, 1.823001104913491),
+        ((0.5417, 1.1021, 1.0331, 1.2786, 0.999), 0.002, 0.32399700131519094),
+        ((1.5915, 2.4551, 0.7266, 1.9001, 0.99), -1e-300, -1.7602842939907486),
+    ]
+
+    @pytest.mark.parametrize("tup, x, log_f", PRODUCT_PINS)
+    def test_product_density_pinned(self, tup, x, log_f):
+        assert pdf_product(validate(*tup), x).log_abs == pytest.approx(
+            log_f, rel=0, abs=5e-15 * max(1.0, abs(log_f)))
+
+    # the single series, bit for bit: hoisting its logs out of the loop
+    # and keeping a running maximum change no operation
+    SINGLE_PINS = [
+        ((0.0, -2.2286, 1.2489, 1.4022, 0.0), 1.16163e-05, 18, -0.32366273219937947),
+        ((2.5693, 0.0, 0.6056, 0.6947, 0.0), -6.72922, 45, -7.069010727124228),
+        ((0.0, 0.7313, 1.0535, 1.2671, 0.0), -9.59894e-05, 10, 0.6855434828033975),
+        ((-2.1722, 0.0, 1.6821, 1.5055, 0.0), 0.00488824, 16, -0.8936212138456923),
+        ((0.0, 0.0, 1.7251, 1.3236, 0.0), 2.96803e-05, 1, 0.4603089279120345),
+        ((0.3224, 0.0, 1.2254, 1.0299, 0.0), 0.0181755, 8, 0.06762786168849644),
+        ((0.0, -1.5882, 1.7033, 1.801, 0.0), 0.00230636, 13, -0.6062755447582275),
+        ((-1.3371, 0.0, 0.6247, 1.8439, 0.0), -0.00124632, 23, -1.0199109333472363),
+        ((0.0, -2.1139, 1.51, 0.8033, 0.0), 3.65989e-05, 27, -1.4812597702247037),
+        ((-2.8016, 0.0, 0.8012, 1.0186, 0.0), 0.0023776, 35, -1.833062690936563),
+    ]
+
+    @pytest.mark.parametrize("tup, x, terms, log_f", SINGLE_PINS)
+    def test_single_series_pinned(self, tup, x, terms, log_f):
+        dv = pdf_single_zero_mean(validate(*tup), x)
+        assert (dv.terms_used, dv.log_abs) == (terms, log_f)
+
+    @pytest.mark.parametrize("tup, x", [((1.0, 2.0, 1.0, 1.0, 0.3), 1.5),
+                                        ((-2.4, 0.8, 1.7, 0.6, -0.9), -21.166),
+                                        ((0.75, 2.38, 1.66, 0.84, 0.999), -4.8),
+                                        ((0.85, 0.42, 1.06, 1.12, -0.47), 1e-310)])
+    def test_scalar_peak_bound_matches_exponent(self, tup, x):
+        # Q at the balance points, in scalars, against the vectorised
+        # exponent E = -Q / (2(1 - rho^2)) there
+        from normprod.density import _pdf_product_bracket, _product_q
+        p = validate(*tup)
+        exponent = _pdf_product_bracket(p, x)[0]
+        s = 0.5 * math.log(abs(x) * p.sigma_x / p.sigma_y)
+        scalar = [_product_q(p, x, sign * math.exp(s)) for sign in (1, -1)]
+        vector = -2 * (1 - p.rho ** 2) * exponent(s)
+        assert scalar == pytest.approx(vector.ravel().tolist(), rel=8 * _EPS)
+
+
+class TestExtremeInputs:
+    # from the smallest subnormal x to the largest, with means and sigmas
+    # scaled by 1e-150 or 1e150; a RuntimeWarning inside the package fails
+    # the suite, so each call must give a finite log or a NormProdError,
+    # never a traceback, a warning, an inf or a NaN
+    XS = [sign * x for x in (5e-324, 1e-310, 1e-150, 0.7, 1e20, 1e150, 1e300,
+                             1.7e308) for sign in (1, -1)]
+
+    @pytest.mark.parametrize("mu, sx, sy, rho", [
+        (1.0, 1.0, 1.0, -0.999), (1e150, 1.0, 1.0, 0.5),
+        (1e-150, 1.0, 1.0, 0.0), (1.0, 1e150, 1e150, -0.999),
+        (1.0, 1e-150, 1e-150, 0.5), (1.0, 1e-150, 1e150, 0.0),
+        (1.0, 1e150, 1e-150, -0.999), (1e150, 1e-150, 1e-150, 0.5),
+        (1e-150, 1e150, 1e150, 0.0)])
+    def test_finite_log_or_package_error(self, mu, sx, sy, rho):
+        p = validate(mu, -0.5 * mu, sx, 2 * sy, rho)
+        one_zero = validate(0, -0.5 * mu, sx, 2 * sy, 0)
+        zero = validate(0, 0, sx, 2 * sy, rho)
+        entry_points = [
+            lambda x: [pdf_product(p, x).log_abs],
+            lambda x: [pdf_product_series(p, x).log_abs],
+            lambda x: pdf_product_derivatives(p, x),
+            lambda x: [pdf_single_zero_mean(one_zero, x).log_abs],
+            lambda x: [pdf_mean_zero_means(MeanParams(zero, 1), x).log_abs],
+            lambda x: [pdf_mean_zero_means(MeanParams(zero, 3), x).log_abs],
+            lambda x: mean_zero_means_derivatives(MeanParams(zero, 2), x)]
+        for x in self.XS:
+            for entry_point in entry_points:
+                try:
+                    values = entry_point(x)
+                except NormProdError:
+                    continue
+                assert all(map(math.isfinite, values)), (x, values)
+
+
 class TestSingleSeries:
     def test_requires_uncorrelated(self):
         with pytest.raises(CaseMismatch):
@@ -583,14 +709,15 @@ class TestDerivativesAndOde:
             t = np.linspace(lo, hi, n)
             return 0.0, t, log_integrand(t)
 
-        def counted(p, x, s):
-            sizes.append(np.size(s))
-            return coords(p, x, s)
+        def counted(p, x, u):  # grids only, not the scalar peak bound
+            if np.ndim(u):
+                sizes.append(np.size(u))
+            return coords(p, x, u)
         monkeypatch.setattr(density, "_pdf_product_bracket", coarse)
         monkeypatch.setattr(density, "_log_trapezoid", first_grid)
         monkeypatch.setattr(density, "_product_coords", counted)
         got = pdf_product_derivatives(p, x)
-        assert sizes[-1] > 4 * sizes[1]  # at least three halvings
+        assert sizes[-1] > 4 * sizes[0]  # at least three halvings
         assert [g / got[0] for g in got] == pytest.approx(
             [r / ref[0] for r in ref], rel=1e-13)
 
