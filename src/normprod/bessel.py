@@ -28,6 +28,9 @@ from .errors import InvalidOrder, NonPositiveArgument, OverflowUnscaled
 _LOG_HALF_PI = 0.5 * math.log(0.5 * math.pi)
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
+#: Most orders a sequence may hold (8 MB of doubles).
+MAX_SEQUENCE_LENGTH = 10 ** 6
+
 
 @dataclass(frozen=True)
 class BesselOrder:
@@ -38,13 +41,17 @@ class BesselOrder:
     @classmethod
     def from_nu(cls, nu) -> "BesselOrder":
         """From nu as a number or a string such as "3/2"; InvalidOrder
-        unless it is a finite integer or half-integer."""
+        unless it is an integer or half-integer finite as a float."""
         try:
             two = Fraction(nu) * 2
         except (ArithmeticError, TypeError, ValueError):  # "abc", "1/0", inf
             two = None
         if two is None or two.denominator != 1:
             raise InvalidOrder(f"order {nu} is not an integer or half-integer")
+        try:
+            float(two)
+        except OverflowError:  # "1e400"
+            raise InvalidOrder(f"order {nu} overflows a float") from None
         return cls(int(two))
 
     @property
@@ -96,12 +103,19 @@ def log_bessel_k_sequence(max_order: BesselOrder, x: float) -> np.ndarray:
     """log K_nu(x) for nu stepping by 1 up to |max_order|.
 
     Starts at nu = 0 for integer orders, nu = 1/2 for half-integer ones.
-    Runs the forward recurrence in log space, so arbitrarily large orders
-    never overflow.
+    Runs the forward recurrence in log space, so large orders never
+    overflow; InvalidOrder, before anything is allocated, past
+    MAX_SEQUENCE_LENGTH orders.
     """
     max_order = max_order.canonical()
     length = max_order.twice_nu // 2 + 1
-    return np.fromiter(islice(_log_k_forward(_check_x(x), not max_order.is_integer),
+    if length > MAX_SEQUENCE_LENGTH:
+        raise InvalidOrder(f"order {max_order.twice_nu}/2 needs {length} "
+                           f"recurrence steps; at most {MAX_SEQUENCE_LENGTH}")
+    x = _check_x(x)
+    if x == math.inf:  # K_nu(x) -> 0 for every order
+        return np.full(length, -math.inf)
+    return np.fromiter(islice(_log_k_forward(x, not max_order.is_integer),
                               length), float, length)
 
 
@@ -119,7 +133,7 @@ def bessel_k(order: BesselOrder, x: float, scaled: bool = False) -> float:
     """
     x = _check_x(x)
     log_k = log_bessel_k(order, x)
-    exponent = log_k + x if scaled else log_k
+    exponent = log_k + x if scaled and x < math.inf else log_k
     if exponent > _LOG_DBL_MAX:
         what, hint = ("e^x K", "") if scaled else ("K", "scaled=True or ")
         raise OverflowUnscaled(
@@ -132,7 +146,7 @@ def bessel_k_sequence(max_order: BesselOrder, x: float,
     """K_nu(x) for nu = 0 (or 1/2) stepping by 1 up to |max_order|."""
     x = _check_x(x)
     logs = log_bessel_k_sequence(max_order, x)
-    exponent = logs + x if scaled else logs
+    exponent = logs + x if scaled and x < math.inf else logs
     if np.any(exponent > _LOG_DBL_MAX):
         raise OverflowUnscaled(
             f"K sequence up to nu={max_order.nu} at x={x} overflows; "

@@ -18,6 +18,9 @@ from .errors import CaseMismatch, NonFiniteParameter, NotConverged
 from .params import MeanParams
 from .stein import a1_table
 
+#: Trapezoid nodes on the Cauchy circle of ``cf_raw_moments``.
+CAUCHY_NODES = 128
+
 
 def _cf_unit(mx: float, my: float, rho: float, n: int, t) -> np.ndarray:
     """Unit-variance characteristic function at (complex-extendable) t,
@@ -115,7 +118,7 @@ def cf_ode_residual(mp: MeanParams, t: float) -> float:
     return abs(t1 + t2) / scale
 
 
-def cf_raw_moments(mp: MeanParams, kmax: int, nodes: int = 128) -> list[float]:
+def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:
     """Raw moments k = 0..kmax extracted from the characteristic function.
 
     Uses the Cauchy integral for the derivatives at 0 on a circle inside
@@ -126,7 +129,7 @@ def cf_raw_moments(mp: MeanParams, kmax: int, nodes: int = 128) -> list[float]:
     n = mp.n
     # poles of the closed form sit at t = -i n/((1+rho) s) and t = i n/((1-rho) s)
     radius = 0.2 * n / ((1 + abs(p.rho)) * p.s)
-    theta = 2 * np.pi * np.arange(nodes) / nodes
+    theta = 2 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
     z = radius * np.exp(1j * theta)
     vals = cf_mean(mp, z)
     out = []

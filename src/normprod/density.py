@@ -413,8 +413,12 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     s = p.s
-    w = abs(x) / s
-    if not _DBL_MIN <= w < math.inf:  # as in _series_parts
+    try:  # as in _series_parts: s = 0, or mu^2 or sigma^2 overflows
+        w = abs(x) / s
+        log_base = -math.log(math.pi * s) - mu ** 2 / (2 * s_cubed ** 2)
+    except ArithmeticError:
+        w = math.nan
+    if not _DBL_MIN <= w < math.inf:
         raise NotConverged(f"single-series density: out of range at x={x}")
     log_k = _log_k_forward(w, False)
     log_mu = math.log(abs(mu)) if mu else -np.inf
@@ -432,7 +436,6 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
             f"single-series density: max_outer={ctl.max_outer} terms "
             f"insufficient at x={x}"
         )
-    log_base = -math.log(math.pi * s) - mu ** 2 / (2 * s_cubed ** 2)
     return DensityValue(log_base + _logsumexp(terms), 1, True, len(terms))
 
 
@@ -445,6 +448,9 @@ def _mean_zero_means_form(mp: MeanParams) -> tuple[float, float, float]:
     n = mp.n
     om = 1.0 - p.rho ** 2
     s_n = mp.s_n
+    if not 0 < s_n < math.inf:
+        raise NotConverged(f"zero-mean density: sigma_x sigma_y / n = {s_n} "
+                           "is out of range")
     log_base = ((1 - n) / 2 * math.log(2) - (n + 1) / 2 * math.log(s_n)
                 - 0.5 * math.log(math.pi * om) - math.lgamma(n / 2))
     return (n - 1) / 2, 1.0 / (s_n * om), log_base

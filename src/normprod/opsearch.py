@@ -6,7 +6,8 @@ built from exact raw moments (the moment recursion has rational
 coefficients whenever the parameters are rational, so the moments are
 exact Fractions).  A nontrivial exact nullspace is a necessary-condition
 screen for existence; a trivial one rules the order out over the
-monomial dictionary.
+monomial dictionary.  One fraction-free (Bareiss) elimination gives the
+determinant, the nullspace and the span test.
 """
 
 from __future__ import annotations
@@ -82,17 +83,15 @@ def moment_system(mp: MeanParams, ansatz: OperatorAnsatz,
     return rows
 
 
-def determinant_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _echelon(matrix: Sequence[Sequence[Fraction]]):
+    """Fraction-free (Bareiss) row echelon form of ``matrix``.
 
-    Rows are scaled to integers first; the scale is divided back out at
-    the end, so the result is the determinant of the matrix as given.
+    Each row is scaled to integers first.  A column with no nonzero entry
+    at or below the current row has no pivot and is skipped, so
+    rectangular and rank-deficient matrices reduce too; every division
+    stays exact.  Returns the integer rows, the pivot columns, the sign
+    of the row swaps and the product of the row scales.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NotSquare("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
     scale = 1
     a = []
     for row in matrix:
@@ -100,55 +99,54 @@ def determinant_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         lcm = math.lcm(*(f.denominator for f in row))
         scale *= lcm
         a.append([int(f * lcm) for f in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    pivots, sign, prev = [], 1, 1
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        for i in range(r + 1, n_rows):
+            for j in range(c + 1, n_cols):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        pivots.append(c)
+    return a, pivots, sign, scale
+
+
+def determinant_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant: the last Bareiss pivot over the row scales, so
+    the result is the determinant of the matrix as given."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NotSquare("determinant requires a square matrix")
+    if n == 0:
+        return Fraction(1)
+    a, pivots, sign, scale = _echelon(matrix)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def nullspace_exact(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the exact right nullspace by Gauss-Jordan over Fractions."""
-    if not matrix:
-        return []
-    m = [[Fraction(v) for v in row] for row in matrix]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [vi - factor * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+    """Basis of the exact right nullspace, one vector per free column:
+    that column set to 1, the other free ones to 0, and the pivot
+    unknowns back-substituted from the echelon rows.  This is the
+    reduced-row-echelon basis, which is unique."""
+    a, pivots, _, _ = _echelon(matrix)
+    n_cols = len(a[0]) if a else 0
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
+        for r in reversed(range(len(pivots))):
+            pc, row = pivots[r], a[r]
+            vec[pc] = Fraction(-sum(row[j] * vec[j] for j in
+                                    range(pc + 1, n_cols) if vec[j]), row[pc])
         basis.append(vec)
     return basis
 
@@ -183,17 +181,7 @@ def operator_exists(mp: MeanParams, order: int,
 
 
 def in_span(vector: Sequence, basis: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether ``vector`` lies in the exact span of ``basis``."""
+    """Whether ``vector`` lies in the exact span of ``basis``: appending
+    it leaves the rank unchanged."""
     vec = [to_fraction(v) for v in vector]
-    if not basis:
-        return all(v == 0 for v in vec)
-    rows = [list(b) for b in basis]
-    augmented = rows + [vec]
-    # appending a vector already in the span leaves the rank unchanged,
-    # so the left-nullspace dimension grows by exactly one
-    return len(nullspace_exact(_transpose(augmented))) == len(
-        nullspace_exact(_transpose(rows))) + 1
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
+    return len(_echelon([*basis, vec])[1]) == len(_echelon(basis)[1])

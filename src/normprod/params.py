@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import (CorrelationOutOfRange, InvalidCount, NonFiniteParameter,
                      NonPositiveSigma)
 
-#: Default relative tolerance for detecting equal mean-to-sd ratios.
+#: Relative tolerance for detecting equal mean-to-sd ratios.
 #: The operator-order reduction is only valid at exact equality; this
 #: tolerance exists solely to absorb floating representation noise.
 RATIO_TOL = 1e-12
@@ -112,13 +112,12 @@ def validate(mu_x: float, mu_y: float, sigma_x: float, sigma_y: float,
     )
 
 
-def classify(p: ProductNormalParams,
-             ratio_tol: float = RATIO_TOL) -> DistributionCase:
+def classify(p: ProductNormalParams) -> DistributionCase:
     """Classify parameters into the case selecting the minimal-order operator.
 
     Zero means (tested exactly) take precedence over equal ratios, since
     0/sigma ratios are trivially equal.  Equal ratios are detected to a
-    relative tolerance ``ratio_tol``.  Classification is total: anything
+    relative tolerance RATIO_TOL.  Classification is total: anything
     else is GENERAL.  The tag is invariant under (mu_x, sigma_x) ->
     (c*mu_x, c*sigma_x), c > 0.
     """
@@ -127,6 +126,6 @@ def classify(p: ProductNormalParams,
     if (p.mu_x == 0) != (p.mu_y == 0) and p.rho == 0:
         return DistributionCase.ONE_ZERO_MEAN_UNCORRELATED
     rx, ry = p.r_x, p.r_y
-    if abs(rx - ry) <= ratio_tol * max(abs(rx), abs(ry)):
+    if abs(rx - ry) <= RATIO_TOL * max(abs(rx), abs(ry)):
         return DistributionCase.EQUAL_RATIO
     return DistributionCase.GENERAL

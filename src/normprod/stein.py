@@ -291,18 +291,18 @@ _SPECIAL = ("a3", "a4", "a5", "a6", "a7")
 
 
 def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
-    """Named special-case operators the general one reduces to.
+    """Named special-case operators the general ones reduce to.
 
-    a3: zero means (order 4); a4: zero means, the variance-gamma form
-    (order 2); a5: zero means, n=1, rho=0 (order 2); a6: unit variances,
-    n=1, rho=0 (order 4); a7: additionally equal means (order 3).
+    a3: zero means (order 4), the A1 table there; a4: zero means, the
+    variance-gamma form (order 2); a5: zero means, n=1, rho=0 (order 2),
+    the a4 table there; a6: unit variances, n=1, rho=0 (order 4), the A1
+    table there; a7: additionally equal means (order 3), the A2 table.
     """
     which = which.lower()
     if which not in _SPECIAL:
         raise ValueError(f"unknown operator {which!r}; expected one of {_SPECIAL}")
     p = mp.base
     rho, n, s_n = p.rho, mp.n, mp.s_n
-    om = 1.0 - rho ** 2
     zero_means = p.mu_x == 0 and p.mu_y == 0
     if which in ("a3", "a4") and not zero_means:
         raise CaseMismatch(f"{which} requires zero means")
@@ -314,42 +314,15 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
         if which == "a7" and p.mu_x != p.mu_y:
             raise CaseMismatch("a7 requires equal means")
 
-    if which == "a3":
-        return SteinOperatorSpec(4, (
-            (-n * s_n * rho, 1.0),
-            (n * s_n ** 2 * (3 * rho ** 2 - 1), -4 * rho * s_n),
-            (3 * n * s_n ** 3 * rho * om, s_n ** 2 * (6 * rho ** 2 - 2)),
-            (n * s_n ** 4 * om ** 2, 4 * rho * s_n ** 3 * om),
-            (0.0, s_n ** 4 * om ** 2),
-        ))
-    if which == "a4":
-        return SteinOperatorSpec(2, (
-            (n * s_n * rho, -1.0),
-            (n * s_n ** 2 * om, 2 * rho * s_n),
-            (0.0, s_n ** 2 * om),
-        ))
-    if which == "a5":
-        s = p.s
-        return SteinOperatorSpec(2, (
-            (0.0, -1.0),
-            (s * s, 0.0),
-            (0.0, s * s),
-        ))
-    mxy = p.mu_x * p.mu_y
-    if which == "a6":
-        return SteinOperatorSpec(4, (
-            (-mxy, 1.0),
-            (-(p.mu_x ** 2 + p.mu_y ** 2 + 1), 0.0),
-            (-mxy, -2.0),
-            (1.0, 0.0),
-            (0.0, 1.0),
-        ))
-    mu2 = p.mu_x ** 2
-    return SteinOperatorSpec(3, (
-        (-mu2, 1.0),
-        (-(1 + mu2), -1.0),
-        (1.0, -1.0),
-        (0.0, 1.0),
+    if which in ("a3", "a6"):
+        return operator_a1(mp)
+    if which == "a7":
+        return operator_a2(mp)
+    om = 1.0 - rho ** 2
+    return SteinOperatorSpec(2, (
+        (n * s_n * rho, -1.0),
+        (n * s_n ** 2 * om, 2 * rho * s_n),
+        (0.0, s_n ** 2 * om),
     ))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from normprod import (
     log_bessel_k,
     log_bessel_k_sequence,
 )
+from normprod.bessel import MAX_SEQUENCE_LENGTH
 
 
 def oracle_log_k(nu: float, x: float, dps: int = 30) -> float:
@@ -131,6 +133,28 @@ class TestErrors:
     def test_nonpositive_argument(self, x):
         with pytest.raises(NonPositiveArgument):
             bessel_k(BesselOrder(0), x)
+
+    def test_infinite_argument(self):
+        # every order, scaled or not, vanishes at x = inf
+        for order in (BesselOrder(0), BesselOrder(1), BesselOrder(7)):
+            assert list(log_bessel_k_sequence(order, math.inf)) == \
+                [-math.inf] * (order.twice_nu // 2 + 1)
+            assert bessel_k(order, math.inf) == 0
+            assert bessel_k(order, math.inf, scaled=True) == 0
+            assert list(bessel_k_sequence(order, math.inf, scaled=True)) == \
+                [0.0] * (order.twice_nu // 2 + 1)
+
+    def test_order_past_the_cap_is_refused_before_allocating(self):
+        order = BesselOrder(2 * MAX_SEQUENCE_LENGTH)  # one order too many
+        tracemalloc.start()
+        try:
+            for x in (1.0, math.inf):
+                with pytest.raises(InvalidOrder, match="recurrence steps"):
+                    log_bessel_k_sequence(order, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_SEQUENCE_LENGTH  # the array would take 8 bytes each
 
     def test_overflow_unscaled(self):
         with pytest.raises(OverflowUnscaled):

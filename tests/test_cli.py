@@ -373,6 +373,22 @@ class TestExitCodes:
         assert result.stderr == (
             f"error: order {nu} is not an integer or half-integer\n")
 
+    def test_besselk_overflowing_order_is_2(self, runner):
+        # passed from_nu, then raised OverflowError in BesselOrder.nu
+        result = runner.invoke(cli, ["besselk", "--nu", "1e400", "--x", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: order 1e400 overflows a float\n"
+
+    @pytest.mark.parametrize("nu", ["0", "1/2", "1", "3/2"])
+    @pytest.mark.parametrize("scaled", [[], ["--scaled"]],
+                             ids=["unscaled", "scaled"])
+    def test_besselk_at_infinite_x_is_0(self, runner, nu, scaled):
+        # orders past 1/2 ended in a ValueError traceback, and --scaled
+        # exited 3 on a NaN for every order
+        env = run_json(runner, ["besselk", "--nu", nu, "--x", "inf", *scaled])
+        assert env["results"]["value"] == 0
+        assert env["results"]["log_value"] == -math.inf
+
     @pytest.mark.parametrize("args", [
         ["pdf", *HUGE_X[0]],
         ["sample", "--mu-x", "1e200", "--mu-y", "1e200", "--count", "3"]])

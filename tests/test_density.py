@@ -451,9 +451,10 @@ class TestPinnedValues:
 
 class TestExtremeInputs:
     # from the smallest subnormal x to the largest, with means and sigmas
-    # scaled by 1e-150 or 1e150; a RuntimeWarning inside the package fails
-    # the suite, so each call must give a finite log or a NormProdError,
-    # never a traceback, a warning, an inf or a NaN
+    # scaled by 1e-150 or 1e150, and by 1e-300 or 1e300, where sigma_x
+    # sigma_y and the squares leave the double range; a RuntimeWarning
+    # inside the package fails the suite, so each call must give a finite
+    # log or a NormProdError, never a traceback, a warning, an inf or a NaN
     XS = [sign * x for x in (5e-324, 1e-310, 1e-150, 0.7, 1e20, 1e150, 1e300,
                              1.7e308) for sign in (1, -1)]
 
@@ -462,7 +463,11 @@ class TestExtremeInputs:
         (1e-150, 1.0, 1.0, 0.0), (1.0, 1e150, 1e150, -0.999),
         (1.0, 1e-150, 1e-150, 0.5), (1.0, 1e-150, 1e150, 0.0),
         (1.0, 1e150, 1e-150, -0.999), (1e150, 1e-150, 1e-150, 0.5),
-        (1e-150, 1e150, 1e150, 0.0)])
+        (1e-150, 1e150, 1e150, 0.0), (1e300, 1.0, 1.0, 0.5),
+        (1e-300, 1.0, 1.0, 0.0), (1.0, 1e300, 1e300, -0.999),
+        (1.0, 1e-300, 1e-300, 0.5), (1.0, 1e-300, 1e300, 0.0),
+        (1.0, 1e300, 1e-300, -0.999), (1e300, 1e-300, 1e-300, 0.5),
+        (1e-300, 1e300, 1e300, 0.0), (1e-300, 1e300, 1e-300, 0.5)])
     def test_finite_log_or_package_error(self, mu, sx, sy, rho):
         p = validate(mu, -0.5 * mu, sx, 2 * sy, rho)
         one_zero = validate(0, -0.5 * mu, sx, 2 * sy, 0)

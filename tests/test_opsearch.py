@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from normprod import (
     MeanParams,
@@ -123,6 +125,39 @@ class TestExactLinearAlgebra:
         assert not in_span([1, 0, 0], basis)
         assert in_span([0, 0, 0], [])
         assert not in_span([1, 0], [])
+
+    def test_agrees_with_sympy_on_rectangular_matrices(self):
+        # each matrix is the product of random (rows x rank) and
+        # (rank x cols) small-rational factors, so its rank is at most
+        # the chosen one, from 0 to full
+        rng = random.Random(15)
+
+        def factor(rows, cols):
+            return sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+                rng.randint(-4, 4), rng.randint(1, 4)))
+
+        def fraction(v):
+            return Fraction(int(v.p), int(v.q))
+
+        def fractions(vectors):
+            return [[fraction(v) for v in vec] for vec in vectors]
+
+        for _ in range(300):
+            n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+            rank = rng.randint(0, min(n_rows, n_cols))
+            m = factor(n_rows, rank) * factor(rank, n_cols)
+            rows = fractions(m.tolist())
+            assert nullspace_exact(rows) == fractions(m.nullspace())
+            if n_rows == n_cols:
+                assert determinant_exact(rows) == fraction(m.det())
+            weights = [rng.randint(-3, 3) for _ in rows]
+            combination = [sum(w * row[j] for w, row in zip(weights, rows))
+                           for j in range(n_cols)]
+            shifted = list(combination)
+            shifted[rng.randrange(n_cols)] += 1
+            for vector in (combination, shifted):
+                grown = m.col_join(sympy.Matrix([vector]))
+                assert in_span(vector, rows) == (grown.rank() == m.rank())
 
 
 class TestOperatorExistence:

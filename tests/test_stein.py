@@ -133,6 +133,20 @@ class TestOperatorTables:
         assert stein.operator_a1(mp).coeffs == \
             stein.operator_special("a6", mp).coeffs
 
+    @pytest.mark.parametrize("which, params, n, table", [
+        ("a3", (0, 0, 1, 2, 0.5), 2, ((-1, 1), (-0.5, -2), (2.25, -0.5),
+                                      (1.125, 1.5), (0, 0.5625))),
+        ("a5", (0, 0, 0.5, 2, 0), 1, ((0, -1), (1, 0), (0, 1))),
+        ("a7", (1.5, 1.5, 1, 1, 0), 1, ((-2.25, 1), (-3.25, -1), (1, -1),
+                                        (0, 1)))])
+    def test_published_tables_at_dyadic_parameters(self, which, params, n,
+                                                   table):
+        # every entry is exact at these parameters, so the literature's
+        # tables are pinned independently of the general ones they are
+        # read from
+        mp = MeanParams(validate(*params), n)
+        assert stein.operator_special(which, mp).coeffs == table
+
 
 class TestApply:
     def test_linearity(self):
