@@ -5,7 +5,7 @@
 set -euo pipefail
 NORMPROD="${NORMPROD:-normprod}"
 
-# unit variances throughout: the ODE residual is stated for sigma = 1
+# unit variances throughout, as in the acceptance criterion
 SETS=(
     "--mu-x 0.7 --mu-y -1.1 --rho 0.35 --n 2"
     "--mu-x -2.0 --mu-y 1.5 --rho -0.6"

@@ -23,7 +23,6 @@ from .charfn import (
 )
 from .density import (
     DensityValue,
-    SeriesControl,
     cdf_product,
     cdf_product_series,
     mean_zero_means_derivatives,
@@ -39,6 +38,7 @@ from .errors import (
     CorrelationOutOfRange,
     DegenerateVariance,
     InvalidCount,
+    InvalidGrid,
     InvalidOrder,
     InvalidTestFunction,
     NonFiniteParameter,

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import CaseMismatch, NonFiniteParameter, NotConverged
+from .errors import NonFiniteParameter, NotConverged
 from .params import MeanParams
 from .stein import a1_table
 
@@ -96,12 +96,8 @@ def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
 
 def cf_ode_residual(mp: MeanParams, t: float) -> float:
     """Normalized magnitude of the first-order ODE the characteristic
-    function satisfies (unit variances), with the derivative computed
-    analytically from the closed form."""
-    p = mp.base
-    if p.sigma_x != 1 or p.sigma_y != 1:
-        raise CaseMismatch("the characteristic-function ODE is stated for "
-                           "unit variances")
+    function satisfies, with the derivative computed analytically from
+    the closed form."""
     phi, dphi = cf_mean(mp, t), cf_mean_derivative(mp, t)
     # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
     table = a1_table(mp)

@@ -22,8 +22,8 @@ import click
 import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
-from .errors import (CaseMismatch, InvalidTestFunction, NormProdError,
-                     NotConverged)
+from .errors import (CaseMismatch, InvalidGrid, InvalidTestFunction,
+                     NormProdError, NotConverged)
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -104,16 +104,17 @@ def _mean_params(options: dict, params_json) -> MeanParams:
 
 
 def _jsonify(obj):
-    """obj in JSON types; NotConverged if it holds a NaN, so that no
-    command exits 0 with one.  A float array is checked in one pass."""
+    """obj in strict JSON types, with +-inf as the strings "inf" and
+    "-inf"; NotConverged if it holds a NaN, so that no command exits 0
+    with one.  A float array is checked in one pass."""
     if isinstance(obj, (float, np.floating)):
         if math.isnan(obj):
             raise NotConverged("the result holds a NaN")
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        if np.isnan(obj).any():
-            raise NotConverged("the result holds a NaN")
-        return obj.tolist()
+        if np.isfinite(obj).all():
+            return obj.tolist()
+        return _jsonify(obj.tolist())
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, complex):
@@ -142,7 +143,8 @@ def _emit(command: str, mp, results: dict, started: float,
             # one write: with unbuffered stdout (PYTHONUNBUFFERED) a reader
             # that stops at its first match, such as grep -q, would
             # otherwise close the pipe under a later write
-            target.write(json.dumps(envelope, indent=2) + "\n")
+            target.write(json.dumps(envelope, indent=2, allow_nan=False)
+                         + "\n")
         else:
             _print_table(envelope, target)
 
@@ -185,8 +187,15 @@ def _write_csv(path_or_stdout, header, rows):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, count = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise InvalidGrid(f"grid {spec!r}; expected lo:hi:count with numbers "
+                          "lo and hi and an integer count >= 1")
+    return np.linspace(lo, hi, count)
 
 
 def _parse_test_function(spec: str) -> stein.TestFunction:
@@ -228,26 +237,21 @@ def besselk(mp, nu, x, scaled):
 @click.option("--grid", type=str, default=None, help="lo:hi:count")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--rel-tol", type=float, default=1e-14, show_default=True,
-              help="series methods only")
-@click.option("--max-outer", type=int, default=300, show_default=True,
-              help="series methods only")
 @click.option("--method", type=click.Choice(["auto", "double", "single",
                                              "closed"]),
               default="auto", show_default=True,
               help="auto: integral (n=1) or closed form (n>1)")
-def pdf(mp, x, grid, as_csv, out, rel_tol, max_outer, method):
+def pdf(mp, x, grid, as_csv, out, method):
     """Density of the product (n=1) or of the zero-mean average (n>1)."""
-    ctl = density.SeriesControl(rel_tol, max_outer)
     xs = _parse_grid(grid) if grid else [x]
     if x is None and grid is None:
         raise click.UsageError("provide --x or --grid")
 
     def one(xv):
         if method == "double":
-            return density.pdf_product_series(mp.base, xv, ctl)
+            return density.pdf_product_series(mp.base, xv)
         if method == "single":
-            return density.pdf_single_zero_mean(mp.base, xv, ctl)
+            return density.pdf_single_zero_mean(mp.base, xv)
         if method == "auto" and mp.n == 1:
             return density.pdf_product(mp.base, xv)
         return density.pdf_mean_zero_means(mp, xv)
@@ -391,7 +395,7 @@ def cf(mp, t, grid, check_ode):
 @_command("ode-check")
 @click.option("--x", "xs", type=float, multiple=True, required=True)
 def ode_check(mp, xs):
-    """Residual of the density ODE at the given points (unit variances)."""
+    """Residual of the density ODE at the given points."""
     if mp.base.mu_x == 0 and mp.base.mu_y == 0:
         method, derivs = "closed_form", functools.partial(
             density.mean_zero_means_derivatives, mp)
@@ -446,7 +450,7 @@ def sample(mp, count, seed, out):
             if not np.isfinite(batch).all():
                 raise NotConverged("a sample is NaN or overflows")
             yield "%d,%.17g\n" * batch.size % tuple(np.c_[
-                np.arange(batch.size) + i * cfg.batch, batch].ravel().tolist())
+                np.arange(batch.size) + i * mc.BATCH, batch].ravel().tolist())
     rows = chunks()
     with np.errstate(over="ignore", invalid="ignore"), _output(out) as target:
         # the header goes with the first batch, which a refusal leaves unsent

@@ -58,24 +58,16 @@ _CDF_PROBE_NODES = 65
 _CDF_SMALL_GRID = 1 << 9
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series.
-
-    The outer sum stops once two consecutive outer blocks contribute less
-    than ``rel_tol`` of the running sum (two-block lookahead guards against
-    accidental single-block cancellation); ``max_outer`` caps the outer
-    index.
-    """
-
-    rel_tol: float = 1e-14
-    max_outer: int = 300
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < 1:
-            raise ValueError(f"rel_tol={self.rel_tol} outside (0, 1)")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer={self.max_outer} must be >= 1")
+# Series truncation: the double series stops once two consecutive outer
+# blocks (two, in case one cancels by accident), and the single series
+# once a term past the second, fall below _SERIES_REL_TOL of the largest
+# term so far; each gives up past _SERIES_BLOCKS blocks or terms.
+# cdf_product_series's quadrature probes deep tails, where the double
+# series needs _QUAD_SERIES_BLOCKS.
+_SERIES_REL_TOL = 1e-14
+_LOG_SERIES_REL_TOL = math.log(_SERIES_REL_TOL)
+_SERIES_BLOCKS = 300
+_QUAD_SERIES_BLOCKS = 1500
 
 
 @dataclass(frozen=True)
@@ -130,28 +122,29 @@ def pdf_product(p: ProductNormalParams, x: float) -> DensityValue:
     try:
         return _pdf_product_integral(p, x)
     except NotConverged:
-        dv = _combine_series(*_series_parts(p, x, SeriesControl()))
+        dv = _combine_series(*_series_parts(p, x))
     if dv is None:
         raise NotConverged(f"product density: the series cancels at x={x}")
     return dv
 
 
-def pdf_product_series(p: ProductNormalParams, x: float,
-                       ctl: SeriesControl = SeriesControl()) -> DensityValue:
+def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
     """``pdf_product``'s oracle: the Bessel double series, or the integral
     where the series cancels by more than a few nats or does not converge
-    within ``ctl.max_outer`` outer blocks (NotConverged if both fail)."""
+    within _SERIES_BLOCKS outer blocks (NotConverged if both fail)."""
     x = _finite_x(x)
     try:
-        dv = _combine_series(*_series_parts(p, x, ctl))
+        dv = _combine_series(*_series_parts(p, x))
     except NotConverged:
         dv = None
     return _pdf_product_integral(p, x) if dv is None else dv
 
 
 def _series_parts(p: ProductNormalParams, x: float,
-                  ctl: SeriesControl) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Accumulate the double series as signed log-magnitude terms."""
+                  max_blocks: int = _SERIES_BLOCKS
+                  ) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Accumulate the double series as signed log-magnitude terms, over at
+    most ``max_blocks`` outer blocks after the first."""
     x = float(x)
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
@@ -169,7 +162,7 @@ def _series_parts(p: ProductNormalParams, x: float,
     if not (_DBL_MIN <= w < math.inf and math.isfinite(log_pref + c_x + c_y)):
         raise NotConverged(f"product density series: out of range at x={x}")
     log_k = _log_k_forward(w, False)
-    k_vals = np.empty(ctl.max_outer + 1)
+    k_vals = np.empty(max_blocks + 1)
     log_ax = math.log(abs(x))
     log_sx, log_sy = math.log(p.sigma_x), math.log(p.sigma_y)
     # every odd-m term carries the sign of x c_x c_y
@@ -180,8 +173,7 @@ def _series_parts(p: ProductNormalParams, x: float,
     run_max = -np.inf
     small_blocks = 0
     converged = False
-    log_tol = math.log(ctl.rel_tol)
-    for n in range(ctl.max_outer + 1):
+    for n in range(max_blocks + 1):
         k_vals[n] = next(log_k)
         m = np.arange(2 * n + 1)
         # (2n choose m)/(2n)! = 1/(m!(2n-m)!); a vanished c_x or c_y makes
@@ -198,7 +190,7 @@ def _series_parts(p: ProductNormalParams, x: float,
         log_blocks.append(lt)
         sign_blocks.append(1 - 2 * flip * (m % 2))
         run_max = max(run_max, block_max)
-        if block_max < log_tol + run_max:
+        if block_max < _LOG_SERIES_REL_TOL + run_max:
             small_blocks += 1
             if small_blocks >= 2:
                 converged = True
@@ -207,7 +199,7 @@ def _series_parts(p: ProductNormalParams, x: float,
             small_blocks = 0
     if not converged:
         raise NotConverged(
-            f"product density series: max_outer={ctl.max_outer} blocks "
+            f"product density series: {max_blocks} blocks "
             f"insufficient at x={x}"
         )
     logs = np.concatenate(log_blocks)
@@ -394,8 +386,7 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
     raise NotConverged(f"product density derivatives: over 2^18 nodes at x={x}")
 
 
-def pdf_single_zero_mean(p: ProductNormalParams, x: float,
-                         ctl: SeriesControl = SeriesControl()) -> DensityValue:
+def pdf_single_zero_mean(p: ProductNormalParams, x: float) -> DensityValue:
     """Density of Z when one mean is zero and rho = 0: a single series.
 
     Accepts either mu_y = 0 or mu_x = 0 (the product is symmetric in the
@@ -423,17 +414,17 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float,
     log_k = _log_k_forward(w, False)
     log_mu = math.log(abs(mu)) if mu else -np.inf
     log_ax, log_s3, log_sl = math.log(abs(x)), math.log(s_cubed), math.log(s_lin)
-    log_tol, peak, terms = math.log(ctl.rel_tol), -math.inf, []
-    for n in range(ctl.max_outer + 1):
+    peak, terms = -math.inf, []
+    for n in range(_SERIES_BLOCKS + 1):
         lt = ((2 * n * log_mu if n else 0.0) + n * log_ax - math.lgamma(2 * n + 1)
               - 3 * n * log_s3 - n * log_sl + next(log_k))
         terms.append(lt)
         peak = max(peak, lt)
-        if mu == 0 or n >= 2 and lt < log_tol + peak:
+        if mu == 0 or n >= 2 and lt < _LOG_SERIES_REL_TOL + peak:
             break
     else:
         raise NotConverged(
-            f"single-series density: max_outer={ctl.max_outer} terms "
+            f"single-series density: {_SERIES_BLOCKS} terms "
             f"insufficient at x={x}"
         )
     return DensityValue(log_base + _logsumexp(terms), 1, True, len(terms))
@@ -482,9 +473,8 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
     return DensityValue(log_val, 1, True, 1)
 
 
-def mean_zero_means_derivatives(mp: MeanParams, x: float,
-                                order: int = 4) -> list[float]:
-    """Density of the zero-mean average and its derivatives up to ``order``.
+def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
+    """Density of the zero-mean average and its first four derivatives.
 
     Analytic: the Leibniz rule over the three factors |x|^nu, e^(rho c x)
     and K_nu(c|x|) of the closed form, with the Bessel derivatives from
@@ -494,14 +484,12 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
     so the values are accurate to a few double-precision ulps and stay
     nonzero wherever the density itself is representable.
     """
-    if order < 0:
-        raise ValueError(f"order={order} must be >= 0")
     nu, c, log_base = _mean_zero_means_form(mp)
     x = _finite_x(x)
     if x == 0:
         raise SingularPoint("derivatives at the singular point are undefined")
     sgn, ax, rc = math.copysign(1.0, x), abs(x), mp.base.rho * c
-    j = np.arange(order + 1)
+    j = np.arange(5)
     fact = np.array([math.factorial(k) for k in j], dtype=float)
     # Taylor coefficients f^(j)(x)/j! of each factor, scaled by its value
     # at x (for the Bessel factor, by e^(-c|x|)); their convolution is the
@@ -511,14 +499,13 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float,
         power /= fact
         expo = rc ** j / fact
         # as floats, so that the sums below run without numpy's scalar costs
-        kv = special.kve(np.abs(nu + np.arange(-order, order + 1)),
-                         c * ax).tolist()
+        kv = special.kve(np.abs(nu + np.arange(-4, 5)), c * ax).tolist()
         bessel = np.array([
             (-0.5 * c * sgn) ** d
-            * sum(math.comb(d, k) * kv[order - d + 2 * k] for k in range(d + 1))
+            * sum(math.comb(d, k) * kv[4 - d + 2 * k] for k in range(d + 1))
             for d in j
         ]) / fact
-        taylor = np.convolve(np.convolve(power, expo), bessel)[:order + 1]
+        taylor = np.convolve(np.convolve(power, expo), bessel)[:5]
         scale = math.exp(log_base + nu * math.log(ax) + rc * x - c * ax)
         derivs = [float(v) for v in scale * taylor * fact]
     if not all(map(math.isfinite, derivs)):
@@ -534,8 +521,8 @@ finite_difference_derivatives = pdf_product_derivatives
 def ode_residual_density(mp: MeanParams, x: float,
                          derivs: list[float]) -> float:
     """Normalized residual of the fourth-order linear ODE satisfied by the
-    density of the mean (unit variances): the adjoint of the operator
-    ``stein.a1_table``, since E[A f] = int f A*p = 0 for every f.
+    density of the mean: the adjoint of the operator ``stein.a1_table``,
+    since E[A f] = int f A*p = 0 for every f.
 
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
     the ODE left-hand side divided by the largest absolute term, so a
@@ -543,9 +530,6 @@ def ode_residual_density(mp: MeanParams, x: float,
     NotConverged if a derivative is not finite (p'''' ~ x^-4 overflows
     from about |x| = 1e-77).
     """
-    p = mp.base
-    if p.sigma_x != 1 or p.sigma_y != 1:
-        raise CaseMismatch("the density ODE is stated for unit variances")
     if len(derivs) != 5:
         raise ValueError("derivs must contain p and its first four derivatives")
     if not all(map(math.isfinite, derivs)):
@@ -683,13 +667,13 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     return 1.0 - tail if upper else tail
 
 
-def _pdf_value(p: ProductNormalParams, x: float, ctl: SeriesControl) -> float:
+def _pdf_value(p: ProductNormalParams, x: float) -> float:
     if x == 0:
         return 0.0
     if abs(x) >= _tail_cutoff(p):
         # certifiably negligible; skip the series entirely
         return 0.0
-    log_pref, logs, signs, terms = _series_parts(p, x, ctl)
+    log_pref, logs, signs, terms = _series_parts(p, x, _QUAD_SERIES_BLOCKS)
     if log_pref + _logsumexp(logs) < math.log(1e-40):
         # |sum| <= sum of magnitudes: negligible for any quadrature in
         # use, so skip the signed combination (and any integral fallback)
@@ -721,14 +705,11 @@ def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     integration range there; the infinite range is truncated where the
     density provably underflows double precision.
     """
-    # quadrature probes deep tails, where the series needs a larger block
-    # budget than pointwise evaluation does
-    ctl = SeriesControl(rel_tol=1e-14, max_outer=1500)
     quad_tol = 1e-9
     from scipy import integrate  # its only user; keeps it off import
 
     def f(t):
-        return _pdf_value(p, t, ctl)
+        return _pdf_value(p, t)
 
     lo = -_tail_cutoff(p)
     pieces = []

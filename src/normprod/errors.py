@@ -22,12 +22,19 @@ class NonFiniteParameter(ValidationError, ValueError):
 
 
 class InvalidCount(ValidationError, ValueError):
-    """A copy, sample or batch count was not an integer >= 1, or an
-    estimate with a standard error was asked of fewer than 2 samples."""
+    """A copy or sample count was not an integer >= 1, an estimate with a
+    standard error was asked of fewer than 2 samples, or an operator
+    search of fewer equations than unknowns."""
 
 
 class InvalidOrder(ValidationError, ValueError):
-    """A Bessel order was not a number, or not an integer or half-integer."""
+    """A Bessel order was not a number, or not an integer or half-integer,
+    or an operator order was below 1."""
+
+
+class InvalidGrid(ValidationError, ValueError):
+    """A grid was not lo:hi:count with numbers lo and hi and an integer
+    count >= 1."""
 
 
 class InvalidTestFunction(ValidationError, ValueError):

@@ -28,10 +28,11 @@ two), and |w| stays below about 2e18, so w^2 cannot overflow.
 Streams are generated batch-by-batch with an independent SFC64 generator
 (the fastest of numpy's bit generators for normals) keyed on
 (seed, batch index), so parallel or out-of-order evaluation of batches
-reproduces the same numbers as a sequential pass.  The default batch of
-2^15 samples keeps the per-batch generator set-up small; the Stein
-estimator evaluates its operator on slices of 2^13 (see _APPLY_SLICE).  Estimators merge batch statistics by count-weighted
-pooling; merge order only moves results at floating roundoff level.
+reproduces the same numbers as a sequential pass.  Batches of BATCH =
+2^15 samples keep the per-batch generator set-up small; the Stein
+estimator evaluates its operator on slices of 2^13 (see _APPLY_SLICE).
+Estimators merge batch statistics by count-weighted pooling; merge order
+only moves results at floating roundoff level.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ from .params import MeanParams, positive_int
 from .stein import SteinOperatorSpec, TestFunction, apply
 
 
+#: Samples per batch; batch i is drawn from the generator keyed on (seed, i).
+BATCH = 1 << 15
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
     count: int
-    batch: int = 1 << 15
 
     def __post_init__(self):
         seed = self.seed
@@ -61,10 +65,7 @@ class SamplerConfig:
                 or seed < 0:
             raise ValidationError(f"seed={seed!r}; must be an integer >= 0")
         object.__setattr__(self, "seed", int(seed))
-        count = positive_int("count", self.count)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "batch", min(positive_int("batch", self.batch),
-                                              count))
+        object.__setattr__(self, "count", positive_int("count", self.count))
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def sample_mean_of_products(mp: MeanParams,
     remaining = cfg.count
     index = 0
     while remaining > 0:
-        size = min(cfg.batch, remaining)
+        size = min(BATCH, remaining)
         rng = _batch_rng(cfg, index)
         n1, n2 = rng.standard_normal((2, size))
         plus = a_plus * n1 + b_plus

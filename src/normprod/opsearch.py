@@ -18,7 +18,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import NotSquare, ParameterNotRational
+from .errors import (InvalidCount, InvalidOrder, NotSquare,
+                     ParameterNotRational)
 from .moments import raw_moments_exact
 from .params import MeanParams
 
@@ -45,7 +46,8 @@ class OperatorAnsatz:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("ansatz order must be >= 1")
+            raise InvalidOrder(f"order={self.order}; the ansatz order must "
+                               "be >= 1")
 
     @property
     def num_unknowns(self) -> int:
@@ -171,9 +173,8 @@ def operator_exists(mp: MeanParams, order: int,
     if num_equations is None:
         num_equations = ansatz.num_unknowns + EXTRA_ROWS
     if num_equations < ansatz.num_unknowns:
-        raise ValueError(
-            f"need at least {ansatz.num_unknowns} equations for order {order}"
-        )
+        raise InvalidCount(f"need at least {ansatz.num_unknowns} equations "
+                           f"for order {order}, not {num_equations}")
     system = moment_system(mp, ansatz, num_equations)
     basis = nullspace_exact(system)
     return OperatorSearchResult(bool(basis),

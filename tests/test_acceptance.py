@@ -15,7 +15,6 @@ from normprod import (
     MeanParams,
     OperatorAnsatz,
     SamplerConfig,
-    SeriesControl,
     cf_grid,
     cf_mean,
     cf_ode_residual,
@@ -153,13 +152,12 @@ def test_criterion_5_pdf_consistency():
             assert pdf_product(pz, x).value == pytest.approx(
                 pdf_mean_zero_means(MeanParams(pz, 1), x).value, rel=1e-10)
         # unit mass across the 10-point parameter sweep
-        ctl = SeriesControl(rel_tol=1e-12, max_outer=1500)
         for tup in NORMALIZATION_SWEEP:
             q = validate(*tup)
             cut = _tail_cutoff(q, log_eps=-35.0)
 
             def f(t):
-                return _pdf_value(q, t, ctl)
+                return _pdf_value(q, t)
 
             mass = (integrate.quad(f, -cut, 0, limit=200, epsabs=1e-7)[0]
                     + integrate.quad(f, 0, cut, limit=200, epsabs=1e-7)[0])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from normprod import (
-    CaseMismatch,
     MeanParams,
     NonFiniteParameter,
     NotConverged,
@@ -83,9 +82,14 @@ class TestOde:
         mp = MeanParams(validate(1, 2, 1, 1, 0.3), 2)
         assert abs(cf_ode_residual(mp, 0.8)) <= 1e-12
 
-    def test_requires_unit_variances(self):
-        with pytest.raises(CaseMismatch):
-            cf_ode_residual(MeanParams(validate(0, 0, 2, 1, 0), 1), 1.0)
+    # the Fourier transform of the general A1 table holds at any variances
+    @pytest.mark.parametrize("tup, n", [((1, 0.5, 1.7, 0.6, 0.2), 1),
+                                        ((0.3, -0.8, 0.5, 2, -0.6), 3),
+                                        ((0, 0, 2, 1, 0), 1)])
+    def test_residual_at_general_variances(self, tup, n):
+        mp = MeanParams(validate(*tup), n)
+        for t in (-3.0, -0.7, 0.4, 1.3, 5.0):
+            assert abs(cf_ode_residual(mp, t)) <= 1e-12
 
 
 class TestLargeAndNonFiniteT:

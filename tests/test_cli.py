@@ -44,6 +44,19 @@ class TestEnvelope:
         assert isinstance(env["timing_ms"], float)
         assert env["timing_ms"] > 0
 
+    @pytest.mark.parametrize("args, key, text", [
+        (["cdf", "--x", "inf"], "x", "inf"),
+        (["cdf", "--x", "-inf"], "x", "-inf"),
+        (["besselk", "--nu", "0", "--x", "inf"], "log_value", "-inf")])
+    def test_infinities_are_strict_json(self, runner, args, key, text):
+        # Infinity and -Infinity are not JSON; strict parsers refuse them
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        result = runner.invoke(cli, args + ["--json"])
+        assert result.exit_code == 0, result.output
+        env = json.loads(result.output, parse_constant=refuse)
+        assert env["results"][key] == text
+
     def test_rationals_encoded_as_num_den(self, runner):
         env = run_json(runner, ["moments", "--mu-x", "1", "--kmax", "4",
                                 "--exact"])
@@ -183,7 +196,8 @@ class TestSubcommands:
         # "index,%.17g" row per sample, across a batch boundary
         from normprod import (MeanParams, SamplerConfig,
                               sample_mean_of_products, validate)
-        count = SamplerConfig.batch + 5
+        from normprod.mc import BATCH
+        count = BATCH + 5
         result = runner.invoke(cli, ["sample", "--mu-x", "1", "--rho", "0.3",
                                      "--count", str(count), "--seed", "9"])
         assert result.exit_code == 0
@@ -236,9 +250,31 @@ class TestExitCodes:
         result = runner.invoke(cli, ["pdf", "--mu-x", "1", "--mu-y", "-2",
                                      "--sigma-x", "1.3", "--sigma-y", "0.7",
                                      "--rho", "0.9999", "--x", "3",
-                                     "--method", "double",
-                                     "--max-outer", "3"])
+                                     "--method", "double"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("args", [
+        ["opsearch", "--order", "0"],
+        ["opsearch", "--order", "3", "--rows", "2"],
+        ["pdf", "--grid", "abc"],
+        ["cf", "--grid", "1:2"],
+        ["pdf", "--grid", "0:1:-3"],
+        ["pdf", "--grid", "1:2:1e9"],
+        ["pdf", "--grid", "0:1:2.5"]])
+    def test_bad_order_rows_and_grid_are_2(self, runner, args):
+        # each used to end in a ValueError traceback with exit 1
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-12"),
+                                             ("--max-outer", "3")])
+    def test_removed_series_flags_are_unknown(self, runner, flag, value):
+        result = runner.invoke(cli, ["pdf", "--x", "1", flag, value])
+        assert result.exit_code == 2
+        assert f"No such option '{flag}'" in result.output
 
     @pytest.mark.parametrize("method", ["conditional", "series"])
     def test_cdf_at_nan_is_2(self, runner, method):
@@ -387,7 +423,7 @@ class TestExitCodes:
         # exited 3 on a NaN for every order
         env = run_json(runner, ["besselk", "--nu", nu, "--x", "inf", *scaled])
         assert env["results"]["value"] == 0
-        assert env["results"]["log_value"] == -math.inf
+        assert env["results"]["log_value"] == "-inf"  # strict JSON
 
     @pytest.mark.parametrize("args", [
         ["pdf", *HUGE_X[0]],
@@ -434,8 +470,7 @@ SURFACE = {
     "besselk": {"--nu": "required", "--x": "required", "--scaled": False,
                 "--json": False},
     "pdf": {"--x": None, "--grid": None, "--json": False, "--csv": False,
-            "--out": None, "--rel-tol": 1e-14, "--max-outer": 300,
-            "--method": "auto"},
+            "--out": None, "--method": "auto"},
     "cdf": {"--x": "required", "--json": False, "--method": "conditional"},
     "moments": {"--kmax": 8, "--central": False, "--closed-form": False,
                 "--exact": False, "--json": False, "--csv": False,

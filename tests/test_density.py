@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import subprocess
@@ -15,7 +16,6 @@ from normprod import (
     NonFiniteParameter,
     NormProdError,
     NotConverged,
-    SeriesControl,
     SingularPoint,
     cdf_product,
     cdf_product_series,
@@ -116,12 +116,11 @@ class TestDoubleSeries:
     @pytest.mark.parametrize("tup", NORMALIZATION_SWEEP)
     def test_normalization(self, tup):
         from normprod.density import _pdf_value, _tail_cutoff
-        ctl = SeriesControl(rel_tol=1e-12, max_outer=1500)
         p = validate(*tup)
         cut = _tail_cutoff(p, log_eps=-35.0)
-        left, _ = integrate.quad(lambda t: _pdf_value(p, t, ctl), -cut, 0,
+        left, _ = integrate.quad(lambda t: _pdf_value(p, t), -cut, 0,
                                  limit=200, epsabs=1e-7)
-        right, _ = integrate.quad(lambda t: _pdf_value(p, t, ctl), 0, cut,
+        right, _ = integrate.quad(lambda t: _pdf_value(p, t), 0, cut,
                                   limit=200, epsabs=1e-7)
         assert left + right == pytest.approx(1.0, abs=1e-6)
 
@@ -130,7 +129,7 @@ class TestDoubleSeries:
         # cancels past double precision and the high-precision path takes
         # over; reference value from an independent 60-digit summation
         p = validate(-1.5437, -0.1977, 0.5619, 0.7627, 0.8354)
-        dv = pdf_product_series(p, 5.0, SeriesControl(1e-14, 1500))
+        dv = pdf_product_series(p, 5.0)
         assert dv.converged and dv.sign == 1
         assert dv.value == pytest.approx(0.011243362755883567, rel=1e-12)
 
@@ -174,16 +173,19 @@ class TestDoubleSeries:
         with pytest.raises(SingularPoint):
             pdf_product(validate(1, 2, 1, 1, 0.3), 0.0)
 
-    def test_not_converged_with_tiny_budget(self):
+    def test_not_converged_with_tiny_budget(self, monkeypatch):
         # a series cut short falls back to the integral; NotConverged
         # surfaces only where the integral exceeds its node budget too
-        tiny = SeriesControl(rel_tol=1e-14, max_outer=3)
+        from normprod import density
+        tiny = functools.partial(density._series_parts, max_blocks=3)
+        monkeypatch.setattr(density, "_series_parts", tiny)
         p = validate(3, 3, 1, 1, 0.0)
-        assert pdf_product_series(p, 8.0, tiny).log_abs == pytest.approx(
+        with pytest.raises(NotConverged, match="3 blocks insufficient"):
+            tiny(p, 8.0)
+        assert pdf_product_series(p, 8.0).log_abs == pytest.approx(
             pdf_product(p, 8.0).log_abs, abs=1e-12)
         with pytest.raises(NotConverged):
-            pdf_product_series(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0,
-                               tiny)
+            pdf_product_series(validate(1.0, -2.0, 1.3, 0.7, 0.9999), 3.0)
 
     def test_series_not_converged_falls_back_to_integral(self):
         # the series needs more than its 300 default blocks here; log f
@@ -236,8 +238,7 @@ class TestDoubleSeries:
             for k in (-4.0, -1.5, 0.5, 3.0):
                 x = cf4.raw[0] + k * math.sqrt(cf4.variance)
                 try:
-                    series = _combine_series(
-                        *_series_parts(p, x, SeriesControl()))
+                    series = _combine_series(*_series_parts(p, x))
                 except NotConverged:
                     continue
                 if series is None:
@@ -266,7 +267,7 @@ class TestDoubleSeries:
                                             log_f):
         from normprod.density import _series_parts
         p = validate(*tup)
-        _, logs, signs, used = _series_parts(p, x, SeriesControl())
+        _, logs, signs, used = _series_parts(p, x)
         assert (used, logs.size, int((signs < 0).sum())) == (
             terms, terms, negative)
         assert np.all(np.isfinite(logs))
@@ -619,16 +620,6 @@ class TestDerivativesAndOde:
         assert all(d != 0 and math.isfinite(d) for d in derivs)
         assert abs(ode_residual_density(mp, x, derivs)) <= 1e-8
 
-    def test_order_argument(self):
-        mp = MeanParams(validate(0, 0, 1, 1, 0.2), 3)
-        full = mean_zero_means_derivatives(mp, 0.9, order=6)
-        assert mean_zero_means_derivatives(mp, 0.9) == pytest.approx(
-            full[:5], rel=1e-14)
-        assert mean_zero_means_derivatives(mp, 0.9, order=0) == pytest.approx(
-            full[:1], rel=1e-14)
-        with pytest.raises(ValueError):
-            mean_zero_means_derivatives(mp, 0.9, order=-1)
-
     @pytest.mark.parametrize("means, rho", [((1.0, 0.5), 0.2),
                                             ((-0.7, 1.3), -0.5)])
     def test_ode_residual_general(self, means, rho):
@@ -747,10 +738,22 @@ class TestDerivativesAndOde:
         with pytest.raises(NotConverged):
             ode_residual_density(mp, 1e-100, [1.0, 2.0, 3.0, 4.0, bad])
 
-    def test_ode_requires_unit_variances(self):
-        mp = MeanParams(validate(0, 0, 2, 1, 0.0), 2)
-        with pytest.raises(CaseMismatch):
-            ode_residual_density(mp, 1.0, [1.0] * 5)
+    # the adjoint of the general A1 table holds at any variances
+    @pytest.mark.parametrize("tup", [(1, 0.5, 1.7, 0.6, 0.2),
+                                     (-0.7, 1.3, 0.8, 1.6, -0.5)])
+    def test_ode_residual_at_general_variances(self, tup):
+        mp = MeanParams(validate(*tup), 1)
+        for x in (-1.5, -0.6, 0.7, 1.0, 2.2):
+            derivs = pdf_product_derivatives(mp.base, x)
+            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-12
+
+    @pytest.mark.parametrize("tup, n", [((0, 0, 2, 0.5, 0.3), 3),
+                                        ((0, 0, 0.7, 1.9, -0.4), 2)])
+    def test_zero_mean_ode_residual_at_general_variances(self, tup, n):
+        mp = MeanParams(validate(*tup), n)
+        for x in (-1.5, -0.6, 0.7, 1.0, 2.2):
+            derivs = mean_zero_means_derivatives(mp, x)
+            assert abs(ode_residual_density(mp, x, derivs)) <= 1e-12
 
     def test_integral_derivatives_singular_at_origin(self):
         with pytest.raises(SingularPoint):

@@ -81,6 +81,62 @@ class TestExactRecursion:
         assert mu[1] == Fraction(5, 8)  # mu_x mu_y + rho s = 1/8 + 1/2
 
 
+def cumulant_moments(mp, kmax):
+    """Raw moments 0..kmax of the mean from its exact cumulants.
+
+    The mean is s/(4n) (A W1 - B W2) with A, B = 2(1 +- rho), s = sigma_x
+    sigma_y and W1, W2 independent noncentral chi-squares with n degrees
+    of freedom and noncentralities n(r_x + r_y)^2/A and n(r_x - r_y)^2/B,
+    whose cumulants are 2^(k-1) (k-1)! (n + k lambda).  So kappa_k =
+    (s/(4n))^k 2^(k-1) (k-1)! n [A^k + k A^(k-1) (r_x + r_y)^2
+    + (-1)^k (B^k + k B^(k-1) (r_x - r_y)^2)], and the moments follow from
+    mu'_k = sum_j C(k-1, j-1) kappa_j mu'_(k-j).  No Stein table enters.
+    """
+    p, n = mp.base, mp.n
+    mux, muy, sx, sy, rho = map(Fraction, (p.mu_x, p.mu_y, p.sigma_x,
+                                           p.sigma_y, p.rho))
+    rx, ry, c = mux / sx, muy / sy, sx * sy / (4 * n)
+    a, b = 2 * (1 + rho), 2 * (1 - rho)
+    kappa = [None] + [
+        c ** k * 2 ** (k - 1) * math.factorial(k - 1) * n
+        * (a ** k + k * a ** (k - 1) * (rx + ry) ** 2
+           + (-1) ** k * (b ** k + k * b ** (k - 1) * (rx - ry) ** 2))
+        for k in range(1, kmax + 1)]
+    mu = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        mu.append(sum(math.comb(k - 1, j - 1) * kappa[j] * mu[k - j]
+                      for j in range(1, k + 1)))
+    return mu
+
+
+class TestExactCumulants:
+    # dyadic parameters, so every float is its exact rational; the third
+    # set has equal mean-to-sd ratios (-1/4 each), where A2 applies too
+    SETS = [((0.5, -0.75, 1.25, 0.5, 0.25), 1),
+            ((1.5, 0.25, 0.75, 2.0, -0.5), 3),
+            ((-0.25, -0.375, 1.0, 1.5, 0.625), 4),
+            ((2.0, -1.5, 0.5, 0.25, -0.875), 7)]
+
+    @pytest.mark.parametrize("tup, n", SETS)
+    def test_recursion_equals_cumulant_moments(self, tup, n):
+        mp = MeanParams(validate(*tup), n)
+        assert raw_moments_exact(mp, 40) == cumulant_moments(mp, 40)
+
+    @pytest.mark.parametrize("tup, n", SETS)
+    def test_operators_annihilate_monomials(self, tup, n):
+        # E[A x^k] = sum_j k!/(k-j)! (a0_j mu'_(k-j) + a1_j mu'_(k-j+1)),
+        # over moments the recursion did not produce
+        mp = MeanParams(validate(*tup), n)
+        mu = cumulant_moments(mp, 36)
+        tables = [a1_table(mp, Fraction)]
+        if tup[0] / tup[2] == tup[1] / tup[3]:
+            tables.append(a2_table(mp, Fraction))
+        for table in tables:
+            for k in range(36):
+                assert sum(math.perm(k, j) * (a0 * mu[k - j] + a1 * mu[k - j + 1])
+                           for j, (a0, a1) in enumerate(table[:k + 1])) == 0
+
+
 class TestNegativeKmax:
     @pytest.mark.parametrize("fn", [
         raw_moments_exact, central_moments_exact, raw_moments, central_moments,

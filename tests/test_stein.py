@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -107,6 +109,31 @@ class TestOperatorTables:
         a1 = stein.operator_a1(mp)
         a3 = stein.operator_special("a3", mp)
         assert a1.coeffs == a3.coeffs
+
+    # zero means and rho = 0 (or a rho that cancels an entry) zero out
+    # whole products, such as -4 rho s_n, which came out as -0.0
+    ZERO_ENTRY_SETS = [((0, 0, 1, 1, 0), 1), ((0, 0, 1.5, 0.5, 0), 3),
+                       ((0.5, 0.5, 1, 1, 0), 1), ((0.5, 0, 1, 1, 0), 1),
+                       ((0, 0, 1, 1, -0.3333333333333333), 1),
+                       ((0, 0, 2, 1, -0.0), 2)]
+
+    def test_no_negative_zero_entries(self):
+        builders = {"a1": stein.operator_a1, "a2": stein.operator_a2, **{
+            w: lambda mp, w=w: stein.operator_special(w, mp)
+            for w in ("a3", "a4", "a5", "a6", "a7")}}
+        checked, zeros = set(), 0
+        for tup, n in self.ZERO_ENTRY_SETS:
+            mp = MeanParams(validate(*tup), n)
+            for which, build in builders.items():
+                try:
+                    spec = build(mp)
+                except CaseMismatch:
+                    continue
+                checked.add(which)
+                for v in (v for pair in spec.coeffs for v in pair if v == 0):
+                    assert math.copysign(1, v) == 1, (which, tup, n)
+                    zeros += 1
+        assert checked == set(builders) and zeros >= 20
 
     def test_third_order_requires_equal_ratios(self):
         with pytest.raises(CaseMismatch):
