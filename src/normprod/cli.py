@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
 from .errors import (CaseMismatch, InvalidGrid, InvalidTestFunction,
-                     NormProdError, NotConverged)
+                     NormProdError, NotConverged, SingularPoint)
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -257,10 +257,13 @@ def pdf(mp, x, grid, as_csv, out, method):
         return density.pdf_mean_zero_means(mp, xv)
 
     rows = []
-    for xv in xs:
-        dv = one(float(xv))
-        rows.append((float(xv), dv.log_abs, dv.value, dv.terms_used,
-                     dv.converged))
+    for xv in map(float, xs):
+        try:
+            dv = one(xv)
+            row = (dv.log_abs, dv.value, dv.terms_used)
+        except SingularPoint:  # the density diverges here; the row says so
+            row = (math.inf, math.inf, 0)
+        rows.append((xv, *row, density.DensityValue.converged))
     if not as_csv:
         return {"points": [
             {"x": r[0], "log_pdf": r[1], "pdf": r[2],

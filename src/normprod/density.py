@@ -4,17 +4,19 @@ linear ODE residual the density satisfies.
 The product density is the all-positive integral f(x) = int phi_2(u, x/u)
 / |u| du, by a log-space trapezoid rule in double precision.  The Bessel
 double series is its oracle (``pdf_product_series``) and its fallback
-where the integral runs out of nodes (|rho| near 1).  Its terms can be
-negative (odd powers of x c_x c_y) and overflow, so positive and negative
-partial sums are kept as log-magnitudes and combined once at the end.
-Each series block or term takes one new order from ``bessel``'s log K
-recurrence.  The CDF conditions on X and integrates the normal CDF of Y
-given X on the same trapezoid kernel, with no series, from a quarter of
-its unit step on a bracket that a lower bound on the integrand's peak
-cuts 45 nats below it (see ``cdf_product``).  The kernel judges
-each grid against the sum on its own even nodes, so a first grid that is
-fine enough is also the last; the derivatives under the integral apply
-the same test to their own sums, on a grid trimmed to their own mass.
+where the integral runs out of nodes (|rho| near 1); either path returns
+a value or raises NotConverged, and each caller tries the other on that
+error alone.  The series' terms can be negative (odd powers of x c_x
+c_y) and overflow, so positive and negative partial sums are kept as
+log-magnitudes and combined once at the end.  Each series block or term
+takes one new order from ``bessel``'s log K recurrence.  The CDF
+conditions on X and integrates the normal CDF of Y given X on the same
+trapezoid kernel, with no series, from a quarter of its unit step on a
+bracket that a lower bound on the integrand's peak cuts 45 nats below
+it (see ``cdf_product``).  The kernel judges each grid against the sum
+on its own even nodes, so a first grid that is fine enough is also the
+last; the derivatives under the integral apply the same test to their
+own sums, on a grid trimmed to their own mass.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -34,7 +37,6 @@ from .stein import a1_table
 
 _DBL_MIN = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
-_LOG_DBL_MIN = math.log(_DBL_MIN)
 _SIGN_U = np.array([[1.0], [-1.0]])  # a row per sign of u in the integrals
 
 # Nats of cancellation between the positive and negative partial sums
@@ -62,28 +64,26 @@ _CDF_SMALL_GRID = 1 << 9
 # blocks (two, in case one cancels by accident), and the single series
 # once a term past the second, fall below _SERIES_REL_TOL of the largest
 # term so far; each gives up past _SERIES_BLOCKS blocks or terms.
-# cdf_product_series's quadrature probes deep tails, where the double
-# series needs _QUAD_SERIES_BLOCKS.
 _SERIES_REL_TOL = 1e-14
 _LOG_SERIES_REL_TOL = math.log(_SERIES_REL_TOL)
 _SERIES_BLOCKS = 300
-_QUAD_SERIES_BLOCKS = 1500
 
 
 @dataclass(frozen=True)
 class DensityValue:
-    """A density value carried as (log|value|, sign); NotConverged where
-    log|value| is not finite, out of the double range.
+    """A density value carried as its log; NotConverged where the log is
+    not finite, out of the double range.
 
-    ``sign`` is +1 for every converged value that escapes this module;
-    a converged -1 would indicate an internal accumulation error.
     ``terms_used`` counts series terms, or integral nodes (both signs of u).
+    Every path either returns a positive, converged value or raises, so
+    ``sign`` and ``converged`` are class constants, kept for readers of
+    those names.
     """
 
     log_abs: float
-    sign: int
-    converged: bool
     terms_used: int
+    sign: ClassVar[int] = 1
+    converged: ClassVar[bool] = True
 
     def __post_init__(self):
         if not math.isfinite(self.log_abs):
@@ -91,7 +91,7 @@ class DensityValue:
 
     @property
     def value(self) -> float:
-        return self.sign * math.exp(self.log_abs)
+        return math.exp(self.log_abs)
 
 
 def _logsumexp(a) -> float:
@@ -122,10 +122,7 @@ def pdf_product(p: ProductNormalParams, x: float) -> DensityValue:
     try:
         return _pdf_product_integral(p, x)
     except NotConverged:
-        dv = _combine_series(*_series_parts(p, x))
-    if dv is None:
-        raise NotConverged(f"product density: the series cancels at x={x}")
-    return dv
+        return _combine_series(*_series_parts(p, x))
 
 
 def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
@@ -134,17 +131,15 @@ def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
     within _SERIES_BLOCKS outer blocks (NotConverged if both fail)."""
     x = _finite_x(x)
     try:
-        dv = _combine_series(*_series_parts(p, x))
+        return _combine_series(*_series_parts(p, x))
     except NotConverged:
-        dv = None
-    return _pdf_product_integral(p, x) if dv is None else dv
+        return _pdf_product_integral(p, x)
 
 
-def _series_parts(p: ProductNormalParams, x: float,
-                  max_blocks: int = _SERIES_BLOCKS
+def _series_parts(p: ProductNormalParams, x: float
                   ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Accumulate the double series as signed log-magnitude terms, over at
-    most ``max_blocks`` outer blocks after the first."""
+    most _SERIES_BLOCKS outer blocks after the first."""
     x = float(x)
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
@@ -162,7 +157,7 @@ def _series_parts(p: ProductNormalParams, x: float,
     if not (_DBL_MIN <= w < math.inf and math.isfinite(log_pref + c_x + c_y)):
         raise NotConverged(f"product density series: out of range at x={x}")
     log_k = _log_k_forward(w, False)
-    k_vals = np.empty(max_blocks + 1)
+    k_vals = np.empty(_SERIES_BLOCKS + 1)
     log_ax = math.log(abs(x))
     log_sx, log_sy = math.log(p.sigma_x), math.log(p.sigma_y)
     # every odd-m term carries the sign of x c_x c_y
@@ -172,8 +167,7 @@ def _series_parts(p: ProductNormalParams, x: float,
     sign_blocks: list[np.ndarray] = []
     run_max = -np.inf
     small_blocks = 0
-    converged = False
-    for n in range(max_blocks + 1):
+    for n in range(_SERIES_BLOCKS + 1):
         k_vals[n] = next(log_k)
         m = np.arange(2 * n + 1)
         # (2n choose m)/(2n)! = 1/(m!(2n-m)!); a vanished c_x or c_y makes
@@ -185,21 +179,17 @@ def _series_parts(p: ProductNormalParams, x: float,
               + k_vals[np.abs(m - n)])
         block_max = float(lt.max())
         if block_max == -np.inf:  # a vanished coefficient ends the series
-            converged = True
             break
         log_blocks.append(lt)
         sign_blocks.append(1 - 2 * flip * (m % 2))
         run_max = max(run_max, block_max)
-        if block_max < _LOG_SERIES_REL_TOL + run_max:
-            small_blocks += 1
-            if small_blocks >= 2:
-                converged = True
-                break
-        else:
-            small_blocks = 0
-    if not converged:
+        small = block_max < _LOG_SERIES_REL_TOL + run_max
+        small_blocks = small_blocks + 1 if small else 0
+        if small_blocks == 2:
+            break
+    else:
         raise NotConverged(
-            f"product density series: {max_blocks} blocks "
+            f"product density series: {_SERIES_BLOCKS} blocks "
             f"insufficient at x={x}"
         )
     logs = np.concatenate(log_blocks)
@@ -209,14 +199,15 @@ def _series_parts(p: ProductNormalParams, x: float,
 
 
 def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
-                    terms: int) -> DensityValue | None:
-    """The signed series sum, or None where double precision cannot resolve
-    the difference of its positive and negative partial sums."""
+                    terms: int) -> DensityValue:
+    """The signed series sum; NotConverged where its positive and negative
+    partial sums cancel by more than _CANCEL_NATS."""
     lead = _logsumexp(logs[signs > 0])
     delta = -math.expm1(_logsumexp(logs[signs < 0]) - lead)
     if not (math.isfinite(lead) and delta > 0) or -math.log(delta) > _CANCEL_NATS:
-        return None
-    return DensityValue(log_pref + lead + math.log(delta), 1, True, terms)
+        raise NotConverged(f"product density: the series cancels by more "
+                           f"than {_CANCEL_NATS:g} nats")
+    return DensityValue(log_pref + lead + math.log(delta), terms)
 
 
 def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
@@ -314,7 +305,7 @@ def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
     log_sum, _, q = _log_trapezoid(exponent, lo, hi, n,
                                    "product density integral", x)
-    return DensityValue(log_sum - log_norm, 1, True, q.size)
+    return DensityValue(log_sum - log_norm, q.size)
 
 
 def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
@@ -427,7 +418,7 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float) -> DensityValue:
             f"single-series density: {_SERIES_BLOCKS} terms "
             f"insufficient at x={x}"
         )
-    return DensityValue(log_base + _logsumexp(terms), 1, True, len(terms))
+    return DensityValue(log_base + _logsumexp(terms), len(terms))
 
 
 def _mean_zero_means_form(mp: MeanParams) -> tuple[float, float, float]:
@@ -466,11 +457,11 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
             raise NotConverged(f"zero-mean density: subnormal c|x| at x={x}")
         # lim |x|^nu K_nu(c|x|) = Gamma(nu) 2^(nu-1) / c^nu
         log_lim = math.lgamma(nu) + (nu - 1) * math.log(2) - nu * math.log(c)
-        return DensityValue(log_base + log_lim, 1, True, 1)
+        return DensityValue(log_base + log_lim, 1)
     log_k = next(islice(_log_k_forward(c * abs(x), mp.n % 2 == 0),
                         (mp.n - 1) // 2, None))
     log_val = log_base + nu * math.log(abs(x)) + mp.base.rho * x * c + log_k
-    return DensityValue(log_val, 1, True, 1)
+    return DensityValue(log_val, 1)
 
 
 def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
@@ -668,19 +659,12 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
 
 
 def _pdf_value(p: ProductNormalParams, x: float) -> float:
-    if x == 0:
+    """``pdf_product_series`` at x as a float, the integrand of
+    ``cdf_product_series``: 0 at the log singularity x = 0 and past
+    ``_tail_cutoff``, where the density is certifiably negligible."""
+    if x == 0 or abs(x) >= _tail_cutoff(p):
         return 0.0
-    if abs(x) >= _tail_cutoff(p):
-        # certifiably negligible; skip the series entirely
-        return 0.0
-    log_pref, logs, signs, terms = _series_parts(p, x, _QUAD_SERIES_BLOCKS)
-    if log_pref + _logsumexp(logs) < math.log(1e-40):
-        # |sum| <= sum of magnitudes: negligible for any quadrature in
-        # use, so skip the signed combination (and any integral fallback)
-        return 0.0
-    dv = (_combine_series(log_pref, logs, signs, terms)
-          or _pdf_product_integral(p, x))
-    return 0.0 if dv.log_abs < _LOG_DBL_MIN else dv.value
+    return pdf_product_series(p, x).value
 
 
 def _tail_cutoff(p: ProductNormalParams, log_eps: float = -60.0) -> float:
@@ -697,7 +681,8 @@ def _tail_cutoff(p: ProductNormalParams, log_eps: float = -60.0) -> float:
 
 
 def cdf_product_series(p: ProductNormalParams, x: float) -> float:
-    """CDF of Z by adaptive quadrature of the series density.
+    """CDF of Z by adaptive quadrature of ``pdf_product_series``, the
+    Bessel series or, where it fails, the integral.
 
     The reference that checks the series density has unit mass;
     ``cdf_product`` is faster and does not depend on the series.  The

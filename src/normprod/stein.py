@@ -241,7 +241,7 @@ def _table_inputs(mp: MeanParams, num):
     """(mu_x, mu_y, rho, rx, ry, s_n, 1 - rho^2, n) in the number type num."""
     p = mp.base
     mux, muy, sx, sy, rho = map(num, (p.mu_x, p.mu_y, p.sigma_x, p.sigma_y, p.rho))
-    return mux, muy, rho, mux / sx, muy / sy, sx * sy / mp.n, 1 - rho ** 2, mp.n
+    return mux, muy, rho, mux / sx, muy / sy, sx * sy / mp.n, 1 - rho * rho, mp.n
 
 
 def a1_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
@@ -251,13 +251,14 @@ def a1_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     mux, muy, rho, rx, ry, s_n, om, n = _table_inputs(mp, num)
     return (
         (-mux * muy - n * s_n * rho, num(1)),
-        (s_n * n * s_n * (2 * rho * rx * ry - rx ** 2 - ry ** 2 + 3 * rho ** 2 - 1),
+        (s_n * n * s_n * (2 * rho * rx * ry - rx * rx - ry * ry
+                          + 3 * (rho * rho) - 1),
          -4 * rho * s_n),
-        (s_n ** 2 * n * s_n * (rho * (rx ** 2 + ry ** 2)
-                               - (1 + rho ** 2) * rx * ry + 3 * rho * om),
-         s_n ** 2 * (6 * rho ** 2 - 2)),
-        (n * s_n ** 4 * om ** 2, 4 * rho * s_n ** 3 * om),
-        (num(0), s_n ** 4 * om ** 2),
+        (s_n * s_n * n * s_n * (rho * (rx * rx + ry * ry)
+                                - (1 + rho * rho) * rx * ry + 3 * rho * om),
+         s_n * s_n * (6 * (rho * rho) - 2)),
+        (n * s_n ** 4 * (om * om), 4 * rho * s_n ** 3 * om),
+        (num(0), s_n ** 4 * (om * om)),
     )
 
 
@@ -271,9 +272,10 @@ def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     mux, muy, rho, rx, ry, s_n, om, n = _table_inputs(mp, num)
     return (
         (-n * s_n * rho - mux * muy, num(1)),
-        (s_n * n * s_n * (2 * rho ** 2 + rho - 1 - (1 - rho) * rx * ry),
+        (s_n * n * s_n * (2 * (rho * rho) + rho - 1 - (1 - rho) * rx * ry),
          -(3 * rho + 1) * s_n),
-        (s_n ** 2 * (1 + rho) * n * s_n * om, s_n ** 2 * (1 + rho) * (3 * rho - 1)),
+        (s_n * s_n * (1 + rho) * n * s_n * om,
+         s_n * s_n * (1 + rho) * (3 * rho - 1)),
         (num(0), s_n ** 3 * om * (1 + rho)),
     )
 
@@ -321,11 +323,11 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
         return operator_a1(mp)
     if which == "a7":
         return operator_a2(mp)
-    om = 1.0 - rho ** 2
+    om = 1.0 - rho * rho
     return SteinOperatorSpec(2, (
         (n * s_n * rho, -1.0),
-        (n * s_n ** 2 * om, 2 * rho * s_n),
-        (0.0, s_n ** 2 * om),
+        (n * (s_n * s_n) * om, 2 * rho * s_n),
+        (0.0, s_n * s_n * om),
     ))
 
 
@@ -386,7 +388,7 @@ def substitution_identity_check(mp: MeanParams, f: TestFunction, x,
         rhs = apply(operator_a2(mp), g, x)
     elif which == "a3a4":
         g = _shifted_function(
-            f, [(1 - rho ** 2) * s_n ** 2, 2 * rho * s_n, -1.0], [2, 1, 0],
+            f, [(1 - rho * rho) * (s_n * s_n), 2 * rho * s_n, -1.0], [2, 1, 0],
             "substituted g")
         lhs = apply(operator_special("a3", mp), f, x)
         rhs = apply(operator_special("a4", mp), g, x)

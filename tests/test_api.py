@@ -13,7 +13,7 @@ SIGNATURES = {
     "BesselOrder": ["twice_nu"],
     "ClosedFormFour": ["raw", "central", "variance", "skewness", "kurtosis"],
     "ComplexEstimate": ["re", "im"],
-    "DensityValue": ["log_abs", "sign", "converged", "terms_used"],
+    "DensityValue": ["log_abs", "terms_used"],
     "EstimateWithError": ["mean", "stderr", "count"],
     "MeanParams": ["base", "n=1"],
     "MomentTable": ["kind", "values", "provenance"],
@@ -136,3 +136,11 @@ def test_exception_bases(name):
 def test_enum_members(name):
     assert _is(name, enum.Enum)
     assert [m.value for m in getattr(normprod, name)] == ENUMS[name]
+
+
+def test_density_value_constants():
+    # every density path returns a positive, converged value or raises,
+    # so these are class constants rather than fields
+    dv = normprod.DensityValue(0.0, 1)
+    assert dv.sign == 1 and dv.converged is True
+    assert dv.value == 1.0

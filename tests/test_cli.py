@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from normprod import pdf_product, validate
 from normprod.cli import cli
 
 
@@ -217,6 +218,29 @@ class TestSubcommands:
         # 17 significant digits requested
         assert len(rows[1][2].replace("-", "").replace(".", "")
                    .replace("e", "")) >= 16
+
+    def test_pdf_grid_through_singular_point(self, runner):
+        # the row at x = 0 says the density diverges; the others print
+        args = ["--mu-x", "1", "--mu-y", "-0.5", "--sigma-x", "1.3",
+                "--rho", "0.4"]
+        result = runner.invoke(cli, ["pdf", *args, "--grid", "-6:6:241",
+                                     "--csv"])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.reader(io.StringIO(result.output)))[1:]
+        assert len(rows) == 241
+        assert rows.pop(120) == ["0", "inf", "inf", "0", "True"]
+        p = validate(1, -0.5, 1.3, 1, 0.4)
+        for x, log_pdf, _, terms, _ in rows:
+            dv = pdf_product(p, float(x))
+            assert (float(log_pdf), int(terms)) == (dv.log_abs, dv.terms_used)
+
+    @pytest.mark.parametrize("method", ["auto", "double", "single"])
+    def test_pdf_at_singular_point(self, runner, method):
+        env = run_json(runner, ["pdf", "--mu-x", "1", "--x", "0",
+                                "--method", method])
+        assert env["results"]["points"] == [
+            {"x": 0.0, "log_pdf": "inf", "pdf": "inf", "terms_used": 0,
+             "converged": True}]
 
 
 class TestExitCodes:

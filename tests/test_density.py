@@ -1,4 +1,3 @@
-import functools
 import inspect
 import math
 import subprocess
@@ -149,14 +148,27 @@ class TestDoubleSeries:
             assert dv.converged and dv.sign == 1
             assert dv.log_abs == pytest.approx(self.FAR_POINTS[x], abs=1e-12)
 
+    MODERATE_CANCELLATION = ((0.692903960055212, -0.7675918127118839,
+                              1.6927419894553755, 1.2538883759832515,
+                              0.8658504229826455), 12.878764139338028)
+
     def test_moderate_cancellation_point_matches_reference(self):
         # a point of the random-parameter pdf catalogue where the signed
         # series cancels by 15.6 nats and, summed in double precision, is
         # off by 1.5e-8 in log; reference from mpmath.quad as above
-        p = validate(0.692903960055212, -0.7675918127118839,
-                     1.6927419894553755, 1.2538883759832515, 0.8658504229826455)
-        dv = pdf_product(p, 12.878764139338028)
+        tup, x = self.MODERATE_CANCELLATION
+        dv = pdf_product(validate(*tup), x)
         assert dv.log_abs == pytest.approx(-5.9466186953567077007, abs=1e-12)
+
+    @pytest.mark.parametrize("tup, x", [
+        ((-1.5437, -0.1977, 0.5619, 0.7627, 0.8354), 5.0),
+        MODERATE_CANCELLATION])
+    def test_cancelling_series_raises(self, tup, x):
+        # past 8 nats of cancellation the signed sum is refused, not
+        # returned as a value or a sentinel
+        from normprod.density import _combine_series, _series_parts
+        with pytest.raises(NotConverged, match="cancels"):
+            _combine_series(*_series_parts(validate(*tup), x))
 
     def test_moment_consistency_with_closed_forms(self):
         p = validate(0.8, -0.5, 1.0, 1.4, 0.3)
@@ -177,11 +189,10 @@ class TestDoubleSeries:
         # a series cut short falls back to the integral; NotConverged
         # surfaces only where the integral exceeds its node budget too
         from normprod import density
-        tiny = functools.partial(density._series_parts, max_blocks=3)
-        monkeypatch.setattr(density, "_series_parts", tiny)
+        monkeypatch.setattr(density, "_SERIES_BLOCKS", 3)
         p = validate(3, 3, 1, 1, 0.0)
         with pytest.raises(NotConverged, match="3 blocks insufficient"):
-            tiny(p, 8.0)
+            density._series_parts(p, 8.0)
         assert pdf_product_series(p, 8.0).log_abs == pytest.approx(
             pdf_product(p, 8.0).log_abs, abs=1e-12)
         with pytest.raises(NotConverged):
@@ -240,8 +251,6 @@ class TestDoubleSeries:
                 try:
                     series = _combine_series(*_series_parts(p, x))
                 except NotConverged:
-                    continue
-                if series is None:
                     continue
                 assert series.log_abs == pytest.approx(
                     pdf_product(p, x).log_abs, abs=1e-10)
@@ -793,6 +802,18 @@ class TestCdf:
         p = validate(*tup)
         assert cdf_product(p, x) == pytest.approx(cdf_product_series(p, x),
                                                   abs=1e-9)
+
+    @pytest.mark.parametrize("tup, x, value", [
+        ((0, 0, 0.5, 2, 0.9), 2.0, 0.8579843675816574),
+        ((-1, 0, 0.5, 1, 0.0), -3.0, 0.0102006180330581),
+        ((3, 0, 1, 2, 0.0), -0.5, 0.46031051600491846),
+        ((1, 1, 1, 1, 0.9), 0.5, 0.3578013423754003)])
+    def test_series_cdf_pinned(self, tup, x, value):
+        # bits recorded while the integrand still ran the series to 1500
+        # blocks and cut values below 1e-40 to 0; the path may change, the
+        # values may not
+        assert tup in NORMALIZATION_SWEEP
+        assert cdf_product_series(validate(*tup), x) == value
 
     # F(x) from mpmath.quad of phi_X(u) Phi(+-(x/u - m(u))/s) over
     # mu_x +- 40 sigma_x at 60 digits, with breakpoints at 0, mu_x, the

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ class TestOperatorTables:
                     assert math.copysign(1, v) == 1, (which, tup, n)
                     zeros += 1
         assert checked == set(builders) and zeros >= 20
+
+    def test_squares_are_correctly_rounded(self):
+        # pow(rho, 2) is 1 ulp off the correctly rounded rho * rho here
+        rho = 0.3493787908695549
+        a1 = stein.a1_table(MeanParams(validate(0, 0, 1, 1, rho)))
+        assert a1[2][1] == 6 * float(Fraction(rho) ** 2) - 2
 
     def test_third_order_requires_equal_ratios(self):
         with pytest.raises(CaseMismatch):
