@@ -105,7 +105,7 @@ def log_bessel_k_sequence(max_order: BesselOrder, x: float) -> np.ndarray:
     Starts at nu = 0 for integer orders, nu = 1/2 for half-integer ones.
     Runs the forward recurrence in log space, so large orders never
     overflow; InvalidOrder, before anything is allocated, past
-    MAX_SEQUENCE_LENGTH orders.
+    MAX_SEQUENCE_LENGTH orders.  At x = inf every log K is the limit -inf.
     """
     max_order = max_order.canonical()
     length = max_order.twice_nu // 2 + 1
@@ -129,7 +129,7 @@ def bessel_k(order: BesselOrder, x: float, scaled: bool = False) -> float:
 
     Raises NonPositiveArgument for x <= 0 and OverflowUnscaled when the
     requested value exceeds the double range (the log-space entry points
-    remain available in that regime).
+    remain available in that regime); x = inf gives the limit 0.
     """
     x = _check_x(x)
     log_k = log_bessel_k(order, x)

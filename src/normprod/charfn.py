@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import NonFiniteParameter, NotConverged
-from .params import MeanParams
+from .params import MeanParams, int_at_least
 from .stein import a1_table
 
 #: Trapezoid nodes on the Cauchy circle of ``cf_raw_moments``.
@@ -29,17 +29,6 @@ def _cf_unit(mx: float, my: float, rho: float, n: int, t) -> np.ndarray:
     num = (-(mx * mx + my * my - 2 * rho * mx * my) * t * t / n
            + 2 * mx * my * 1j * t)
     return np.exp(num / (2 * d)) * np.exp(-0.5 * n * np.log(d))
-
-
-def _cf_unit_derivative(mx: float, my: float, rho: float, n: int,
-                        t) -> np.ndarray:
-    c = mx * mx + my * my - 2 * rho * mx * my
-    d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
-    d_prime = 2 * (1 - rho ** 2) * t / n ** 2 - 2j * rho / n
-    num = -c * t * t / n + 2 * mx * my * 1j * t
-    num_prime = -2 * c * t / n + 2j * mx * my
-    g_prime = (num_prime * d - num * d_prime) / (2 * d * d)
-    return _cf_unit(mx, my, rho, n, t) * (g_prime - 0.5 * n * d_prime / d)
 
 
 def _complex_or_array(values: np.ndarray):
@@ -78,11 +67,24 @@ def cf_mean(mp: MeanParams, t):
 
 
 def cf_mean_derivative(mp: MeanParams, t):
-    """d/dt of the characteristic function, analytically."""
-    p = mp.base
-    t = p.s * np.asarray(t)
-    return _complex_or_array(
-        p.s * _cf_unit_derivative(p.r_x, p.r_y, p.rho, mp.n, t))
+    """d/dt of the characteristic function, analytically; raises as cf_mean."""
+    return _cf_and_derivative(mp, t)[1]
+
+
+def _cf_and_derivative(mp: MeanParams, t):
+    """(phi, phi') at t: ``cf_mean`` times d/dt log phi = num'/(2d) - num
+    d'/(2d^2) - (n/2) d'/d, for the closed form's exponent num/(2d) and
+    power base d, as ratios to d so that nothing squares d."""
+    p, n = mp.base, mp.n
+    mx, my, rho, u = p.r_x, p.r_y, p.rho, p.s * np.asarray(t)
+    phi = cf_mean(mp, t)
+    c = mx * mx + my * my - 2 * rho * mx * my
+    d = (1 - (1 + rho) * 1j * u / n) * (1 + (1 - rho) * 1j * u / n)
+    d_prime = 2 * (1 - rho ** 2) * u / n ** 2 - 2j * rho / n
+    num = -c * u * u / n + 2 * mx * my * 1j * u
+    num_prime = -2 * c * u / n + 2j * mx * my
+    log_d = 0.5 * (num_prime / d - (num / d + n) * (d_prime / d))
+    return phi, _complex_or_array(phi * p.s * log_d)
 
 
 def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
@@ -98,7 +100,7 @@ def cf_ode_residual(mp: MeanParams, t: float) -> float:
     """Normalized magnitude of the first-order ODE the characteristic
     function satisfies, with the derivative computed analytically from
     the closed form."""
-    phi, dphi = cf_mean(mp, t), cf_mean_derivative(mp, t)
+    phi, dphi = _cf_and_derivative(mp, t)
     # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
     table = a1_table(mp)
     try:
@@ -121,6 +123,7 @@ def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:
     the nearest singularity (trapezoid rule is spectrally accurate there),
     then mu'_k = (-i)^k phi^(k)(0).
     """
+    kmax = int_at_least("kmax", kmax, 0)
     p = mp.base
     n = mp.n
     # poles of the closed form sit at t = -i n/((1+rho) s) and t = i n/((1-rho) s)

@@ -431,12 +431,13 @@ def opsearch_cmd(mp, order, rows, want_det, print_system):
     results = {"order": order, "rows": n_rows, "exists": result.exists,
                "nullspace_dim": len(result.nullspace_basis),
                "nullspace_basis": [list(v) for v in result.nullspace_basis]}
-    if want_det:
-        square = opsearch.moment_system(mp, ansatz, ansatz.num_unknowns)
-        results["determinant"] = opsearch.determinant_exact(square)
-    if print_system:
+    if want_det or print_system:  # the square system is its top rows
         system = opsearch.moment_system(mp, ansatz, n_rows)
-        results["system"] = [[v for v in row] for row in system]
+        if want_det:
+            results["determinant"] = opsearch.determinant_exact(
+                system[:ansatz.num_unknowns])
+        if print_system:
+            results["system"] = system
     return results
 
 

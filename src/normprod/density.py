@@ -51,12 +51,10 @@ _CANCEL_NATS = 8.0
 _CDF_ARG_RANGE = 4.0
 
 # cdf_product's first grid: a guessed lower bound on the peak of its log
-# integrand, which the first grid must reach to be accepted; the nodes of
-# the probe that bounds the peak where that grid would be too large; and
-# the grid size up to which numpy's fixed cost per pass outweighs the cost
-# of the nodes, so that a quarter step beats a coarser grid refined later.
+# integrand, which the first grid must reach to be accepted; and the grid
+# size up to which numpy's fixed cost per pass outweighs the cost of the
+# nodes, so that a quarter step beats a coarser grid refined later.
 _CDF_PEAK_GUESS = -24.0
-_CDF_PROBE_NODES = 65
 _CDF_SMALL_GRID = 1 << 9
 
 
@@ -518,9 +516,10 @@ def ode_residual_density(mp: MeanParams, x: float,
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
     the ODE left-hand side divided by the largest absolute term, so a
     value near zero certifies the ODE regardless of the density's scale.
-    NotConverged if a derivative is not finite (p'''' ~ x^-4 overflows
-    from about |x| = 1e-77).
+    NonFiniteParameter at a non-finite x, NotConverged at a non-finite
+    derivative (p'''' ~ x^-4 overflows from about |x| = 1e-77).
     """
+    x = _finite_x(x)
     if len(derivs) != 5:
         raise ValueError("derivs must contain p and its first four derivatives")
     if not all(map(math.isfinite, derivs)):
@@ -568,13 +567,12 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     Phi <= 1 and du/dt <= c0/c1, so with a^2 = 2(45 + log(c0 c1 sigma_x)
     - q*) the integrand there is 45 nats below the peak, and so is its
     integral (a = 40 bounds the bracket at any q*).  First q* = -24 is
-    guessed, and the quarter-step grid it gives, if of at most 2^9 nodes,
-    is accepted where its peak reaches the guess.  Otherwise q* is the
-    peak of that grid, or of a 65-node probe of the whole bracket.  Where
-    the grid q* gives would outgrow both 2^9 nodes and the unit-step grid
-    of the whole bracket (|rho| near 1, where phi_X spans hundreds of
-    unit steps), it takes the unit step, which ``_log_trapezoid`` trims
-    and refines.
+    guessed; where the peak of the grid it gives falls short, that peak,
+    like any value of the integrand, bounds the true one, and is the q*
+    of a second grid.  A first grid takes a quarter step, or the unit step
+    where that would outgrow both 2^9 nodes and the unit-step grid of the
+    whole bracket (|rho| near 1, where phi_X spans hundreds of unit
+    steps); ``_log_trapezoid`` trims and refines it.
     """
     z = float(x)
     if math.isnan(z):
@@ -634,26 +632,21 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
             return hi
         return min(hi, tau_of(abs(p.mu_x) + a * p.sigma_x) + 1)
 
-    end = upper_end(_CDF_PEAK_GUESS)
-    n = int(4 * (end - lo)) + 2
-    if lo < end and n <= _CDF_SMALL_GRID:
-        # a grid that reaches the guess sums to over e^guess / 4, so this
-        # floor only stops a grid whose bracket the guess does not prove
-        log_sum, _, q = _log_trapezoid(log_integrand, lo, end, n,
-                                       "cdf integral", x, _CDF_PEAK_GUESS - 2)
-        q_star = float(q.max())
-        done = q_star >= _CDF_PEAK_GUESS
-    else:
-        t = np.linspace(lo, hi, _CDF_PROBE_NODES)
-        q_star, done = float(log_integrand(t).max()), False
-    if not done:
-        end = upper_end(q_star)
+    def first_grid(end, floor):  # a quarter step, or the unit step
         n = int(4 * (end - lo)) + 2
         if n > max(n_unit, _CDF_SMALL_GRID):
             n = int(end - lo) + 2
+        return _log_trapezoid(log_integrand, lo, end, n, "cdf integral", x, floor)
+
+    end, q_star = upper_end(_CDF_PEAK_GUESS), -math.inf
+    if lo < end:  # an empty bracket bounds no peak
+        # a grid that reaches the guess sums to over e^guess / 4, so this
+        # floor only stops a grid whose bracket the guess does not prove
+        log_sum, _, q = first_grid(end, _CDF_PEAK_GUESS - 2)
+        q_star = float(q.max())
+    if q_star < _CDF_PEAK_GUESS:
         # below -750 the probability underflows, resolved or not
-        log_sum, _, _ = _log_trapezoid(log_integrand, lo, end, n,
-                                       "cdf integral", x, log_norm - 750)
+        log_sum, _, _ = first_grid(upper_end(q_star), log_norm - 750)
     tail = min(math.exp(log_sum - log_norm), 1.0)
     return 1.0 - tail if upper else tail
 

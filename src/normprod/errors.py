@@ -22,14 +22,14 @@ class NonFiniteParameter(ValidationError, ValueError):
 
 
 class InvalidCount(ValidationError, ValueError):
-    """A copy or sample count was not an integer >= 1, an estimate with a
-    standard error was asked of fewer than 2 samples, or an operator
-    search of fewer equations than unknowns."""
+    """A copy, sample or equation count was not an integer >= 1 or kmax
+    one >= 0 (a bool is not), a standard error was asked of fewer than 2
+    samples, or an operator search of fewer equations than unknowns."""
 
 
 class InvalidOrder(ValidationError, ValueError):
-    """A Bessel order was not a number, or not an integer or half-integer,
-    or an operator order was below 1."""
+    """A Bessel order was not an integer or half-integer, an ansatz order
+    not an integer >= 1, or a Stein operator's order not 2, 3 or 4."""
 
 
 class InvalidGrid(ValidationError, ValueError):

@@ -38,15 +38,13 @@ only moves results at floating roundoff level.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import (InvalidCount, NonFiniteParameter, NotConverged,
-                     ValidationError)
-from .params import MeanParams, positive_int
+from .errors import NonFiniteParameter, NotConverged, ValidationError
+from .params import MeanParams, int_at_least
 from .stein import SteinOperatorSpec, TestFunction, apply
 
 
@@ -60,12 +58,9 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-                or seed < 0:
-            raise ValidationError(f"seed={seed!r}; must be an integer >= 0")
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "count", positive_int("count", self.count))
+        object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0,
+                                                      ValidationError))
+        object.__setattr__(self, "count", int_at_least("count", self.count))
 
 
 @dataclass(frozen=True)
@@ -198,20 +193,13 @@ class _Pool:
 _APPLY_SLICE = 1 << 13
 
 
-def _two_samples(cfg: SamplerConfig):
-    """InvalidCount unless cfg draws the two samples a standard error needs."""
-    if cfg.count < 2:
-        raise InvalidCount(f"count={cfg.count}; a standard error needs "
-                           "at least 2 samples")
-
-
 def estimate_stein_expectation(mp: MeanParams, spec: SteinOperatorSpec,
                                f: TestFunction,
                                cfg: SamplerConfig) -> EstimateWithError:
     """Sample mean and standard error of the operator applied to f along
     the stream; near-zero z-scores are the empirical face of the
     characterising equation."""
-    _two_samples(cfg)
+    int_at_least("count", cfg.count, 2)  # for a standard error
     pool = _Pool()
     for batch in sample_mean_of_products(mp, cfg):
         for start in range(0, batch.size, _APPLY_SLICE):
@@ -253,7 +241,7 @@ def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate
     t = float(t)
     if not math.isfinite(t):
         raise NonFiniteParameter(f"t={t}; must be finite")
-    _two_samples(cfg)
+    int_at_least("count", cfg.count, 2)  # for a standard error
     half_t = 0.5 * t
     pool_re, pool_im = _Pool(), _Pool()
     for batch in sample_mean_of_products(mp, cfg):
@@ -278,8 +266,8 @@ def estimate_moment(mp: MeanParams, k: int, central: bool,
     the end, which gives the same mean and standard error as centring
     each sample on the sample mean.
     """
-    k = positive_int("k", k)
-    _two_samples(cfg)
+    k = int_at_least("k", k)
+    int_at_least("count", cfg.count, 2)  # for a standard error
     if not central:
         pool = _Pool()
         for batch in sample_mean_of_products(mp, cfg):

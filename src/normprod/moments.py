@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateVariance
-from .params import MeanParams
+from .errors import DegenerateVariance, NotConverged
+from .params import MeanParams, int_at_least
 from .stein import a1_table, a2_table
 
 #: Order above which the recursion runs in exact rational arithmetic.
@@ -51,8 +51,7 @@ def _solve(table, kmax: int, central: bool = False) -> list:
     (k)_i the falling factorial; each coefficient is formed before it
     multiplies the (large) moment.
     """
-    if kmax < 0:
-        raise ValueError(f"kmax={kmax} must be >= 0")
+    kmax = int_at_least("kmax", kmax, 0)
     a0, a1 = zip(*table)
     b0 = [u - v * a0[0] for u, v in zip(a0, a1)] if central else a0
     a1_next = a1[1:] + (0 * a1[0],)
@@ -102,7 +101,18 @@ def _float_table(table_of, mp: MeanParams, kmax: int,
     values = (_solve_exact(table_of(mp, Fraction), kmax, central)
               if kmax > EXACT_KMAX else _solve(table_of(mp), kmax, central))
     return MomentTable("central" if central else "raw",
-                       tuple(float(v) for v in values), "recursion")
+                       _finite(values), "recursion")
+
+
+def _finite(values) -> tuple[float, ...]:
+    """``values`` as floats; NotConverged unless every one is finite."""
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:  # a Fraction past the double range
+        floats = (math.inf,)
+    if not all(map(math.isfinite, floats)):
+        raise NotConverged("a moment leaves the double range")
+    return floats
 
 
 def raw_moments(mp: MeanParams, kmax: int) -> MomentTable:
@@ -138,7 +148,17 @@ def closed_form_four(mp: MeanParams) -> ClosedFormFour:
     skewness mu3/mu2^1.5 and kurtosis mu4/mu2^2.
 
     At n = 1 the kurtosis is the corrected product-normal kurtosis.
+    NotConverged where a value leaves the double range.
     """
+    try:
+        cf4 = _closed_form_four(mp)
+    except (OverflowError, ZeroDivisionError):  # a power past the range
+        raise NotConverged("a moment leaves the double range") from None
+    _finite((*cf4.raw, *cf4.central, cf4.skewness, cf4.kurtosis))
+    return cf4
+
+
+def _closed_form_four(mp: MeanParams) -> ClosedFormFour:
     p = mp.base
     rx, ry, rho, n = p.r_x, p.r_y, p.rho, mp.n
     s = p.s

@@ -18,24 +18,19 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import (InvalidCount, InvalidOrder, NotSquare,
-                     ParameterNotRational)
+from .errors import InvalidOrder, NotSquare, ParameterNotRational
 from .moments import raw_moments_exact
-from .params import MeanParams
+from .params import MeanParams, int_at_least
 
 
 def to_fraction(value) -> Fraction:
     """Exact rational conversion; floats convert via their exact binary value."""
-    if isinstance(value, Rational):
+    if not isinstance(value, (Rational, float, str)):
+        raise ParameterNotRational(f"{value!r} is not a rational parameter")
+    try:
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError as exc:
-            raise ParameterNotRational(f"cannot parse {value!r} as a rational") from exc
-    raise ParameterNotRational(f"{value!r} is not a rational parameter")
+    except (ValueError, OverflowError) as exc:  # "pi", NaN, inf
+        raise ParameterNotRational(f"cannot parse {value!r} as a rational") from exc
 
 
 @dataclass(frozen=True)
@@ -45,9 +40,8 @@ class OperatorAnsatz:
     order: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidOrder(f"order={self.order}; the ansatz order must "
-                               "be >= 1")
+        object.__setattr__(self, "order", int_at_least(
+            "order", self.order, 1, InvalidOrder))
 
     @property
     def num_unknowns(self) -> int:
@@ -66,11 +60,10 @@ def moment_system(mp: MeanParams, ansatz: OperatorAnsatz,
     Applying the ansatz to x^k gives sum_j (a0j + a1j x) k!/(k-j)! x^(k-j),
     so the entry for a0j is (k!/(k-j)!) mu'_{k-j} and for a1j it is
     (k!/(k-j)!) mu'_{k-j+1}.  Columns are ordered (a00, a10, a01, a11, ...).
+    Row k depends on k alone, so a taller system extends a shorter one.
+    InvalidCount unless num_equations is an integer >= 1.
     """
-    # re-validate parameters through the exact converter
-    p = mp.base
-    for v in (p.mu_x, p.mu_y, p.sigma_x, p.sigma_y, p.rho):
-        to_fraction(v)
+    num_equations = int_at_least("num_equations", num_equations)
     mu = raw_moments_exact(mp, num_equations + ansatz.order)
     rows = []
     for k in range(num_equations):
@@ -172,9 +165,7 @@ def operator_exists(mp: MeanParams, order: int,
     ansatz = OperatorAnsatz(order)
     if num_equations is None:
         num_equations = ansatz.num_unknowns + EXTRA_ROWS
-    if num_equations < ansatz.num_unknowns:
-        raise InvalidCount(f"need at least {ansatz.num_unknowns} equations "
-                           f"for order {order}, not {num_equations}")
+    int_at_least("num_equations", num_equations, ansatz.num_unknowns)
     system = moment_system(mp, ansatz, num_equations)
     basis = nullspace_exact(system)
     return OperatorSearchResult(bool(basis),

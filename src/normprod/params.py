@@ -76,7 +76,7 @@ class MeanParams:
     n: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n", positive_int("n", self.n))
+        object.__setattr__(self, "n", int_at_least("n", self.n))
 
     @property
     def s_n(self) -> float:
@@ -84,12 +84,12 @@ class MeanParams:
         return self.base.s / self.n
 
 
-def positive_int(name: str, value) -> int:
-    """``value`` as an int; raises InvalidCount unless it is an integer
-    >= 1 (numpy integers included, bools not)."""
+def int_at_least(name: str, value, least: int = 1, error=InvalidCount) -> int:
+    """``value`` as an int, for every count and order argument; raises
+    ``error`` unless it is an integer >= least (numpy's, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise InvalidCount(f"{name}={value!r}; must be an integer >= 1")
+            or value < least:
+        raise error(f"{name}={value!r}; must be an integer >= {least}")
     return int(value)
 
 

@@ -13,14 +13,14 @@ printed, diffed, exported, and fed to the exact-arithmetic order search.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CaseMismatch, InvalidTestFunction
-from .params import DistributionCase, MeanParams, classify
+from .errors import (CaseMismatch, InvalidOrder, InvalidTestFunction,
+                     NonFiniteParameter)
+from .params import DistributionCase, MeanParams, classify, int_at_least
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class SteinOperatorSpec:
         object.__setattr__(self, "coeffs", tuple(
             (a0 + 0, a1 + 0) for a0, a1 in self.coeffs))
         if self.order not in (2, 3, 4):
-            raise ValueError(f"order={self.order}; supported orders are 2, 3, 4")
+            raise InvalidOrder(f"order={self.order!r}; supported orders are 2, 3, 4")
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coeffs must have exactly order + 1 entries")
         if self.coeffs[-1] == (0.0, 0.0):
@@ -87,11 +87,9 @@ def _stacked(x):
 def monomial(k: int) -> TestFunction:
     """f(x) = x**k with exact derivative formulas, k <= 8; all derivatives
     are polynomially bounded."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) \
-            or not 0 <= k <= 8:
-        raise InvalidTestFunction(f"k={k!r}; the monomial degree must be "
-                                  "an integer in 0..8")
-    k = int(k)
+    k = int_at_least("k", k, 0, InvalidTestFunction)
+    if k > 8:
+        raise InvalidTestFunction(f"k={k}; the monomial degree must be <= 8")
 
     def ev(x):
         # f^(j) = k!/(k - j)! x^(k - j), zero past j = k
@@ -332,7 +330,8 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
 
 
 def apply(spec: SteinOperatorSpec, f: TestFunction, x):
-    """Evaluate the operator on f at x (scalar or vectorized)."""
+    """Evaluate the operator on f at x (scalar or vectorized), elementwise
+    as numpy's arithmetic: not finite where x is not."""
     derivs = f(x)
     if len(derivs) <= spec.order:
         raise ValueError("test function supplies too few derivatives")
@@ -374,8 +373,10 @@ def substitution_identity_check(mp: MeanParams, f: TestFunction, x,
     "a3a4" (zero means: the zero-mean fourth-order operator on f equals
     the variance-gamma one on g = (1-rho^2) s_n^2 f'' + 2 rho s_n f' - f),
     or "auto" to pick by case.  Both identities hold exactly; the residual
-    is floating roundoff only.
+    is floating roundoff only.  NonFiniteParameter where x is not finite.
     """
+    if not np.isfinite(x).all():
+        raise NonFiniteParameter("x must be finite")
     p = mp.base
     case = classify(p)
     if which == "auto":

@@ -3,7 +3,10 @@ or exported name shows up as a diff of this file."""
 
 import enum
 import inspect
+import math
+import warnings
 
+import numpy as np
 import pytest
 
 import normprod
@@ -144,3 +147,89 @@ def test_density_value_constants():
     dv = normprod.DensityValue(0.0, 1)
     assert dv.sign == 1 and dv.converged is True
     assert dv.value == 1.0
+
+
+# ------------------------------------------------ one boundary sweep --
+#
+# Every public function that takes a point (x or t) is called at NaN and
+# +-inf, and every count or order argument at True, 2.5 and -1.  Each call
+# raises a NormProdError with no warning, or returns the value its
+# docstring gives there.
+
+_GENERAL = normprod.MeanParams(normprod.validate(1, 0.5, 1, 1, 0.3), 2)
+_ZERO = normprod.MeanParams(normprod.validate(0, 0, 1, 1, 0.3), 2)
+_EQUAL = normprod.MeanParams(normprod.validate(1, 0.5, 1, 0.5, 0.3), 2)
+#: parameters that put each case-specific function in its own case
+_CASE = {"pdf_mean_zero_means": _ZERO, "mean_zero_means_derivatives": _ZERO,
+         "pdf_single_zero_mean": normprod.MeanParams(
+             normprod.validate(1.2, 0, 0.9, 1.1, 0)),
+         "raw_moments_equal_ratio": _EQUAL,
+         "central_moments_equal_ratio": _EQUAL,
+         "substitution_identity_check": _EQUAL}
+_ARGS = {"x": 0.7, "t": 0.7, "kmax": 4, "num_equations": 8, "k": 2,
+         "count": 10, "n": 2, "central": False, "derivs": [1.0] * 5,
+         "seed": 1, "which": "auto", "ansatz": normprod.OperatorAnsatz(3),
+         "f": normprod.monomial(3), "cfg": normprod.SamplerConfig(1, 100),
+         "spec": normprod.operator_a1(_GENERAL),
+         "coeffs": normprod.operator_a1(_GENERAL).coeffs,
+         "max_order": normprod.BesselOrder(4)}
+_BAD = {"x": (math.nan, math.inf, -math.inf),
+        "t": (math.nan, math.inf, -math.inf)}
+_BAD.update(dict.fromkeys(("kmax", "order", "num_equations", "k", "count",
+                           "n"), (True, 2.5, -1)))
+#: arguments outside the sweep: a Bessel order is a ``BesselOrder``, which
+#: ``BesselOrder.from_nu`` validates, and an estimate's count is a result
+_SKIP = {("bessel_k", "order"), ("log_bessel_k", "order"),
+         ("EstimateWithError", "count")}
+#: the documented values at a non-finite point: the CDFs' limits, K_nu's
+#: limit 0 at x = inf, and the elementwise operator's non-finite value
+#: (NaN for x^3)
+_DOCUMENTED = {("cdf_product", -math.inf): 0.0,
+               ("cdf_product", math.inf): 1.0,
+               ("cdf_product_series", -math.inf): 0.0,
+               ("cdf_product_series", math.inf): 1.0,
+               ("bessel_k", math.inf): 0.0,
+               ("bessel_k_sequence", math.inf): 0.0,
+               ("log_bessel_k", math.inf): -math.inf,
+               ("log_bessel_k_sequence", math.inf): -math.inf,
+               **{("apply", bad): math.nan for bad in _BAD["x"]}}
+
+
+def _boundary_cases():
+    for name, params in sorted(SIGNATURES.items()):
+        names = [p.split("=")[0] for p in params]
+        for arg in names:
+            if arg in _BAD and (name, arg) not in _SKIP:
+                for bad in _BAD[arg]:
+                    yield pytest.param(name, names, arg, bad,
+                                       id=f"{name}-{arg}={bad}")
+
+
+def _call(name, names, arg, bad):
+    mp = _CASE.get(name, _GENERAL)
+    args = {**_ARGS, "mp": mp, "p": mp.base, "base": mp.base,
+            "order": normprod.BesselOrder(2) if "bessel" in name else 3}
+    if name == "SteinOperatorSpec":
+        args["order"] = 4
+    args[arg] = bad
+    return getattr(normprod, name)(**{a: args[a] for a in names
+                                      if a in args})
+
+
+@pytest.mark.parametrize("name, names, arg, bad", _boundary_cases())
+def test_boundary_sweep(name, names, arg, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = _call(name, names, arg, bad)
+        except normprod.NormProdError:
+            assert (name, bad) not in _DOCUMENTED
+            return
+    expected = _DOCUMENTED.get((name, bad))
+    assert expected is not None, f"{name} returned {value!r}"
+    np.testing.assert_array_equal(value, expected)
+
+
+def test_equation_count_above_the_minimum_must_be_an_integer():
+    with pytest.raises(normprod.InvalidCount):
+        normprod.operator_exists(_GENERAL, 3, 9.5)

@@ -110,12 +110,27 @@ class TestLargeAndNonFiniteT:
             with pytest.raises(NotConverged):
                 cf_mean(self.MP, t)
 
+    @pytest.mark.parametrize("t, error", [
+        (np.nan, NonFiniteParameter), (np.inf, NonFiniteParameter),
+        (np.array([0.5, np.nan]), NonFiniteParameter),
+        (1e154, NotConverged), (-1e200, NotConverged),
+        (np.array([0.5, 1e200]), NotConverged)])
+    def test_derivative_raises_as_cf_mean(self, t, error):
+        # it used to warn and return NaN, having no guard of its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                cf_mean_derivative(self.MP, t)
+
     def test_below_overflow(self):
-        # |phi| <= |base|^(-n/2) with |base| ~ (1 - rho^2) s^2 t^2 / n^2
+        # |phi| <= |base|^(-n/2) with |base| ~ (1 - rho^2) s^2 t^2 / n^2;
+        # the derivative is phi times a log-derivative of order 1/t, which
+        # used to overflow in the square of the base
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0 < abs(cf_mean(self.MP, 1e100)) < 1e-199
             assert 0 < abs(cf_mean(self.MP, 1e153)) < 1e-305
+            assert 0 < abs(cf_mean_derivative(self.MP, 1e100)) < 1e-299
 
     @pytest.mark.parametrize("t", [0.0, 1e-300])
     def test_overflowing_ratios(self, t):

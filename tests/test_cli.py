@@ -170,6 +170,23 @@ class TestSubcommands:
         assert env["results"]["determinant"] == {"num": "125411328000",
                                                  "den": "1"}
 
+    def test_opsearch_builds_the_displayed_system_once(self, runner,
+                                                       monkeypatch):
+        # the square system is the top of the displayed one; it used to be
+        # built as a third system
+        from normprod import opsearch
+        sizes, build = [], opsearch.moment_system
+
+        def counted(mp, ansatz, num_equations):
+            sizes.append(num_equations)
+            return build(mp, ansatz, num_equations)
+        monkeypatch.setattr(opsearch, "moment_system", counted)
+        results = run_json(runner, ["opsearch", "--mu-x", "1", "--order",
+                                    "3", "--det", "--print-system"])["results"]
+        assert sizes == [12, 12]  # operator_exists's and the displayed one
+        assert len(results["system"]) == 12
+        assert results["determinant"] == {"num": "125411328000", "den": "1"}
+
     def test_besselk(self, runner):
         env = run_json(runner, ["besselk", "--nu", "0", "--x", "1.0"])
         assert env["results"]["value"] == pytest.approx(0.4210244382407083,
@@ -320,6 +337,18 @@ class TestExitCodes:
         # used to exit 1 with a traceback, or 0 with --exact
         result = runner.invoke(cli, ["moments", "--kmax", "-1", *exact])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--mu-x", "1e200", "--mu-y", "1e200", "--closed-form"],
+        ["--sigma-x", "1e5", "--sigma-y", "1e5", "--kmax", "40"],
+        ["--mu-x", "1e100", "--mu-y", "1e100"]])
+    def test_moments_past_double_range_are_3(self, runner, args):
+        # used to exit 1 with an OverflowError traceback (the first two)
+        result = runner.invoke(cli, ["moments", *args, "--json"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("args", [["--n", "3", "--x", "nan"],
                                       ["--mu-x", "1", "--x", "nan"]])

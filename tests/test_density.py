@@ -821,7 +821,9 @@ class TestCdf:
     # (40 digits agree to 1e-31 or better).  The first three sit on the
     # narrow step of Phi at |rho| = 0.999, and the next three at |rho| =
     # 0.9999, where the unit-step grid of the whole bracket spans thousands
-    # of steps; F(-1e4) is 4.5e-90536.
+    # of steps; F(-1e4) is 4.5e-90536.  The last two, at |rho| = 0.99 and
+    # 0.999, would take over 2^9 nodes at a quarter step on the guessed
+    # bracket, so their first grid takes the unit step.
     REFERENCES = [
         ((0.90703, 2.99599, 0.66968, 0.54007, 0.999), 1e-8,
          "0.087800717210774389873893958680964"),
@@ -838,6 +840,10 @@ class TestCdf:
         ((1, 1, 1, 1, 0.9), -1e-30, "0.086329833006197499771710896842308"),
         ((1, 1, 1, 1, 0.9), 1e4, "1"),
         ((1, 1, 1, 1, 0.9), -1e4, "0"),
+        ((2.40427, -1.29576, 2.96317, 2.10852, 0.99), -1.18867,
+         "0.42277131018481063409343577495166"),
+        ((-2.98674, -2.33868, 0.5794, 0.924432, -0.999), 5.94628,
+         "0.27479283772798610636460369723132"),
     ]
 
     @pytest.mark.parametrize("tup, x, ref", REFERENCES)

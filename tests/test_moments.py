@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from normprod import (
     CaseMismatch,
     MeanParams,
+    NotConverged,
     central_moments,
     central_moments_equal_ratio,
     central_moments_exact,
@@ -148,6 +149,27 @@ class TestNegativeKmax:
             fn(mp, -1)
         table = fn(mp, 0)
         assert list(getattr(table, "values", table)) == [1]
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("tup", [(1e200, 1e200, 1, 1, 0.3),
+                                     (1, 0.5, 1e-160, 1, 0.3)])
+    def test_closed_form_refuses_values_past_the_double_range(self, tup):
+        # an OverflowError from rx ** 2, and a ZeroDivisionError where
+        # m2 ** 1.5 underflows
+        with pytest.raises(NotConverged):
+            closed_form_four(MeanParams(validate(*tup), 2))
+
+    @pytest.mark.parametrize("tup, kmax", [((1e100, 1e100, 1, 1, 0.3), 8),
+                                           ((0, 0, 1e5, 1e5, 0.0), 40)])
+    def test_float_tables_refuse_what_a_double_cannot_hold(self, tup, kmax):
+        # inf and NaN entries, and a Fraction too large to round
+        mp = MeanParams(validate(*tup), 1)
+        for fn in (raw_moments, central_moments):
+            with pytest.raises(NotConverged):
+                fn(mp, kmax)
+        assert all(isinstance(v, Fraction)
+                   for v in raw_moments_exact(mp, kmax))
 
 
 class TestFloatTables:
