@@ -125,31 +125,26 @@ def log_bessel_k(order: BesselOrder, x: float) -> float:
 
 
 def bessel_k(order: BesselOrder, x: float, scaled: bool = False) -> float:
-    """K_nu(x), or e^x K_nu(x) when ``scaled``.
-
-    Raises NonPositiveArgument for x <= 0 and OverflowUnscaled when the
-    requested value exceeds the double range (the log-space entry points
-    remain available in that regime); x = inf gives the limit 0.
-    """
-    x = _check_x(x)
-    log_k = log_bessel_k(order, x)
-    exponent = log_k + x if scaled and x < math.inf else log_k
-    if exponent > _LOG_DBL_MAX:
-        what, hint = ("e^x K", "") if scaled else ("K", "scaled=True or ")
-        raise OverflowUnscaled(
-            f"{what}_{order.nu}({x}) overflows; use {hint}log_bessel_k")
-    return math.exp(exponent)
+    """K_nu(x), or e^x K_nu(x) when ``scaled``: the last entry of
+    ``bessel_k_sequence``, with its errors."""
+    return float(bessel_k_sequence(order, x, scaled)[-1])
 
 
 def bessel_k_sequence(max_order: BesselOrder, x: float,
                       scaled: bool = False) -> np.ndarray:
-    """K_nu(x) for nu = 0 (or 1/2) stepping by 1 up to |max_order|."""
+    """K_nu(x), or e^x K_nu(x) when ``scaled``, for nu = 0 (or 1/2)
+    stepping by 1 up to |max_order|.
+
+    Raises NonPositiveArgument for x <= 0 and OverflowUnscaled when a
+    value exceeds the double range (the log-space entry points remain
+    available in that regime); x = inf gives the limit 0.
+    """
     x = _check_x(x)
     logs = log_bessel_k_sequence(max_order, x)
     exponent = logs + x if scaled and x < math.inf else logs
     if np.any(exponent > _LOG_DBL_MAX):
+        what, hint = ("e^x K", "") if scaled else ("K", "scaled=True or ")
         raise OverflowUnscaled(
-            f"K sequence up to nu={max_order.nu} at x={x} overflows; "
-            "use log_bessel_k_sequence"
-        )
+            f"{what}_nu({x}) for nu up to {max_order.canonical().nu} "
+            f"overflows; use {hint}log_bessel_k(_sequence)")
     return np.exp(exponent)

@@ -3,8 +3,8 @@
 One binary with subcommands; every numeric result is emitted inside an
 envelope echoing the parameters that produced it, so runs are
 reproducible from the output alone.  Exit codes: 0 success, 2 parameter
-validation error, 3 non-convergence, a NaN result or a sample that is not
-finite, 64 unknown subcommand.
+validation error, 3 non-convergence, a result outside the double range, a
+NaN result or a sample that is not finite, 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -104,24 +104,17 @@ def _mean_params(options: dict, params_json) -> MeanParams:
 
 
 def _jsonify(obj):
-    """obj in strict JSON types, with +-inf as the strings "inf" and
-    "-inf"; NotConverged if it holds a NaN, so that no command exits 0
-    with one.  A float array is checked in one pass."""
-    if isinstance(obj, (float, np.floating)):
+    """obj, made of what commands return (floats, numpy's float64 among
+    them, ints, bools, Fractions, strings, lists, tuples and dicts), in
+    strict JSON types, with +-inf as the strings "inf" and "-inf";
+    NotConverged if it holds a NaN, so that no command exits 0 with one."""
+    if isinstance(obj, float):
         if math.isnan(obj):
             raise NotConverged("the result holds a NaN")
-        return float(obj) if math.isfinite(obj) else str(float(obj))
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        if np.isfinite(obj).all():
-            return obj.tolist()
-        return _jsonify(obj.tolist())
+        return float(obj) if math.isfinite(obj) else str(obj)
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    if isinstance(obj, complex):
-        return _jsonify({"re": obj.real, "im": obj.imag})
-    if isinstance(obj, np.integer):
-        return obj.item()
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}

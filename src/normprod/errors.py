@@ -29,7 +29,8 @@ class InvalidCount(ValidationError, ValueError):
 
 class InvalidOrder(ValidationError, ValueError):
     """A Bessel order was not an integer or half-integer, an ansatz order
-    not an integer >= 1, or a Stein operator's order not 2, 3 or 4."""
+    not an integer >= 1, or a Stein operator's table not of order 2, 3 or
+    4 (3, 4 or 5 coefficient pairs)."""
 
 
 class InvalidGrid(ValidationError, ValueError):
@@ -51,19 +52,20 @@ class SingularPoint(NormProdError):
 
 
 class NotConverged(NormProdError):
-    """Series or quadrature failed to converge within its budget."""
+    """Series or quadrature failed to converge within its budget, or a
+    result of valid parameters lies outside the double range."""
 
 
 class NonPositiveArgument(NormProdError):
     """Bessel argument must be positive."""
 
 
-class OverflowUnscaled(NormProdError):
+class OverflowUnscaled(NotConverged):
     """Unscaled Bessel value exceeds the representable floating range."""
 
 
-class DegenerateVariance(NormProdError):
-    """Variance is zero; skewness/kurtosis undefined."""
+class DegenerateVariance(NotConverged):
+    """The variance underflows to zero; skewness/kurtosis undefined."""
 
 
 class ParameterNotRational(NormProdError):

@@ -51,6 +51,10 @@ from .stein import SteinOperatorSpec, TestFunction, apply
 #: Samples per batch; batch i is drawn from the generator keyed on (seed, i).
 BATCH = 1 << 15
 
+#: Largest rounding error of a sample, relative to its sd, that the
+#: sampler accepts (see sample_mean_of_products).
+_ROUNDING_FRACTION = 1e-6
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -127,6 +131,14 @@ def sample_mean_of_products(mp: MeanParams,
     given in the module docstring: two normals and, for n > 1, two
     chi-square(n - 1) draws per sample.  Deterministic given the seed,
     independent of batch scheduling.
+
+    NotConverged, before any draw, where the shifts b+- = sqrt(n)(r_x +-
+    r_y) swamp the draws: plus = a+ N1 + b+ rounds by about eps |plus|,
+    so plus^2 - minus^2 by about 2 eps (plus^2 + minus^2), of mean 2 eps
+    (b+^2 + b-^2 + 4), while a sample's total has the variance 2n(a+^4 +
+    a-^4) + 4(a+^2 b+^2 + a-^2 b-^2) (2a^4 + 4a^2 b^2 per noncentral
+    square of sd a and mean b).  That rounding may reach _ROUNDING_FRACTION
+    of the sd (at rho = 0, max(|b+|, |b-|) from 4.5e9 to 6.4e9).
     """
     p = mp.base
     n = mp.n
@@ -134,6 +146,13 @@ def sample_mean_of_products(mp: MeanParams,
     a_plus, a_minus = math.sqrt(var_plus), math.sqrt(var_minus)
     b_plus = math.sqrt(n) * (p.r_x + p.r_y)
     b_minus = math.sqrt(n) * (p.r_x - p.r_y)
+    sq_plus, sq_minus = b_plus * b_plus, b_minus * b_minus  # inf past 1e154
+    rounding = 2 * math.ulp(1.0) * (sq_plus + sq_minus + 4)
+    sd = math.sqrt(2 * n * (var_plus ** 2 + var_minus ** 2)
+                   + 4 * (var_plus * sq_plus + var_minus * sq_minus))
+    if not rounding / sd <= _ROUNDING_FRACTION:  # a float's inf / inf is NaN
+        raise NotConverged(f"mean-to-sd ratios r_x={p.r_x}, r_y={p.r_y}: a "
+                           "sample's difference of squares loses its digits")
     scale = p.sigma_x * p.sigma_y / (4 * n)
     remaining = cfg.count
     index = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .errors import DegenerateVariance, NotConverged
 from .params import MeanParams, int_at_least
@@ -32,7 +32,7 @@ EXACT_KMAX = 20
 class MomentTable:
     kind: str                      # "raw" | "central"
     values: tuple[float, ...]      # indexed 0..kmax
-    provenance: str                # "recursion"
+    provenance: ClassVar[str] = "recursion"  # every table's source
 
     def __post_init__(self):
         if self.kind not in ("raw", "central"):
@@ -100,8 +100,7 @@ def _float_table(table_of, mp: MeanParams, kmax: int,
     """Moments 0..kmax from ``table_of(mp, num)``, exactly above EXACT_KMAX."""
     values = (_solve_exact(table_of(mp, Fraction), kmax, central)
               if kmax > EXACT_KMAX else _solve(table_of(mp), kmax, central))
-    return MomentTable("central" if central else "raw",
-                       _finite(values), "recursion")
+    return MomentTable("central" if central else "raw", _finite(values))
 
 
 def _finite(values) -> tuple[float, ...]:
@@ -148,7 +147,8 @@ def closed_form_four(mp: MeanParams) -> ClosedFormFour:
     skewness mu3/mu2^1.5 and kurtosis mu4/mu2^2.
 
     At n = 1 the kurtosis is the corrected product-normal kurtosis.
-    NotConverged where a value leaves the double range.
+    NotConverged where a value leaves the double range, DegenerateVariance
+    (a NotConverged) where the variance underflows to 0.
     """
     try:
         cf4 = _closed_form_four(mp)

@@ -148,8 +148,11 @@ def nullspace_exact(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]
 
 @dataclass(frozen=True)
 class OperatorSearchResult:
-    exists: bool
     nullspace_basis: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def exists(self) -> bool:
+        return bool(self.nullspace_basis)
 
 
 def operator_exists(mp: MeanParams, order: int,
@@ -167,9 +170,7 @@ def operator_exists(mp: MeanParams, order: int,
         num_equations = ansatz.num_unknowns + EXTRA_ROWS
     int_at_least("num_equations", num_equations, ansatz.num_unknowns)
     system = moment_system(mp, ansatz, num_equations)
-    basis = nullspace_exact(system)
-    return OperatorSearchResult(bool(basis),
-                                tuple(tuple(v) for v in basis))
+    return OperatorSearchResult(tuple(map(tuple, nullspace_exact(system))))
 
 
 def in_span(vector: Sequence, basis: Sequence[Sequence[Fraction]]) -> bool:

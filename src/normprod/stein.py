@@ -25,9 +25,8 @@ from .params import DistributionCase, MeanParams, classify, int_at_least
 
 @dataclass(frozen=True)
 class SteinOperatorSpec:
-    """Sum over j of (a0_j + a1_j*x) f^(j)(x), j = 0..order."""
+    """Sum over j of (a0_j + a1_j*x) f^(j)(x), j = 0..len(coeffs) - 1."""
 
-    order: int
     coeffs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
@@ -36,11 +35,14 @@ class SteinOperatorSpec:
         object.__setattr__(self, "coeffs", tuple(
             (a0 + 0, a1 + 0) for a0, a1 in self.coeffs))
         if self.order not in (2, 3, 4):
-            raise InvalidOrder(f"order={self.order!r}; supported orders are 2, 3, 4")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coeffs must have exactly order + 1 entries")
+            raise InvalidOrder(f"{len(self.coeffs)} coefficient pairs; "
+                               "supported orders are 2, 3, 4")
         if self.coeffs[-1] == (0.0, 0.0):
             raise ValueError("highest-order coefficient pair must not vanish")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -281,13 +283,13 @@ def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
 def operator_a1(mp: MeanParams) -> SteinOperatorSpec:
     """The fourth-order operator characterising the mean for any valid
     parameters."""
-    return SteinOperatorSpec(4, a1_table(mp))
+    return SteinOperatorSpec(a1_table(mp))
 
 
 def operator_a2(mp: MeanParams) -> SteinOperatorSpec:
     """The third-order operator available when the mean-to-sd ratios are
     equal (zero means included)."""
-    return SteinOperatorSpec(3, a2_table(mp))
+    return SteinOperatorSpec(a2_table(mp))
 
 
 _SPECIAL = ("a3", "a4", "a5", "a6", "a7")
@@ -322,7 +324,7 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
     if which == "a7":
         return operator_a2(mp)
     om = 1.0 - rho * rho
-    return SteinOperatorSpec(2, (
+    return SteinOperatorSpec((
         (n * s_n * rho, -1.0),
         (n * (s_n * s_n) * om, 2 * rho * s_n),
         (0.0, s_n * s_n * om),

@@ -19,12 +19,12 @@ SIGNATURES = {
     "DensityValue": ["log_abs", "terms_used"],
     "EstimateWithError": ["mean", "stderr", "count"],
     "MeanParams": ["base", "n=1"],
-    "MomentTable": ["kind", "values", "provenance"],
+    "MomentTable": ["kind", "values"],
     "OperatorAnsatz": ["order"],
-    "OperatorSearchResult": ["exists", "nullspace_basis"],
+    "OperatorSearchResult": ["nullspace_basis"],
     "ProductNormalParams": ["mu_x", "mu_y", "sigma_x", "sigma_y", "rho"],
     "SamplerConfig": ["seed", "count"],
-    "SteinOperatorSpec": ["order", "coeffs"],
+    "SteinOperatorSpec": ["coeffs"],
     "TestFunction": ["evaluate", "label"],
     "apply": ["spec", "f", "x"],
     "bessel_k": ["order", "x", "scaled=False"],
@@ -93,11 +93,11 @@ EXCEPTIONS = {
     "InvalidOrder": ("ValidationError", "ValueError"),
     "InvalidTestFunction": ("ValidationError", "ValueError"),
     "CaseMismatch": ("NormProdError",),
-    "DegenerateVariance": ("NormProdError",),
+    "DegenerateVariance": ("NotConverged",),
     "NonPositiveArgument": ("NormProdError",),
     "NotConverged": ("NormProdError",),
     "NotSquare": ("NormProdError",),
-    "OverflowUnscaled": ("NormProdError",),
+    "OverflowUnscaled": ("NotConverged",),
     "ParameterNotRational": ("NormProdError",),
     "SingularPoint": ("NormProdError",),
 }
@@ -209,8 +209,6 @@ def _call(name, names, arg, bad):
     mp = _CASE.get(name, _GENERAL)
     args = {**_ARGS, "mp": mp, "p": mp.base, "base": mp.base,
             "order": normprod.BesselOrder(2) if "bessel" in name else 3}
-    if name == "SteinOperatorSpec":
-        args["order"] = 4
     args[arg] = bad
     return getattr(normprod, name)(**{a: args[a] for a in names
                                       if a in args})

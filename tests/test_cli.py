@@ -110,6 +110,32 @@ class TestSubcommands:
         assert cf["raw"][0] == pytest.approx(1.0)
         assert env["results"]["values"][1] == pytest.approx(1.0)
 
+    def test_moments_csv(self, runner):
+        result = runner.invoke(cli, ["moments", "--mu-x", "1", "--kmax", "2",
+                                     "--csv"])
+        assert result.exit_code == 0
+        assert result.output == "k,raw\n0,1\n1,0\n2,2\n"
+
+    def test_moments_text_output(self, runner):
+        # the exact values are Fractions; the closed forms a nested block
+        exact = runner.invoke(cli, ["moments", "--mu-x", "1", "--mu-y", "0.5",
+                                    "--kmax", "2", "--exact"])
+        assert exact.exit_code == 0
+        assert "\nkind             raw\n" in exact.output
+        closed = runner.invoke(cli, ["moments", "--mu-x", "1", "--kmax", "2",
+                                     "--closed-form"])
+        assert closed.exit_code == 0
+        assert "\nclosed_form:\n  raw " in closed.output
+        assert "\n  kurtosis         7.5\n" in closed.output
+
+    @pytest.mark.parametrize("n, text", [("1", "125411328000"),
+                                         ("3", "57344000/19683")])
+    def test_determinant_text_row(self, runner, n, text):
+        result = runner.invoke(cli, ["opsearch", "--mu-x", "1", "--n", n,
+                                     "--order", "3", "--rows", "8", "--det"])
+        assert result.exit_code == 0
+        assert f"\ndeterminant      {text}\n" in result.output
+
     def test_operator_table(self, runner):
         env = run_json(runner, ["operator", "--mu-x", "1", "--mu-y", "2",
                                 "--which", "a6"])
@@ -135,6 +161,17 @@ class TestSubcommands:
         result = runner.invoke(cli, ["stein-apply", "--f", "poly:2",
                                      "--x", "1.0"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["pdf"], "provide --x or --grid"),
+        (["cf"], "provide --t or --grid"),
+        (["stein-apply", "--which", "a1", "--f", "tanh:1", "--x", "1"],
+         "unknown test function 'tanh:1'")])
+    def test_usage_errors_are_2(self, runner, args, message):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert message in result.stderr
 
     def test_stein_check_z_score(self, runner):
         env = run_json(runner, ["stein-check", "--mu-x", "1", "--rho", "0.2",
@@ -349,6 +386,27 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        # valid parameters whose results leave the double range: K_200(0.1)
+        # overflows, and the variance underflows to 0
+        ["besselk", "--nu", "200", "--x", "0.1"],
+        ["moments", "--closed-form", "--sigma-x", "1e-170",
+         "--sigma-y", "1e-170"],
+        # the Leibniz sums cancel to their rounding (a residual of
+        # 0.99999993 used to exit 0), and N1 is lost next to 1e80 (four
+        # zeros used to exit 0)
+        ["ode-check", "--n", "4", "--rho", "0.3", "--x", "1e-7", "--json"],
+        ["sample", "--mu-x", "1e80", "--mu-y", "1", "--count", "4"],
+        # the sampler's scale sigma_x sigma_y / 4 overflows
+        ["sample", "--sigma-x", "1e200", "--sigma-y", "1e200", "--count",
+         "3"]])
+    def test_result_out_of_reach_is_3(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("args", [["--n", "3", "--x", "nan"],
                                       ["--mu-x", "1", "--x", "nan"]])

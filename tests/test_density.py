@@ -530,6 +530,9 @@ class TestMeanZeroMeans:
     def test_singular_only_for_n1(self):
         with pytest.raises(SingularPoint):
             pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.2), 1), 0.0)
+        with pytest.raises(SingularPoint):  # |x|^nu has no derivatives there
+            mean_zero_means_derivatives(
+                MeanParams(validate(0, 0, 1, 1, 0.2), 2), 0.0)
         for n in (2, 3, 5):
             v = pdf_mean_zero_means(MeanParams(validate(0, 0, 1, 1, 0.2), n), 0.0)
             assert math.isfinite(v.value) and v.value > 0
@@ -747,6 +750,23 @@ class TestDerivativesAndOde:
         with pytest.raises(NotConverged):
             ode_residual_density(mp, 1e-100, [1.0, 2.0, 3.0, 4.0, bad])
 
+    def test_ode_residual_needs_five_derivatives(self):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.3), 1)
+        with pytest.raises(ValueError, match="first four derivatives"):
+            ode_residual_density(mp, 0.5, [1.0, 2.0, 3.0, 4.0])
+        # no term to scale by: the zero function solves the ODE
+        assert ode_residual_density(mp, 0.5, [0.0] * 5) == 0.0
+
+    # (0, 0, 1, 1, 0.3) at n = 2 and x = 1e-4 returned f''' 8.1e-5 and
+    # f'''' 22% off a 60-digit mpmath derivative, where eps times the
+    # Leibniz sums over the terms' magnitudes read 2.3e-4 and 4.3 of the
+    # sums; at n = 4 and x = 1e-7 the ODE residual read 0.99999993
+    @pytest.mark.parametrize("n, x", [(2, 1e-4), (2, -1e-4), (4, 1e-7)])
+    def test_cancelled_zero_mean_derivatives_not_converged(self, n, x):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.3), n)
+        with pytest.raises(NotConverged, match="cancels to its rounding"):
+            mean_zero_means_derivatives(mp, x)
+
     # the adjoint of the general A1 table holds at any variances
     @pytest.mark.parametrize("tup", [(1, 0.5, 1.7, 0.6, 0.2),
                                      (-0.7, 1.3, 0.8, 1.6, -0.5)])
@@ -782,6 +802,10 @@ class TestCdf:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(0.0, abs=1e-6)
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
+        # an empty bracket: at |x| = 100 the tail's conditional probability
+        # vanishes below |u| = 1, and phi_X past |u| = 40 sigma_x = 0.4
+        p = validate(0, 0, 0.01, 1, 0)
+        assert (cdf_product(p, -100.0), cdf_product(p, 100.0)) == (0.0, 1.0)
 
     def test_zero_mean_uncorrelated_median_at_zero(self):
         assert cdf_product(validate(0, 0, 1, 1, 0), 0.0) == pytest.approx(
@@ -814,6 +838,13 @@ class TestCdf:
         # values may not
         assert tup in NORMALIZATION_SWEEP
         assert cdf_product_series(validate(*tup), x) == value
+
+    def test_series_cdf_at_the_ends(self):
+        p = validate(1, 0.5, 1, 1, 0.3)
+        # (0, 5e-324) has a half-width that rounds to 0, so quad evaluates
+        # it at t = 0 alone, where the density is taken as 0
+        assert cdf_product_series(p, 5e-324) == cdf_product_series(p, 0.0)
+        assert cdf_product_series(p, -1e4) == 0.0  # below the tail cutoff
 
     # F(x) from mpmath.quad of phi_X(u) Phi(+-(x/u - m(u))/s) over
     # mu_x +- 40 sigma_x at 60 digits, with breakpoints at 0, mu_x, the

@@ -102,6 +102,28 @@ class TestSampler:
         got = collect(MeanParams(MP.base, n), SamplerConfig(seed=3, count=5))
         assert got.tolist() == expected
 
+    # at mu_x = 1e80 each N1 and N2 is lost in the rounding of its shift,
+    # and every sample used to come out 0.0; the sd bound is derived in
+    # sample_mean_of_products
+    @pytest.mark.parametrize("tup, n, refused", [
+        ((1e80, 1, 1, 1, 0), 1, True), ((4.6e9, 0, 1, 1, 0), 1, True),
+        ((1e200, 1e200, 1, 1, 0.5), 3, True), ((4.4e9, 0, 1, 1, 0), 1, False),
+        ((3, -3, 0.5, 0.5, 0.9), 5, False)])
+    def test_means_past_the_digits_refused(self, tup, n, refused):
+        mp = MeanParams(validate(*tup), n)
+        cfg = SamplerConfig(seed=0, count=10)
+        if not refused:
+            assert np.isfinite(collect(mp, cfg)).all()
+            return
+        calls = [lambda: collect(mp, cfg),
+                 lambda: estimate_moment(mp, 2, True, cfg),
+                 lambda: estimate_cf(mp, 1.0, cfg),
+                 lambda: estimate_stein_expectation(
+                     mp, stein.operator_a1(mp), stein.monomial(2), cfg)]
+        for call in calls:
+            with pytest.raises(NotConverged, match="loses its digits"):
+                call()
+
     def test_count_respected(self):
         assert collect(MP, SamplerConfig(seed=0, count=12345)).size == 12345
 
@@ -207,6 +229,7 @@ class TestCfAndMoments:
             exact = cf_mean(MP, t)
             assert abs(est.re.mean - exact.real) <= 4 * est.re.stderr
             assert abs(est.im.mean - exact.imag) <= 4 * est.im.stderr
+            assert est.value == complex(est.re.mean, est.im.mean)
 
     def test_moment_estimates_match_closed_forms(self):
         cfg = SamplerConfig(seed=55, count=400_000)

@@ -193,9 +193,9 @@ class TestFloatTables:
     def test_moment_table_validates(self):
         from normprod import MomentTable
         with pytest.raises(ValueError):
-            MomentTable("raw", (2.0, 1.0), "recursion")
+            MomentTable("raw", (2.0, 1.0))
         with pytest.raises(ValueError):
-            MomentTable("weird", (1.0,), "recursion")
+            MomentTable("weird", (1.0,))
 
 
 class TestEqualRatioRecursions:

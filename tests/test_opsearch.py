@@ -100,6 +100,7 @@ class TestExactLinearAlgebra:
     def test_determinant_with_fractions(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
         assert determinant_exact(m) == Fraction(1, 60)
+        assert determinant_exact([]) == 1  # the empty product
 
     def test_determinant_singular(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]

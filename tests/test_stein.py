@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import sympy
 
-from normprod import CaseMismatch, InvalidTestFunction, MeanParams, validate
+from normprod import (CaseMismatch, InvalidOrder, InvalidTestFunction,
+                      MeanParams, validate)
 from normprod import stein
 
 
@@ -105,6 +106,16 @@ class TestOperatorTables:
         assert spec.order == 4
         assert len(spec.coeffs) == 5
 
+    def test_spec_is_its_table(self):
+        # the order is the table's length less one, and nothing else
+        table = stein.operator_a2(MeanParams(validate(1, 2, 1, 2, 0.4), 1))
+        assert stein.SteinOperatorSpec(table.coeffs).order == 3
+        for pairs in (2, 6):
+            with pytest.raises(InvalidOrder):
+                stein.SteinOperatorSpec(((1.0, 1.0),) * pairs)
+        with pytest.raises(ValueError, match="must not vanish"):
+            stein.SteinOperatorSpec(((1.0, 1.0), (0.5, 0.0), (0.0, -0.0)))
+
     def test_general_reduces_to_zero_mean_table(self):
         mp = MeanParams(validate(0, 0, 1.2, 0.7, 0.4), 2)
         a1 = stein.operator_a1(mp)
@@ -203,6 +214,10 @@ class TestApply:
                                     "x^2 by hand")
         np.testing.assert_array_equal(stein.apply(spec, square, POINTS),
                                       stein.apply(spec, stein.monomial(2), POINTS))
+        cubic = stein.TestFunction(lambda x: (x ** 3, 3 * x * x, 6 * x, 6.0),
+                                   "three derivatives for a fourth order")
+        with pytest.raises(ValueError, match="too few derivatives"):
+            stein.apply(spec, cubic, POINTS)
 
     def test_vectorized_matches_scalar(self):
         # from_callable's stencils used to differ between a lone point
@@ -246,3 +261,6 @@ class TestSubstitutionIdentities:
         with pytest.raises(CaseMismatch):
             stein.substitution_identity_check(general, stein.monomial(2), 1.0,
                                               "a3a4")
+        with pytest.raises(ValueError, match="unknown identity"):
+            stein.substitution_identity_check(general, stein.monomial(2), 1.0,
+                                              "a2a1")
