@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import ClassVar
 
@@ -230,17 +231,19 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
     NotConverged past 2^18 nodes (formatted only then)."""
     while n <= 1 << 18:  # caps the temporaries at about 40 MB
         h = (hi - lo) / (n - 1)
-        t = np.arange(n) * h + lo  # np.linspace's nodes, without its overhead
+        t = np.arange(n, dtype=float) * h  # np.linspace's nodes, cheaper
+        t += lo
         t[-1] = hi
         q = log_integrand(t)
-        peak = float(q.max())
+        peak = float(np.maximum.reduce(q, axis=None))
         if peak == -np.inf:
             return peak, t, q
-        w = np.exp(q - peak)
-        total = w.sum()
+        w = np.subtract(q, peak)
+        np.exp(w, out=w)
+        total = float(np.add.reduce(w, axis=None))
         log_sum = peak + math.log(h * total)
         # the sums' relative gap, which is their log ratio to first order
-        gap = abs(2 * w[:, ::2].sum() - total)
+        gap = abs(2 * float(np.add.reduce(w[:, ::2], axis=None)) - total)
         tol = 1e-15 * max(1.0, -peak) * total
         if log_sum < floor or gap <= tol:
             return log_sum, t, q
@@ -256,15 +259,31 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
 
 def _product_coords(p: ProductNormalParams, x: float, u):
     """The standardised arguments a = (u - mu_x)/sigma_x and b = (x/u -
-    mu_y)/sigma_y of phi_2(u, x/u), at a scalar u or an array."""
+    mu_y)/sigma_y of phi_2(u, x/u), at an array u."""
     return (u - p.mu_x) / p.sigma_x, (x / u - p.mu_y) / p.sigma_y
 
 
 def _product_q(p: ProductNormalParams, x: float, u):
-    """Q(a, b) = a^2 - 2 rho a b + b^2 of phi_2(u, x/u), the exponent E
-    times -2(1 - rho^2), at a scalar u or an array."""
-    a, b = _product_coords(p, x, u)
-    return a * a - 2 * p.rho * a * b + b * b
+    """Q(a, b) = a^2 - 2 rho a b + b^2 of phi_2(u, x/u), with a and b as in
+    ``_product_coords``, at a scalar u or in place on an array u."""
+    b = x / u
+    b -= p.mu_y
+    b /= p.sigma_y
+    u -= p.mu_x
+    u /= p.sigma_x
+    ab = 2 * p.rho * u
+    ab *= b
+    u *= u
+    b *= b
+    u -= ab
+    u += b
+    return u
+
+
+def _product_exponent(p: ProductNormalParams, x: float, s):
+    """E = -Q / (2(1 - rho^2)) at u = +-e^s, a row per sign of u, at any s."""
+    q = _product_q(p, x, np.exp(s) * _SIGN_U)  # Q / -d is -(Q / d) exactly
+    return np.divide(q, -2 * (1.0 - p.rho ** 2), out=q)
 
 
 def _pdf_product_bracket(p: ProductNormalParams, x: float):
@@ -284,27 +303,22 @@ def _pdf_product_bracket(p: ProductNormalParams, x: float):
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     om = 1.0 - p.rho ** 2
-
-    def exponent(s):
-        return -_product_q(p, x, np.exp(s) * _SIGN_U) / (2 * om)
-
-    def log_of(v):  # v leaves the double range only at its ends
-        if not 0 < v < math.inf:
-            raise NotConverged(f"product density integral: out of range at x={x}")
-        return math.log(v)
-
-    u = math.exp(0.5 * log_of(abs(x) * p.sigma_x / p.sigma_y))
+    # v leaves the double range only at its ends: Q is NaN, refused below
+    v = abs(x) * p.sigma_x / p.sigma_y
+    u = math.exp(0.5 * math.log(v)) if 0 < v < math.inf else math.nan
     q_ref = min(_product_q(p, x, u), _product_q(p, x, -u))
     r = math.sqrt((max(q_ref, 0.0) + 90 * om) / (1 - abs(p.rho)))
-    lo = log_of(abs(x) / (abs(p.mu_y) + r * p.sigma_y))
-    hi = log_of(abs(p.mu_x) + r * p.sigma_x)
+    v = abs(x) / (abs(p.mu_y) + r * p.sigma_y)
+    lo = math.log(v) if v > 0 else math.nan
+    hi = math.log(abs(p.mu_x) + r * p.sigma_x)
     big = max(abs(p.r_x), abs(p.r_y)) + r
     # |a|, |b| < 2 big on the bracket, so E stays finite there; lo <= log u
     # <= hi holds in exact arithmetic and fails only where Q lost its digits
-    if not (0 <= q_ref < 1e145 and big < 1e145 and lo < hi):
+    if not (0 <= q_ref < 1e145 and big < 1e145 and lo < hi < math.inf):
         raise NotConverged(f"product density integral: out of range at x={x}")
     step = math.sqrt(1 - abs(p.rho)) / (2 * big)
-    return (exponent, lo, hi, int((hi - lo) / step) + 2,
+    return (partial(_product_exponent, p, x), lo, hi,
+            int((hi - lo) / step) + 2,
             math.log(2 * math.pi * p.s * math.sqrt(om)))
 
 
@@ -684,10 +698,13 @@ def _tail_cutoff(p: ProductNormalParams, log_eps: float = -60.0) -> float:
     The tails decay like exp(-|x|/((1+|rho|)s)); the cutoff absorbs the
     exponential prefactor and leaves 20 nats of slack, so truncating the
     quadrature there changes the mass by far less than any tolerance in
-    use.
+    use.  inf where a square overflows.
     """
-    log_c = (p.r_x ** 2 + p.r_y ** 2 + 2 * abs(p.rho)
-             * (1 + abs(p.r_x * p.r_y))) / (2 * (1 - p.rho ** 2))
+    try:
+        log_c = (p.r_x ** 2 + p.r_y ** 2 + 2 * abs(p.rho)
+                 * (1 + abs(p.r_x * p.r_y))) / (2 * (1 - p.rho ** 2))
+    except OverflowError:
+        return math.inf
     return (1 + abs(p.rho)) * p.s * (-log_eps + log_c + 20.0)
 
 
@@ -699,25 +716,21 @@ def cdf_product_series(p: ProductNormalParams, x: float) -> float:
     ``cdf_product`` is faster and does not depend on the series.  The
     integrable log singularity at 0 is handled by splitting the
     integration range there; the infinite range is truncated where the
-    density provably underflows double precision.
+    density provably underflows double precision (NotConverged where that
+    cutoff is 0 or infinite).
     """
     quad_tol = 1e-9
     from scipy import integrate  # its only user; keeps it off import
-    lo = -_tail_cutoff(p)
-    pieces = []
     x = float(x)
     if not math.isfinite(x):  # 0 or 1, or NonFiniteParameter at NaN
         return cdf_product(p, x)
+    lo = -_tail_cutoff(p)
+    if not -math.inf < lo < 0:
+        raise NotConverged(f"cdf series: tail cutoff {-lo} out of range")
     if x <= lo:
         return 0.0
-    if x <= 0:
-        pieces.append((lo, x))
-    else:
-        pieces.append((lo, 0.0))
-        pieces.append((0.0, min(x, -lo)))
-    total = 0.0
-    err = 0.0
-    for a, b in pieces:
+    total = err = 0.0
+    for a, b in [(lo, x)] if x <= 0 else [(lo, 0.0), (0.0, min(x, -lo))]:
         val, abserr = integrate.quad(lambda t: _pdf_value(p, t), a, b,
                                      limit=400, epsabs=quad_tol,
                                      epsrel=quad_tol)

@@ -95,31 +95,25 @@ def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:
 _UNIFORM_GAMMA_MAX = 6
 
 
-def _chi_square(rng: np.random.Generator, dof: int, size: int) -> np.ndarray:
-    """chi-square(dof) draws: 2 Gamma(k), k = dof // 2, plus one squared
-    normal when dof is odd (a half-integer gamma shape is several times
-    slower).  For k <= _UNIFORM_GAMMA_MAX, Gamma(k) = -log prod_i (1 - U_i)
-    over k uniforms U_i in [0, 1), so each factor lies in (0, 1] and the
-    log is finite; for larger k it is numpy's gamma."""
+def _chi_square(rng: np.random.Generator, dof: int, out, scratch) -> np.ndarray:
+    """chi-square(dof) draws into ``out`` (``scratch`` alike, both
+    contiguous): 2 Gamma(k), k = dof // 2, plus one squared normal when dof
+    is odd (a half-integer shape is several times slower).  For k <=
+    _UNIFORM_GAMMA_MAX, Gamma(k) = -log prod_i (1 - U_i) over k uniforms
+    U_i in [0, 1), each factor in (0, 1]; for larger k, numpy's gamma."""
     k = dof // 2
     if k == 0:
-        g = rng.standard_normal(size)
-        return g * g
+        return np.square(rng.standard_normal(out=out), out=out)
     if k <= _UNIFORM_GAMMA_MAX:
-        out = rng.random(size)
-        np.subtract(1.0, out, out=out)
-        u = np.empty(size) if k > 1 else None
+        np.subtract(1.0, rng.random(out=out), out=out)
         for _ in range(k - 1):
-            rng.random(out=u)
-            np.subtract(1.0, u, out=u)
-            out *= u
+            out *= np.subtract(1.0, rng.random(out=scratch), out=scratch)
         np.log(out, out=out)
         out *= -2.0
     else:
-        out = 2.0 * rng.standard_gamma(k, size)
+        np.multiply(2.0, rng.standard_gamma(k, out=out), out=out)
     if dof % 2:
-        g = rng.standard_normal(size)
-        out += g * g
+        out += np.square(rng.standard_normal(out=scratch), out=scratch)
     return out
 
 
@@ -143,9 +137,10 @@ def sample_mean_of_products(mp: MeanParams,
     p = mp.base
     n = mp.n
     var_plus, var_minus = 2.0 * (1.0 + p.rho), 2.0 * (1.0 - p.rho)
-    a_plus, a_minus = math.sqrt(var_plus), math.sqrt(var_minus)
+    widths = np.sqrt([[var_plus], [var_minus]])  # of the two normals
     b_plus = math.sqrt(n) * (p.r_x + p.r_y)
     b_minus = math.sqrt(n) * (p.r_x - p.r_y)
+    shifts = np.array([[b_plus], [b_minus]])
     sq_plus, sq_minus = b_plus * b_plus, b_minus * b_minus  # inf past 1e154
     rounding = 2 * math.ulp(1.0) * (sq_plus + sq_minus + 4)
     sd = math.sqrt(2 * n * (var_plus ** 2 + var_minus ** 2)
@@ -154,21 +149,21 @@ def sample_mean_of_products(mp: MeanParams,
         raise NotConverged(f"mean-to-sd ratios r_x={p.r_x}, r_y={p.r_y}: a "
                            "sample's difference of squares loses its digits")
     scale = p.sigma_x * p.sigma_y / (4 * n)
-    remaining = cfg.count
-    index = 0
-    while remaining > 0:
-        size = min(BATCH, remaining)
+    flat = np.empty(4 * min(BATCH, cfg.count))  # N1, N2, chi-square, scratch
+    for index, start in enumerate(range(0, cfg.count, BATCH)):
+        size = min(BATCH, cfg.count - start)
         rng = _batch_rng(cfg, index)
-        n1, n2 = rng.standard_normal((2, size))
-        plus = a_plus * n1 + b_plus
-        minus = a_minus * n2 + b_minus
-        total = plus * plus - minus * minus
+        draws = flat[:4 * size].reshape(4, size)  # contiguous, for out=
+        normals = rng.standard_normal(out=draws[:2])
+        normals *= widths
+        normals += shifts
+        normals *= normals
+        total = np.subtract(*normals, out=normals[0])
         if n > 1:
-            total += var_plus * _chi_square(rng, n - 1, size)
-            total -= var_minus * _chi_square(rng, n - 1, size)
+            for var in (var_plus, -var_minus):
+                chi = _chi_square(rng, n - 1, *draws[2:])
+                total += np.multiply(var, chi, out=chi)
         yield scale * total
-        remaining -= size
-        index += 1
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -190,8 +185,8 @@ class _Pool:
     def add(self, values: np.ndarray):
         n_b = values.size
         mean_b = float(values.mean())
-        d = values - mean_b
-        m2_b = float(np.dot(d, d))
+        values -= mean_b  # in place: no caller reads a batch it has pooled
+        m2_b = float(np.dot(values, values))
         delta = mean_b - self.mean
         total = self.count + n_b
         self.m2 += m2_b + delta * delta * self.count * n_b / total
@@ -237,12 +232,13 @@ class ComplexEstimate:
         return complex(self.re.mean, self.im.mean)
 
 
-def _cos_sin_from_half(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2w, overwriting w: with v = tan(w),
-    cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
+def _cos_sin_from_half(w, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2w, overwriting w and the (2, >= w.size) ``scratch``:
+    with v = tan(w), cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
+    w2, den = scratch[:, :w.size]
     np.tan(w, out=w)
-    w2 = w * w
-    den = 1.0 + w2
+    np.multiply(w, w, out=w2)
+    np.add(1.0, w2, out=den)
     cos = np.subtract(1.0, w2, out=w2)
     cos /= den
     sin = np.multiply(2.0, w, out=w)
@@ -263,6 +259,7 @@ def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate
     int_at_least("count", cfg.count, 2)  # for a standard error
     half_t = 0.5 * t
     pool_re, pool_im = _Pool(), _Pool()
+    scratch = np.empty((2, min(BATCH, cfg.count)))  # w^2 and 1 + w^2
     for batch in sample_mean_of_products(mp, cfg):
         try:
             with np.errstate(over="raise"):
@@ -270,7 +267,7 @@ def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate
         except FloatingPointError:
             raise NotConverged(f"t={t}: t z / 2 overflows for a sample z "
                                "of the mean") from None
-        cos, sin = _cos_sin_from_half(w)
+        cos, sin = _cos_sin_from_half(w, scratch)
         pool_re.add(cos)
         pool_im.add(sin)
     return ComplexEstimate(pool_re.estimate(), pool_im.estimate())

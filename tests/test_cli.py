@@ -400,7 +400,13 @@ class TestExitCodes:
         ["sample", "--mu-x", "1e80", "--mu-y", "1", "--count", "4"],
         # the sampler's scale sigma_x sigma_y / 4 overflows
         ["sample", "--sigma-x", "1e200", "--sigma-y", "1e200", "--count",
-         "3"]])
+         "3"],
+        # the series CDF's tail cutoff underflows to 0 (a CDF of 0 used to
+        # exit 0, where the default method gives 1), or overflows (an
+        # OverflowError traceback)
+        ["cdf", "--method", "series", "--sigma-x", "1e-170", "--sigma-y",
+         "1e-170", "--x", "1"],
+        ["cdf", "--method", "series", "--mu-x", "1e200", "--x", "1"]])
     def test_result_out_of_reach_is_3(self, runner, args):
         result = runner.invoke(cli, args)
         assert result.exit_code == 3

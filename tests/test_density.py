@@ -354,6 +354,22 @@ class TestTrapezoidKernel:
             assert len(calls) == 1
             assert dv.terms_used == 2 * calls[0]
 
+    def test_benign_points_take_one_pass(self):
+        # at points like the pdf benchmark's (random sets, x within 6 sd of
+        # the mean) the bracket's first grid is the last, so a density
+        # that needs more passes shows up as a changed node count
+        from normprod.density import _pdf_product_bracket
+        rng = np.random.default_rng(20261019)
+        for _ in range(30):
+            p = validate(*rng.uniform(-3, 3, 2), *rng.uniform(0.5, 2, 2),
+                         rng.uniform(-0.9, 0.9))
+            mean = p.mu_x * p.mu_y + p.rho * p.s
+            sd = math.sqrt(closed_form_four(MeanParams(p, 1)).variance)
+            for k in range(-6, 7):
+                x = mean + k * sd
+                n = _pdf_product_bracket(p, x)[3]
+                assert pdf_product(p, x).terms_used == 2 * n
+
     def test_coarse_first_grid_is_refined(self):
         # a Gaussian of sd 0.05 on a unit step: the first grid holds one
         # node of it, so the kernel must trim and halve the step
@@ -442,6 +458,41 @@ class TestPinnedValues:
     def test_single_series_pinned(self, tup, x, terms, log_f):
         dv = pdf_single_zero_mean(validate(*tup), x)
         assert (dv.terms_used, dv.log_abs) == (terms, log_f)
+
+    # pdf_product bit for bit (terms used, log f), as are the derivatives
+    # and the CDF that share its kernel: one pass; five passes at rho =
+    # 0.999; the series fallback at rho = 0.9999; a negative x; a tiny |x|
+    EXACT_PINS = [
+        ((1.0, 2.0, 1.0, 1.0, 0.3), 1.5, 288, -1.7698800073553596),
+        ((-1.3944, 2.282, 1.2647, 1.7707, 0.999), 2.62631, 340678,
+         -3.4975909506888194),
+        ((0.5, 0.5, 1.0, 1.0, 0.9999), 2.0, 100, -2.1589726432666794),
+        ((-2.4, 0.8, 1.7, 0.6, -0.9), -21.166, 468, -8.473953560756136),
+        ((0.6303, 0.828, 1.5147, 0.7262, -0.1074), 1e-12, 1546,
+         1.332908164039995),
+    ]
+
+    @pytest.mark.parametrize("tup, x, terms, log_f", EXACT_PINS)
+    def test_product_density_exact(self, tup, x, terms, log_f):
+        dv = pdf_product(validate(*tup), x)
+        assert (dv.terms_used, dv.log_abs) == (terms, log_f)
+
+    @pytest.mark.parametrize("tup, x, derivs", [
+        ((1.0, 2.0, 1.0, 1.0, 0.3), 1.5,
+         [0.17035342875750434, -0.03424305206505572, -0.005237124846439375,
+          0.006398144956505527, 0.012329043919948733]),
+        ((-2.4, 0.8, 1.7, 0.6, -0.9), -21.166,
+         [0.0002088376168705601, 8.025105734048029e-05,
+          3.0306216264302955e-05, 1.1204705238286655e-05,
+          4.033634248365077e-06])])
+    def test_derivatives_exact(self, tup, x, derivs):
+        assert pdf_product_derivatives(validate(*tup), x) == derivs
+
+    @pytest.mark.parametrize("tup, x, cdf", [
+        ((0.6, -0.8, 1.0, 1.2, 0.25), 1.0, 0.8537163950184314),
+        ((1.0, 0.5, 1.0, 1.0, 0.9), -0.4, 0.008410528073311717)])
+    def test_cdf_exact(self, tup, x, cdf):
+        assert cdf_product(validate(*tup), x) == cdf
 
     @pytest.mark.parametrize("tup, x", [((1.0, 2.0, 1.0, 1.0, 0.3), 1.5),
                                         ((-2.4, 0.8, 1.7, 0.6, -0.9), -21.166),

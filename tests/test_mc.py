@@ -166,7 +166,7 @@ class TestChiSquare:
         from normprod.mc import _UNIFORM_GAMMA_MAX, _batch_rng, _chi_square
         assert 2 * _UNIFORM_GAMMA_MAX + 3 == 15
         rng = _batch_rng(SamplerConfig(seed=808, count=1), dof)
-        draws = _chi_square(rng, dof, 200_000)
+        draws = _chi_square(rng, dof, *np.empty((2, 200_000)))
         assert np.all(np.isfinite(draws)) and np.all(draws >= 0)
         assert scipy.stats.kstest(draws, scipy.stats.chi2(dof).cdf).pvalue > 1e-3
 
@@ -177,7 +177,7 @@ class TestHalfAngle:
         from normprod.mc import _cos_sin_from_half
         theta = np.random.default_rng(17).uniform(-1, 1, 200_000) * magnitude
         theta = np.concatenate([theta, [np.pi, -np.pi, 3 * np.pi]])
-        cos, sin = _cos_sin_from_half(0.5 * theta)
+        cos, sin = _cos_sin_from_half(0.5 * theta, np.empty((2, theta.size)))
         assert np.max(np.abs(cos - np.cos(theta))) <= 4.4e-16
         assert np.max(np.abs(sin - np.sin(theta))) <= 4.4e-16
 
