@@ -68,11 +68,9 @@ from .moments import (
     central_moments_equal_ratio,
     central_moments_exact,
     closed_form_four,
-    kurtosis,
     raw_moments,
     raw_moments_equal_ratio,
     raw_moments_exact,
-    skewness,
 )
 from .opsearch import (
     OperatorAnsatz,
@@ -95,16 +93,13 @@ from .stein import (
     SteinOperatorSpec,
     TestFunction,
     apply,
-    check_derivatives,
     cosine,
     exponential,
-    from_callable,
     gaussian_bump,
     monomial,
     operator_a1,
     operator_a2,
     operator_special,
-    polynomial,
     sine,
     substitution_identity_check,
 )

@@ -11,6 +11,7 @@ value 1 at t = 0 and no branch cut is ever crossed.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -121,13 +122,21 @@ def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:
 
     Uses the Cauchy integral for the derivatives at 0 on a circle inside
     the nearest singularity (trapezoid rule is spectrally accurate there),
-    then mu'_k = (-i)^k phi^(k)(0).
+    then mu'_k = (-i)^k phi^(k)(0).  NotConverged where the circle's
+    radius r, or r^kmax, leaves the double range.
     """
     kmax = int_at_least("kmax", kmax, 0)
     p = mp.base
     n = mp.n
     # poles of the closed form sit at t = -i n/((1+rho) s) and t = i n/((1-rho) s)
-    radius = 0.2 * n / ((1 + abs(p.rho)) * p.s)
+    radius = 0.2 * n / ((1 + abs(p.rho)) * p.s) if p.s else math.inf
+    try:
+        in_range = sys.float_info.min <= radius ** max(kmax, 1) < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise NotConverged(f"the Cauchy circle's radius {radius:.3g} to the "
+                           f"power {kmax} leaves the double range")
     theta = 2 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
     z = radius * np.exp(1j * theta)
     vals = cf_mean(mp, z)

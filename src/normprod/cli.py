@@ -157,17 +157,24 @@ def _print_table(envelope: dict, target):
 
 def _print_items(results, target, indent):
     for key, value in results.items():
-        if isinstance(value, dict) and "num" in value and "den" in value:
-            text = value["num"] if value["den"] == "1" else \
-                f"{value['num']}/{value['den']}"
-            print(f"{indent}{key:<16} {text}", file=target)
-        elif isinstance(value, dict):
+        if isinstance(value, dict) and value.keys() != {"num", "den"}:
             print(f"{indent}{key}:", file=target)
             _print_items(value, target, indent + "  ")
         elif isinstance(value, float):
             print(f"{indent}{key:<16} {value:.17g}", file=target)
         else:
-            print(f"{indent}{key:<16} {value}", file=target)
+            print(f"{indent}{key:<16} {_text(value)}", file=target)
+
+
+def _text(value) -> str:
+    """A rational (``_jsonify``'s num/den dict) as 2 or 3/4, also inside
+    a list; anything else as str() prints it."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(_text, value))}]"
+    if isinstance(value, dict) and value.keys() == {"num", "den"}:
+        return value["num"] + ("" if value["den"] == "1" else
+                               f"/{value['den']}")
+    return str(value)
 
 
 def _write_csv(path_or_stdout, header, rows):

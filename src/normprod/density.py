@@ -22,6 +22,7 @@ own sums, on a grid trimmed to their own mass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -36,7 +37,7 @@ from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
 from .params import MeanParams, ProductNormalParams
 from .stein import a1_table
 
-_DBL_MIN = np.finfo(float).tiny
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 _EPS = np.finfo(float).eps
 _SIGN_U = np.array([[1.0], [-1.0]])  # a row per sign of u in the integrals
 
@@ -620,8 +621,8 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     upper = z > p.mu_x * p.mu_y + p.rho * p.sigma_x * p.sigma_y
     sign_phi = -_SIGN_U if upper else _SIGN_U
 
-    def tau_of(w):  # inverse of w = (c0/c1) log(1 + e^(tau/c0))
-        y = c1 * w / c0
+    def tau_of(w):  # inverse of w = (c0/c1) log(1 + e^(tau/c0)), w >= u_min
+        y = c1 * max(w, u_min) / c0
         return c0 * (y + math.log(-math.expm1(-y)))
 
     # below |u| = eps_z the argument of Phi is beyond +-40 on both sides
@@ -631,9 +632,21 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     else:
         # the integrand tends to phi_X(0) Phi(-+b/s) du/dt: stop 40 nats
         # below the scale on which phi_X and m(u) change
-        eps = math.exp(-40) * min(eps_z, 1 / (c1 + abs(p.mu_x)
-                                              / p.sigma_x ** 2))
+        try:
+            drift = abs(p.mu_x) / p.sigma_x ** 2
+        except (OverflowError, ZeroDivisionError):  # sigma_x^2 out of range
+            drift = abs(p.r_x) / p.sigma_x
+        eps = math.exp(-40) * min(eps_z, 1 / (c1 + drift))
+    # below |u| = u_min, tau_of or a node's u underflows or z/u overflows:
+    # the bracket stops there, dropping at most 2 u_min phi_X(mu_x) of mass
+    # (checked at the end)
+    u_min = 4 * max(_DBL_MIN, _DBL_MIN * c0 / c1, abs(z) / _DBL_MAX)
+    lost = 2 * u_min / (math.sqrt(2 * math.pi) * p.sigma_x) \
+        if eps < u_min else 0.0
     tau_lo, tau_hi = tau_of(eps), tau_of(abs(p.mu_x) + 40 * p.sigma_x)
+    if not math.isfinite(tau_hi - tau_lo):
+        raise NotConverged(f"cdf integral: its bracket leaves the double "
+                           f"range at x={x}")
     if tau_lo >= tau_hi:
         return 1.0 if upper else 0.0
     # tau = t - (c0 - 1) log(1 + e^(t_e - t)) has slope c0 well below t_e
@@ -680,7 +693,11 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
         # below -750 the probability underflows, resolved or not
         log_sum, _, _ = first_grid(upper_end(q_star), log_norm - 750)
     tail = min(math.exp(log_sum - log_norm), 1.0)
-    return 1.0 - tail if upper else tail
+    value = 1.0 - tail if upper else tail
+    if not lost <= _EPS * value:
+        raise NotConverged(f"cdf integral: mass below |u| = {u_min:.3g} "
+                           f"is not negligible at x={x}")
+    return value
 
 
 def _pdf_value(p: ProductNormalParams, x: float) -> float:

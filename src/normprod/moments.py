@@ -16,6 +16,7 @@ written out independently.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, NamedTuple
@@ -97,9 +98,14 @@ def central_moments_exact(mp: MeanParams, kmax: int) -> list[Fraction]:
 
 def _float_table(table_of, mp: MeanParams, kmax: int,
                  central: bool) -> MomentTable:
-    """Moments 0..kmax from ``table_of(mp, num)``, exactly above EXACT_KMAX."""
-    values = (_solve_exact(table_of(mp, Fraction), kmax, central)
-              if kmax > EXACT_KMAX else _solve(table_of(mp), kmax, central))
+    """Moments 0..kmax from ``table_of(mp, num)``, exactly above EXACT_KMAX
+    or where a float coefficient leaves the double range."""
+    values = None
+    if kmax <= EXACT_KMAX:
+        with suppress(NotConverged):  # from the float table only
+            values = _solve(table_of(mp), kmax, central)
+    if values is None:
+        values = _solve_exact(table_of(mp, Fraction), kmax, central)
     return MomentTable("central" if central else "raw", _finite(values))
 
 
@@ -199,10 +205,3 @@ def _closed_form_four(mp: MeanParams) -> ClosedFormFour:
     return ClosedFormFour((m1p, m2p, m3p, m4p), (0.0, m2, m3, m4),
                           m2, skew, kurt)
 
-
-def skewness(mp: MeanParams) -> float:
-    return closed_form_four(mp).skewness
-
-
-def kurtosis(mp: MeanParams) -> float:
-    return closed_form_four(mp).kurtosis

@@ -12,6 +12,7 @@ printed, diffed, exported, and fed to the exact-arithmetic order search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (CaseMismatch, InvalidOrder, InvalidTestFunction,
-                     NonFiniteParameter)
+                     NonFiniteParameter, NotConverged)
 from .params import DistributionCase, MeanParams, classify, int_at_least
 
 
@@ -108,19 +109,6 @@ def monomial(k: int) -> TestFunction:
     return TestFunction(ev, f"x^{k}")
 
 
-def polynomial(coeffs: Sequence[float]) -> TestFunction:
-    """f with the given ascending power-basis coefficients; all
-    derivatives are polynomially bounded."""
-    base = np.polynomial.Polynomial(coeffs)
-    ders = [base] + [base.deriv(j) for j in range(1, 5)]
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return tuple(d(x) for d in ders)
-
-    return TestFunction(ev, f"poly(deg {base.degree()})")
-
-
 def exponential(a: float) -> TestFunction:
     """f(x) = exp(a*x); valid test function for |a| small enough that the
     exponential moments exist (caller's obligation)."""
@@ -186,57 +174,6 @@ def gaussian_bump(a: float) -> TestFunction:
     return TestFunction(ev, f"exp(-{a}x^2)")
 
 
-# 7-point central stencils on x + k h, k = -3..3, for derivative orders
-# 1..4: (weights, power of h, order of accuracy).
-STENCILS = {
-    1: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 1, 6),
-    2: (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0, 2, 6),
-    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3, 4),
-    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 4, 4),
-}
-
-
-def from_callable(fn: Callable, h: float = 1e-5) -> TestFunction:
-    """Finite-difference wrapper for an arbitrary scalar function.
-
-    Derivative accuracy degrades with order; intended for exploratory
-    use, not for tight residual checks.  That fn is a valid test function
-    is the caller's obligation.  Each stencil is an elementwise weighted
-    sum of the seven shifted rows, so a point's derivatives do not depend
-    on how many points share the call (BLAS, behind np.tensordot, sums a
-    lone point in another order than a batch).  The weights sum to zero,
-    so the rows are taken relative to the centre one, which gives a
-    constant exact zero derivatives.
-    """
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        rows = [fn(x + k * h) for k in range(-3, 4)]
-        steps = [row - rows[3] for row in rows]
-        return (rows[3], *(sum(w * step for w, step in zip(weights, steps))
-                           / h ** power
-                           for weights, power, _ in STENCILS.values()))
-
-    return TestFunction(ev, getattr(fn, "__name__", "fd-wrapped"))
-
-
-def check_derivatives(f: TestFunction) -> float:
-    """Max relative deviation between the supplied f' and the
-    ``from_callable`` stencil of the supplied f at 9 points on [-2, 2];
-    ValueError past 1e-4."""
-    grid = np.linspace(-2.0, 2.0, 9)
-    fd = from_callable(lambda x: f(x)[0])(grid)[1]
-    claimed = f(grid)[1]
-    scale = np.maximum(np.abs(claimed), np.max(np.abs(claimed)) + 1e-30)
-    worst = float(np.max(np.abs(fd - claimed) / scale))
-    if worst > 1e-4:
-        raise ValueError(
-            f"{f.label}: supplied derivative disagrees with finite "
-            f"difference (relative deviation {worst:.2e})"
-        )
-    return worst
-
-
 def _table_inputs(mp: MeanParams, num):
     """(mu_x, mu_y, rho, rx, ry, s_n, 1 - rho^2, n) in the number type num."""
     p = mp.base
@@ -244,6 +181,30 @@ def _table_inputs(mp: MeanParams, num):
     return mux, muy, rho, mux / sx, muy / sy, sx * sy / mp.n, 1 - rho * rho, mp.n
 
 
+def _in_range(table):
+    """A float coefficient table as it is; NotConverged where a coefficient
+    is not finite or the top pair underflows to (0, 0)."""
+    if not (all(math.isfinite(c) for pair in table for c in pair)
+            and any(table[-1])):
+        raise NotConverged("an operator coefficient leaves the double range")
+    return table
+
+
+def _float_checked(table_of):
+    """``table_of``, whose float tables pass ``_in_range``."""
+
+    @functools.wraps(table_of)
+    def checked(mp: MeanParams, num=float) -> tuple[tuple, ...]:
+        try:
+            table = table_of(mp, num)
+        except OverflowError:  # a float power past the double range
+            table = ((math.inf, 0.0),)
+        return _in_range(table) if num is float else table
+
+    return checked
+
+
+@_float_checked
 def a1_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     """Coefficient pairs (a0_j, a1_j), j = 0..4, of the fourth-order
     operator characterising the mean for any valid parameters, computed
@@ -262,6 +223,7 @@ def a1_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     )
 
 
+@_float_checked
 def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     """Coefficient pairs (a0_j, a1_j), j = 0..3, of the third-order
     operator available when the mean-to-sd ratios are equal (zero means
@@ -324,11 +286,11 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
     if which == "a7":
         return operator_a2(mp)
     om = 1.0 - rho * rho
-    return SteinOperatorSpec((
+    return SteinOperatorSpec(_in_range((
         (n * s_n * rho, -1.0),
         (n * (s_n * s_n) * om, 2 * rho * s_n),
         (0.0, s_n * s_n * om),
-    ))
+    )))
 
 
 def apply(spec: SteinOperatorSpec, f: TestFunction, x):

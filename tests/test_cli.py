@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from normprod import pdf_product, validate
+from normprod import cdf_product, pdf_product, validate
 from normprod.cli import cli
 
 
@@ -117,11 +120,14 @@ class TestSubcommands:
         assert result.output == "k,raw\n0,1\n1,0\n2,2\n"
 
     def test_moments_text_output(self, runner):
-        # the exact values are Fractions; the closed forms a nested block
+        # the exact values are Fractions, printed as such inside the list
+        # (they used to print as {'num': ..., 'den': ...} dicts); the
+        # closed forms a nested block
         exact = runner.invoke(cli, ["moments", "--mu-x", "1", "--mu-y", "0.5",
                                     "--kmax", "2", "--exact"])
         assert exact.exit_code == 0
         assert "\nkind             raw\n" in exact.output
+        assert "\nvalues           [1, 1/2, 5/2]\n" in exact.output
         closed = runner.invoke(cli, ["moments", "--mu-x", "1", "--kmax", "2",
                                      "--closed-form"])
         assert closed.exit_code == 0
@@ -322,6 +328,47 @@ class TestExitCodes:
         params.write_text(json.dumps({"mu_x": 1, "n": 2.5}))
         result = runner.invoke(cli, ["moments", "--params-json", str(params)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--mu-x", "-1.2363", "--sigma-x", "0.345", "--sigma-y", "0.966",
+          "--rho", "0.5", "--x", "5e-324"],
+         cdf_product(validate(-1.2363, 0, 0.345, 0.966, 0.5), 0.0)),
+        (["--sigma-x", "1e170", "--sigma-y", "1e170", "--x", "1"], 0.5),
+        (["--sigma-x", "1e170", "--rho", "0.5", "--x", "0.7"], 1 / 3)],
+        ids=["subnormal-x", "scales-1e170", "sigma-x-1e170"])
+    def test_cdf_past_the_double_range_of_its_substitution(
+            self, runner, args, expected):
+        # each used to end in a traceback (exit 1): a math domain error at a
+        # subnormal x or scale ratio, an overflowing sigma_x^2.  At x =
+        # 5e-324 the CDF is the CDF at 0 to far below an ulp; at scales
+        # 1e170 the point is 0 in units of sigma_x sigma_y
+        cdf = run_json(runner, ["cdf", *args])["results"]["cdf"]
+        assert cdf == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("args", [
+        ["operator", "--which", "a1", "--sigma-x", "1e-170",
+         "--sigma-y", "1e-170"],
+        ["operator", "--which", "a1", "--sigma-y", "1e100"],
+        ["stein-apply", "--which", "a1", "--f", "poly:2", "--x", "1",
+         "--sigma-y", "1e100"],
+        ["stein-check", "--f", "poly:2", "--sigma-y", "1e100"],
+        ["cf", "--t", "1", "--check-ode", "--sigma-y", "1e100"],
+        ["cdf", "--sigma-x", "1e-170", "--sigma-y", "1e170", "--rho", "0.5",
+         "--x", "-5e-324"]])
+    def test_out_of_range_coefficients_are_3(self, runner, args):
+        # used to exit 1: a coefficient's fourth power overflowed, or the
+        # top coefficient pair underflowed to (0, 0) (exit 1 with a
+        # ValueError); the CDF's slope rho sigma_y / sigma_x overflows
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3, result.output
+        assert "leaves the double range" in result.output
+
+    def test_moments_past_the_range_of_their_table(self, runner):
+        # s_n^4 overflows in the fourth-order table, but mu_2 = 1e200 fits:
+        # the moments come from the exact table, rounded once
+        env = run_json(runner, ["moments", "--sigma-y", "1e100",
+                                "--kmax", "2"])
+        assert env["results"]["values"] == [1.0, 0.0, 1e200]
 
     def test_not_converged_is_3(self, runner):
         # the series runs out of blocks and the integral out of nodes
@@ -646,3 +693,30 @@ class TestSurface:
         assert env["params_echo"] == ({} if command == "besselk" else {
             "mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0,
             "rho": 0.25, "n": 1})
+
+
+def _readme_commands():
+    """The arguments of every ``normprod`` line in README's sh blocks, with
+    continuation lines joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            args = shlex.split(line, comments=True)
+            if args[:1] == ["normprod"]:
+                yield args[1:]
+
+
+README_COMMANDS = list(_readme_commands())
+
+
+def test_readme_lists_its_examples():
+    assert len(README_COMMANDS) >= 15
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_example_runs(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # for the files that --out writes
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    if "--json" in args:
+        json.loads(result.output)

@@ -28,7 +28,6 @@ from normprod import (
     pdf_single_zero_mean,
     validate,
 )
-from normprod.stein import STENCILS
 from conftest import NORMALIZATION_SWEEP, random_mean_params
 
 _EPS = np.finfo(float).eps
@@ -68,6 +67,16 @@ def test_cdf_at_non_finite_x(cdf):
     assert cdf(p, -math.inf) == 0.0 and cdf(p, math.inf) == 1.0
     with pytest.raises(NonFiniteParameter):
         cdf(p, math.nan)
+
+
+# 7-point central stencils on x + k h, k = -3..3, for derivative orders
+# 1..4: (weights, power of h, order of accuracy).
+STENCILS = {
+    1: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 1, 6),
+    2: (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0, 2, 6),
+    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3, 4),
+    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 4, 4),
+}
 
 
 def _central_differences(p, x):
