@@ -46,13 +46,6 @@ def cf_mean(mp: MeanParams, t):
     """
     p = mp.base
     t = np.asarray(t)
-    # At real t no intermediate of the closed form exceeds about
-    # 8 (1 + r_x^2 + r_y^2)(1 + s |t|)^2, and sum |t|^2 bounds |t|^2 (it
-    # is NaN or inf at a non-finite t), so below 1e300 nothing can overflow
-    size = (1 + p.r_x * p.r_x + p.r_y * p.r_y) * (1 + p.s) * (1 + p.s) \
-        * (1 + float(np.vdot(t, t).real))
-    if np.isrealobj(t) and size < 1e300:
-        return _complex_or_array(_cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * t))
     if not np.isfinite(t).all():
         raise NonFiniteParameter("t must be finite")
     if not math.isfinite(p.r_x * p.r_x + p.r_y * p.r_y):
@@ -76,9 +69,9 @@ def _cf_and_derivative(mp: MeanParams, t):
     """(phi, phi') at t: ``cf_mean`` times d/dt log phi = num'/(2d) - num
     d'/(2d^2) - (n/2) d'/d, for the closed form's exponent num/(2d) and
     power base d, as ratios to d so that nothing squares d."""
+    phi = cf_mean(mp, t)  # first: it refuses where s t overflows
     p, n = mp.base, mp.n
     mx, my, rho, u = p.r_x, p.r_y, p.rho, p.s * np.asarray(t)
-    phi = cf_mean(mp, t)
     c = mx * mx + my * my - 2 * rho * mx * my
     d = (1 - (1 + rho) * 1j * u / n) * (1 + (1 - rho) * 1j * u / n)
     d_prime = 2 * (1 - rho ** 2) * u / n ** 2 - 2j * rho / n

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import bessel, charfn, density, mc, moments, opsearch, stein
 from .errors import (CaseMismatch, InvalidGrid, InvalidTestFunction,
-                     NormProdError, NotConverged, SingularPoint)
+                     NormProdError, NotConverged, SingularPoint,
+                     ValidationError)
 from .params import MeanParams, validate
 
 SCHEMA_VERSION = "1.0"
@@ -101,6 +102,14 @@ def _mean_params(options: dict, params_json) -> MeanParams:
         values = {key: obj.get(key, value) for key, value in values.items()}
     *base, n = values.values()
     return MeanParams(validate(*base), n)
+
+
+def _product_params(mp: MeanParams, what: str):
+    """``mp.base``, the one way a command hands it to a function of one
+    product; CaseMismatch unless n = 1."""
+    if mp.n != 1:
+        raise CaseMismatch(f"{what} is implemented for n = 1, not n = {mp.n}")
+    return mp.base
 
 
 def _jsonify(obj):
@@ -232,6 +241,11 @@ def besselk(mp, nu, x, scaled):
             "log_value": bessel.log_bessel_k(order, x)}
 
 
+_PRODUCT_DENSITIES = {"auto": density.pdf_product,
+                      "double": density.pdf_product_series,
+                      "single": density.pdf_single_zero_mean}
+
+
 @_command("pdf")
 @click.option("--x", type=float, default=None)
 @click.option("--grid", type=str, default=None, help="lo:hi:count")
@@ -240,24 +254,19 @@ def besselk(mp, nu, x, scaled):
 @click.option("--method", type=click.Choice(["auto", "double", "single",
                                              "closed"]),
               default="auto", show_default=True,
-              help="auto: integral (n=1) or closed form (n>1)")
+              help="auto: integral (n=1) or closed form (n>1); double and "
+                   "single need n=1")
 def pdf(mp, x, grid, as_csv, out, method):
     """Density of the product (n=1) or of the zero-mean average (n>1)."""
-    xs = _parse_grid(grid) if grid else [x]
-    if x is None and grid is None:
-        raise click.UsageError("provide --x or --grid")
-
-    def one(xv):
-        if method == "double":
-            return density.pdf_product_series(mp.base, xv)
-        if method == "single":
-            return density.pdf_single_zero_mean(mp.base, xv)
-        if method == "auto" and mp.n == 1:
-            return density.pdf_product(mp.base, xv)
-        return density.pdf_mean_zero_means(mp, xv)
-
+    if (x is None) == (grid is None):
+        raise ValidationError("provide --x or --grid, not both")
+    if method == "closed" or method == "auto" and mp.n > 1:
+        one = functools.partial(density.pdf_mean_zero_means, mp)
+    else:
+        one = functools.partial(_PRODUCT_DENSITIES[method], _product_params(
+            mp, f"pdf --method {method}"))
     rows = []
-    for xv in map(float, xs):
+    for xv in map(float, [x] if grid is None else _parse_grid(grid)):
         try:
             dv = one(xv)
             row = (dv.log_abs, dv.value, dv.terms_used)
@@ -284,12 +293,9 @@ def cdf(mp, x, method):
     ``--method series`` integrates the Bessel-series density instead,
     which checks that the series has unit mass.
     """
-    if mp.n != 1:
-        raise CaseMismatch(
-            f"the CDF is implemented for n = 1, not n = {mp.n}")
     cdf_fn = (density.cdf_product_series if method == "series"
               else density.cdf_product)
-    return {"x": x, "cdf": cdf_fn(mp.base, x)}
+    return {"x": x, "cdf": cdf_fn(_product_params(mp, "the CDF"), x)}
 
 
 @_command("moments")
@@ -382,9 +388,9 @@ def stein_check(mp, which, fspec, count, seed):
 @click.option("--check-ode", is_flag=True)
 def cf(mp, t, grid, check_ode):
     """Characteristic function of the mean, optionally with ODE residuals."""
-    if t is None and grid is None:
-        raise click.UsageError("provide --t or --grid")
-    ts = _parse_grid(grid) if grid else np.array([t])
+    if (t is None) == (grid is None):
+        raise ValidationError("provide --t or --grid, not both")
+    ts = np.array([t]) if grid is None else _parse_grid(grid)
     points = []
     for tv, value in zip(ts, map(complex, charfn.cf_mean(mp, ts))):
         entry = {"t": float(tv), "re": value.real, "im": value.imag,
@@ -402,12 +408,10 @@ def ode_check(mp, xs):
     if mp.base.mu_x == 0 and mp.base.mu_y == 0:
         method, derivs = "closed_form", functools.partial(
             density.mean_zero_means_derivatives, mp)
-    elif mp.n == 1:
-        method, derivs = "integral", functools.partial(
-            density.pdf_product_derivatives, mp.base)
     else:
-        raise CaseMismatch("no density of the mean for n > 1 with "
-                           "non-zero means")
+        method, derivs = "integral", functools.partial(
+            density.pdf_product_derivatives,
+            _product_params(mp, "the density with non-zero means"))
     points = []
     for xv in xs:
         res = density.ode_residual_density(mp, xv, derivs(xv))
@@ -451,12 +455,10 @@ def sample(mp, count, seed, out):
 
     def chunks():  # one format call per batch, in _write_csv's row format
         for i, batch in enumerate(mc.sample_mean_of_products(mp, cfg)):
-            if not np.isfinite(batch).all():
-                raise NotConverged("a sample is NaN or overflows")
             yield "%d,%.17g\n" * batch.size % tuple(np.c_[
                 np.arange(batch.size) + i * mc.BATCH, batch].ravel().tolist())
     rows = chunks()
-    with np.errstate(over="ignore", invalid="ignore"), _output(out) as target:
+    with _output(out) as target:
         # the header goes with the first batch, which a refusal leaves unsent
         target.write("index,value\n" + next(rows))
         target.writelines(rows)

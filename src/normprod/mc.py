@@ -38,6 +38,7 @@ only moves results at floating roundoff level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -133,6 +134,8 @@ def sample_mean_of_products(mp: MeanParams,
     a-^4) + 4(a+^2 b+^2 + a-^2 b-^2) (2a^4 + 4a^2 b^2 per noncentral
     square of sd a and mean b).  That rounding may reach _ROUNDING_FRACTION
     of the sd (at rho = 0, max(|b+|, |b-|) from 4.5e9 to 6.4e9).
+    NotConverged too where the samples' scale sigma_x sigma_y / (4n)
+    leaves the double range, before any draw, or where a sample overflows.
     """
     p = mp.base
     n = mp.n
@@ -149,6 +152,9 @@ def sample_mean_of_products(mp: MeanParams,
         raise NotConverged(f"mean-to-sd ratios r_x={p.r_x}, r_y={p.r_y}: a "
                            "sample's difference of squares loses its digits")
     scale = p.sigma_x * p.sigma_y / (4 * n)
+    if not sys.float_info.min <= scale < math.inf:
+        raise NotConverged(f"the samples' scale sigma_x sigma_y / (4n) = "
+                           f"{scale:.3g} leaves the double range")
     flat = np.empty(4 * min(BATCH, cfg.count))  # N1, N2, chi-square, scratch
     for index, start in enumerate(range(0, cfg.count, BATCH)):
         size = min(BATCH, cfg.count - start)
@@ -163,7 +169,12 @@ def sample_mean_of_products(mp: MeanParams,
             for var in (var_plus, -var_minus):
                 chi = _chi_square(rng, n - 1, *draws[2:])
                 total += np.multiply(var, chi, out=chi)
-        yield scale * total
+        try:  # not held across the yield, which runs the caller's code
+            with np.errstate(over="raise"):
+                batch = scale * total
+        except FloatingPointError:
+            raise NotConverged("a sample of the mean overflows") from None
+        yield batch
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -194,8 +205,19 @@ class _Pool:
         self.count = total
 
     def estimate(self) -> EstimateWithError:
-        var = self.m2 / (self.count - 1)
-        return EstimateWithError(self.mean, math.sqrt(var / self.count), self.count)
+        return _estimate(self.mean, self.m2, self.count)
+
+
+def _estimate(mean: float, m2: float, count: int) -> EstimateWithError:
+    """The estimate of a sample mean and its sum of squared deviations m2;
+    NotConverged where either is not finite.  An estimator's batches run
+    with numpy's overflow and invalid warnings off, since an inf or NaN
+    they make stays in the mean or m2 and is refused here."""
+    stderr = math.sqrt(m2 / (count - 1) / count)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NotConverged(f"a Monte Carlo estimate leaves the double range: "
+                           f"mean {mean}, stderr {stderr}")
+    return EstimateWithError(mean, stderr, count)
 
 
 #: Samples per call of the Stein operator.  The test function and the
@@ -216,9 +238,10 @@ def estimate_stein_expectation(mp: MeanParams, spec: SteinOperatorSpec,
     int_at_least("count", cfg.count, 2)  # for a standard error
     pool = _Pool()
     for batch in sample_mean_of_products(mp, cfg):
-        for start in range(0, batch.size, _APPLY_SLICE):
-            values = apply(spec, f, batch[start:start + _APPLY_SLICE])
-            pool.add(np.asarray(values))
+        with np.errstate(over="ignore", invalid="ignore"):  # see _estimate
+            for start in range(0, batch.size, _APPLY_SLICE):
+                values = apply(spec, f, batch[start:start + _APPLY_SLICE])
+                pool.add(np.asarray(values))
     return pool.estimate()
 
 
@@ -287,19 +310,26 @@ def estimate_moment(mp: MeanParams, k: int, central: bool,
     if not central:
         pool = _Pool()
         for batch in sample_mean_of_products(mp, cfg):
-            pool.add(_power(batch, k))
+            with np.errstate(over="ignore", invalid="ignore"):  # _estimate
+                pool.add(_power(batch, k))
         return pool.estimate()
     sums = [0.0] * (2 * k + 1)
     shift = None
     for batch in sample_mean_of_products(mp, cfg):
-        if shift is None:
-            shift = float(batch.mean())
-        d = batch - shift
-        sums[0] += batch.size
-        for j in range(1, 2 * k + 1):
-            term = d if j == 1 else term * d
-            sums[j] += float(term.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # see _estimate
+            if shift is None:
+                shift = float(batch.mean())
+            d = batch - shift
+            sums[0] += batch.size
+            for j in range(1, 2 * k + 1):
+                term = d if j == 1 else term * d
+                sums[j] += float(term.sum())
     count = int(sums[0])
+    # |delta|^(2k) <= sums[2k] / count, so while that sum is finite no
+    # power of delta below overflows (where Python's ** would raise)
+    if not math.isfinite(sums[-1]):
+        raise NotConverged(f"the samples' sum of powers {2 * k} leaves "
+                           "the double range")
     # sums of (x - mean)^j with mean = shift + delta, by the binomial theorem
     delta = sums[1] / count
 
@@ -308,6 +338,5 @@ def estimate_moment(mp: MeanParams, k: int, central: bool,
                    for i in range(j + 1))
 
     mean = centred(k) / count
-    m2 = max(centred(2 * k) - count * mean * mean, 0.0)
-    var = m2 / (count - 1)
-    return EstimateWithError(mean, math.sqrt(var / count), count)
+    return _estimate(mean, max(centred(2 * k) - count * mean * mean, 0.0),
+                     count)

@@ -334,14 +334,24 @@ class TestExitCodes:
           "--rho", "0.5", "--x", "5e-324"],
          cdf_product(validate(-1.2363, 0, 0.345, 0.966, 0.5), 0.0)),
         (["--sigma-x", "1e170", "--sigma-y", "1e170", "--x", "1"], 0.5),
-        (["--sigma-x", "1e170", "--rho", "0.5", "--x", "0.7"], 1 / 3)],
-        ids=["subnormal-x", "scales-1e170", "sigma-x-1e170"])
+        (["--sigma-x", "1e170", "--rho", "0.5", "--x", "0.7"], 1 / 3),
+        (["--sigma-x", "1e-170", "--sigma-y", "1e170", "--rho", "0.5",
+          "--x", "0.7"], cdf_product(validate(0, 0, 1, 1, 0.5), 0.7)),
+        (["--sigma-x", "1e170", "--sigma-y", "1e-170", "--rho", "0.5",
+          "--x", "0.7"], cdf_product(validate(0, 0, 1, 1, 0.5), 0.7)),
+        (["--sigma-x", "1e-170", "--sigma-y", "1e170", "--rho", "0.5",
+          "--x", "-5e-324"], 1 / 3)],
+        ids=["subnormal-x", "scales-1e170", "sigma-x-1e170",
+             "slope-overflows", "slope-underflows", "slope-overflows-at-0"])
     def test_cdf_past_the_double_range_of_its_substitution(
             self, runner, args, expected):
-        # each used to end in a traceback (exit 1): a math domain error at a
-        # subnormal x or scale ratio, an overflowing sigma_x^2.  At x =
-        # 5e-324 the CDF is the CDF at 0 to far below an ulp; at scales
-        # 1e170 the point is 0 in units of sigma_x sigma_y
+        # the first three used to end in a traceback (exit 1): a math domain
+        # error at a subnormal x or scale ratio, an overflowing sigma_x^2.
+        # At x = 5e-324 the CDF is the CDF at 0 to far below an ulp; at
+        # scales 1e170 the point is 0 in units of sigma_x sigma_y.  Where
+        # the slope rho sigma_y / sigma_x overflows (which exited 3) or
+        # underflows to 0 (which printed 0.8658628373721639), the CDF is
+        # that of the unit-variance problem at 0.7
         cdf = run_json(runner, ["cdf", *args])["results"]["cdf"]
         assert cdf == pytest.approx(expected, rel=1e-15)
 
@@ -353,15 +363,40 @@ class TestExitCodes:
          "--sigma-y", "1e100"],
         ["stein-check", "--f", "poly:2", "--sigma-y", "1e100"],
         ["cf", "--t", "1", "--check-ode", "--sigma-y", "1e100"],
-        ["cdf", "--sigma-x", "1e-170", "--sigma-y", "1e170", "--rho", "0.5",
-         "--x", "-5e-324"]])
+        ["cdf", "--mu-x", "1e200", "--sigma-x", "1e-170", "--sigma-y",
+         "1e170", "--rho", "0.5", "--x", "0.7"]])
     def test_out_of_range_coefficients_are_3(self, runner, args):
         # used to exit 1: a coefficient's fourth power overflowed, or the
         # top coefficient pair underflowed to (0, 0) (exit 1 with a
-        # ValueError); the CDF's slope rho sigma_y / sigma_x overflows
+        # ValueError); the CDF's slope rho sigma_y / sigma_x overflows, and
+        # so does the mean-to-sd ratio of its unit-variance problem
         result = runner.invoke(cli, args)
         assert result.exit_code == 3, result.output
         assert "leaves the double range" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["pdf", "--n", "3", "--mu-x", "1", "--x", "0.5", "--method", "double"],
+        ["pdf", "--n", "3", "--mu-x", "1", "--x", "0.5", "--method", "single"],
+        ["cdf", "--n", "2", "--x", "0.5"],
+        ["ode-check", "--n", "2", "--mu-x", "1", "--x", "0.5"]])
+    def test_product_paths_need_one_copy(self, runner, args):
+        # the two pdf methods used to print the n = 1 density under n = 3
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert re.fullmatch(r"error: .* is implemented for n = 1, not "
+                            r"n = \d\n", result.stderr)
+
+    @pytest.mark.parametrize("args", [
+        ["pdf", "--x", "0.5", "--grid", "-1:1:3"],
+        ["cf", "--t", "0.5", "--grid", "-1:1:3"]])
+    def test_point_and_grid_together_are_2(self, runner, args):
+        # each used to print the grid and drop the point
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert re.fullmatch(r"error: provide --[xt] or --grid, not both\n",
+                            result.stderr)
 
     def test_moments_past_the_range_of_their_table(self, runner):
         # s_n^4 overflows in the fourth-order table, but mu_2 = 1e200 fits:

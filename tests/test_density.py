@@ -867,6 +867,20 @@ class TestCdf:
         p = validate(0, 0, 0.01, 1, 0)
         assert (cdf_product(p, -100.0), cdf_product(p, 100.0)) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("scales", [(1e-170, 1e170), (1e170, 1e-170),
+                                        (1e-300, 1e300), (1e300, 1e-300)])
+    @pytest.mark.parametrize("ratios", [(0, 0), (0.5, -0.3)])
+    @pytest.mark.parametrize("x", [0.7, -1.5, -5e-324])
+    def test_out_of_range_slope_rescales(self, scales, ratios, x):
+        # the slope rho sigma_y / sigma_x overflows (an exit 3) or underflows
+        # to 0 (a wrong CDF); the unit-variance problem is in range
+        sx, sy = scales
+        p = validate(ratios[0] * sx, ratios[1] * sy, sx, sy, 0.5)
+        unit = validate(*ratios, 1, 1, 0.5)
+        assert cdf_product(p, x) == cdf_product(unit, x / sx / sy)
+        assert cdf_product(p, x) == pytest.approx(
+            cdf_product(unit, x), rel=1e-14, abs=1e-300)
+
     def test_zero_mean_uncorrelated_median_at_zero(self):
         assert cdf_product(validate(0, 0, 1, 1, 0), 0.0) == pytest.approx(
             0.5, abs=1e-7)

@@ -126,6 +126,37 @@ class TestSampler:
             with pytest.raises(NotConverged, match="loses its digits"):
                 call()
 
+    # each used to return NaN or warn: the scale sigma_x sigma_y / 8
+    # overflows (a NaN Stein mean, a tan of inf), the squares of samples
+    # near 1e170 overflow (a warning and an infinite moment), or a sample
+    # sigma_x sigma_y / 4 times a total of about 1e19 does
+    @pytest.mark.parametrize("call, match", [
+        (lambda cfg: estimate_stein_expectation(
+            MeanParams(validate(0, 0, 1e170, 1e170, 0.3), 2),
+            stein.operator_a1(MP), stein.monomial(3), cfg), "scale"),
+        (lambda cfg: estimate_cf(
+            MeanParams(validate(0, 0, 1e170, 1e170, 0.3), 2), 1e-300, cfg),
+         "scale"),
+        (lambda cfg: collect(
+            MeanParams(validate(0, 0, 1e-170, 1e-170, 0.3), 2), cfg),
+         "scale"),
+        (lambda cfg: estimate_moment(
+            MeanParams(validate(0, 0, 1e170, 1, 0.3)), 2, False, cfg),
+         "estimate"),
+        (lambda cfg: estimate_moment(
+            MeanParams(validate(0, 0, 1e170, 1, 0.3)), 2, True, cfg),
+         "sum of powers"),
+        (lambda cfg: collect(
+            MeanParams(validate(1e9, 1e9, 1e300, 1e5, 0.3)), cfg),
+         "overflows")],
+        ids=["stein-scale", "cf-scale", "scale-underflows", "raw-moment",
+             "central-moment", "sample"])
+    def test_past_the_double_range_refused(self, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged, match=match):
+                call(SamplerConfig(seed=1, count=100))
+
     def test_count_respected(self):
         assert collect(MP, SamplerConfig(seed=0, count=12345)).size == 12345
 
