@@ -610,16 +610,17 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     whole bracket (|rho| near 1, where phi_X spans hundreds of unit
     steps); ``_log_trapezoid`` trims and refines it.
 
-    Where the scale ratio sigma_y / sigma_x leaves the double range (at
-    rho != 0, where it makes the slope k) or the bracket does, the same
-    CDF is that of the unit-variance problem at (x / sigma_x) / sigma_y.
+    Where the scale ratio sigma_y / sigma_x leaves the double range (it
+    makes the slope k, and at rho = 0 a large x over u overflows once
+    divided by s) or the bracket does, the same CDF is that of the unit-variance problem at
+    (x / sigma_x) / sigma_y.
     """
     z = float(x)
     if math.isnan(z):
         raise NonFiniteParameter("the CDF is undefined at x = NaN")
     if math.isinf(z):
         return 0.0 if z < 0 else 1.0
-    if p.rho and not _DBL_MIN <= p.sigma_y / p.sigma_x < math.inf:
+    if not _DBL_MIN <= p.sigma_y / p.sigma_x < math.inf:
         return _cdf_unit_variances(p, z)
     s = p.sigma_y * math.sqrt(1.0 - p.rho ** 2)
     k = p.rho * p.sigma_y / p.sigma_x

@@ -18,21 +18,32 @@ odd.  Up to k = 6 the gamma is drawn as -log of a product of k uniforms
 (Devroye 1986, section IX.3), which is cheaper than numpy's
 Marsaglia-Tsang gamma there; above it, as a numpy gamma (see _chi_square).
 
-The empirical characteristic function takes cos and sin of t z from one
-tangent of the half angle, w = tan(t z / 2): cos = (1 - w^2)/(1 + w^2),
-sin = 2w/(1 + w^2), within 2.2e-16 of numpy's cos and sin at any
-magnitude.  numpy's vectorised tan costs a tenth of cos and sin together
-(on a CPU without AVX-512 it is libm's, still one call where there were
-two), and |w| stays below about 2e18, so w^2 cannot overflow.
+Every normal is one row of a Box & Muller (1958) pair, R cos 2w and
+R sin 2w with R = sqrt(2E), E a standard exponential, and w = pi U, U
+uniform: N1 and N2 are one pair, and for even n the two odd-dof normals
+of C1 and C2 another.  On rows of 2^15 (2-vCPU Xeon, numpy 2.4) numpy's
+ziggurat normal costs 11.8 ns a draw; a pair costs 7.4 ns a normal (an
+exponential 5.1 ns, a uniform 2.1 ns and a tan 2.2 ns, then the
+arithmetic, per two normals).  This changed every stream, n = 1 and 2
+included.
+
+Both the pair and the empirical characteristic function take cos and
+sin of an angle 2w from one tangent of its half, v = tan(w):
+cos = (1 - v^2)/(1 + v^2), sin = 2v/(1 + v^2), within 2.2e-16 of numpy's
+cos and sin at any magnitude.  numpy's vectorised tan costs a tenth of
+cos and sin together (on a CPU without AVX-512 it is libm's, still one
+call where there were two), and |v| stays below about 2e18, so v^2
+cannot overflow.
 
 Streams are generated batch-by-batch with an independent SFC64 generator
-(the fastest of numpy's bit generators for normals) keyed on
-(seed, batch index), so parallel or out-of-order evaluation of batches
-reproduces the same numbers as a sequential pass.  Batches of BATCH =
-2^15 samples keep the per-batch generator set-up small; the Stein
-estimator evaluates its operator on slices of 2^13 (see _APPLY_SLICE).
-Estimators merge batch statistics by count-weighted pooling; merge order
-only moves results at floating roundoff level.
+(the fastest of numpy's bit generators for uniforms: 2.1 ns a draw
+against PCG64's 2.6 ns) keyed on (seed, batch index), so parallel or
+out-of-order evaluation of batches reproduces the same numbers as a
+sequential pass.  Batches of BATCH = 2^15 samples keep the per-batch
+generator set-up small; the Stein estimator evaluates its operator on
+slices of 2^13 (see _APPLY_SLICE).  Estimators merge batch statistics by
+count-weighted pooling; merge order only moves results at floating
+roundoff level.
 """
 
 from __future__ import annotations
@@ -96,15 +107,45 @@ def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:
 _UNIFORM_GAMMA_MAX = 6
 
 
-def _chi_square(rng: np.random.Generator, dof: int, out, scratch) -> np.ndarray:
+def _cos_sin_from_half(w, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2w, overwriting w and the (2, >= w.size) ``scratch``:
+    with v = tan(w), cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
+    w2, den = scratch[:, :w.size]
+    np.tan(w, out=w)
+    np.multiply(w, w, out=w2)
+    np.add(1.0, w2, out=den)
+    cos = np.subtract(1.0, w2, out=w2)
+    cos /= den
+    sin = np.multiply(2.0, w, out=w)
+    sin /= den
+    return cos, sin
+
+
+def _normal_pair(rng: np.random.Generator, out, scratch) -> np.ndarray:
+    """Two rows of independent standard normals into the (2, size) ``out``
+    (``scratch`` alike, overwritten), by Box & Muller (1958): R cos 2w and
+    R sin 2w with R = sqrt(2E), E standard exponential, and w = pi U, U
+    uniform in [0, 1); cos and sin from one tangent (_cos_sin_from_half)."""
+    r, w = out
+    np.sqrt(np.multiply(2.0, rng.standard_exponential(out=r), out=r), out=r)
+    np.multiply(math.pi, rng.random(out=w), out=w)
+    cos, sin = _cos_sin_from_half(w, scratch)  # sin overwrites w
+    sin *= r
+    r *= cos
+    return out
+
+
+def _chi_square(rng: np.random.Generator, dof: int, out, scratch,
+                normal) -> np.ndarray:
     """chi-square(dof) draws into ``out`` (``scratch`` alike, both
-    contiguous): 2 Gamma(k), k = dof // 2, plus one squared normal when dof
-    is odd (a half-integer shape is several times slower).  For k <=
+    contiguous): 2 Gamma(k), k = dof // 2, plus the square of ``normal``,
+    a row of standard normals that it overwrites, when dof is odd (a
+    half-integer shape is several times slower).  For k <=
     _UNIFORM_GAMMA_MAX, Gamma(k) = -log prod_i (1 - U_i) over k uniforms
     U_i in [0, 1), each factor in (0, 1]; for larger k, numpy's gamma."""
     k = dof // 2
     if k == 0:
-        return np.square(rng.standard_normal(out=out), out=out)
+        return np.square(normal, out=out)
     if k <= _UNIFORM_GAMMA_MAX:
         np.subtract(1.0, rng.random(out=out), out=out)
         for _ in range(k - 1):
@@ -114,7 +155,7 @@ def _chi_square(rng: np.random.Generator, dof: int, out, scratch) -> np.ndarray:
     else:
         np.multiply(2.0, rng.standard_gamma(k, out=out), out=out)
     if dof % 2:
-        out += np.square(rng.standard_normal(out=scratch), out=scratch)
+        out += np.square(normal, out=normal)
     return out
 
 
@@ -155,19 +196,24 @@ def sample_mean_of_products(mp: MeanParams,
     if not sys.float_info.min <= scale < math.inf:
         raise NotConverged(f"the samples' scale sigma_x sigma_y / (4n) = "
                            f"{scale:.3g} leaves the double range")
-    flat = np.empty(4 * min(BATCH, cfg.count))  # N1, N2, chi-square, scratch
+    # N1 and N2 (a pair, then the total) and the pair's scratch, where the
+    # chi-squares go; for even n, one more row holds the odd-dof pair
+    rows = 5 if n % 2 == 0 else 4
+    flat = np.empty(rows * min(BATCH, cfg.count))
     for index, start in enumerate(range(0, cfg.count, BATCH)):
         size = min(BATCH, cfg.count - start)
         rng = _batch_rng(cfg, index)
-        draws = flat[:4 * size].reshape(4, size)  # contiguous, for out=
-        normals = rng.standard_normal(out=draws[:2])
+        draws = flat[:rows * size].reshape(rows, size)  # contiguous, for out=
+        normals = _normal_pair(rng, draws[:2], draws[2:4])
         normals *= widths
         normals += shifts
         normals *= normals
         total = np.subtract(*normals, out=normals[0])
         if n > 1:
-            for var in (var_plus, -var_minus):
-                chi = _chi_square(rng, n - 1, *draws[2:])
+            odd = _normal_pair(rng, draws[1:3], draws[3:5]) if n % 2 == 0 \
+                else (None, None)
+            for var, normal in zip((var_plus, -var_minus), odd):
+                chi = _chi_square(rng, n - 1, *draws[-2:], normal)
                 total += np.multiply(var, chi, out=chi)
         try:  # not held across the yield, which runs the caller's code
             with np.errstate(over="raise"):
@@ -253,20 +299,6 @@ class ComplexEstimate:
     @property
     def value(self) -> complex:
         return complex(self.re.mean, self.im.mean)
-
-
-def _cos_sin_from_half(w, scratch) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2w, overwriting w and the (2, >= w.size) ``scratch``:
-    with v = tan(w), cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
-    w2, den = scratch[:, :w.size]
-    np.tan(w, out=w)
-    np.multiply(w, w, out=w2)
-    np.add(1.0, w2, out=den)
-    cos = np.subtract(1.0, w2, out=w2)
-    cos /= den
-    sin = np.multiply(2.0, w, out=w)
-    sin /= den
-    return cos, sin
 
 
 def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate:

@@ -637,6 +637,16 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
 
+    def test_cdf_at_rho_0_past_the_ratio_range_without_warning(self):
+        # x / u over s = 1e-170 overflowed: a RuntimeWarning on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "normprod.cli", "cdf", "--sigma-x",
+             "1e170", "--sigma-y", "1e-170", "--x", "1e300"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert re.search(r"^cdf +1$", proc.stdout, re.M)
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("args", [
         ["stein-apply", "--which", "a1", "--f", "exp:100", "--x", "10",
          "--json"],

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -880,6 +881,20 @@ class TestCdf:
         assert cdf_product(p, x) == cdf_product(unit, x / sx / sy)
         assert cdf_product(p, x) == pytest.approx(
             cdf_product(unit, x), rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("scales", [(1e-170, 1e170), (1e170, 1e-170),
+                                        (1e-300, 1e300), (1e300, 1e-300)])
+    @pytest.mark.parametrize("x", [1e300, -1e300, 0.7])
+    def test_out_of_range_ratio_at_rho_0_rescales(self, scales, x):
+        # no slope, but at sigma_y = 1e-170 a large x / u divided by s
+        # overflowed: "overflow encountered in divide" at x = 1e300
+        sx, sy = scales
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cdf_product(validate(0, 0, sx, sy, 0), x)
+        unit = validate(0, 0, 1, 1, 0)
+        assert got == cdf_product(unit, x / sx / sy)
+        assert got == pytest.approx(cdf_product(unit, x), rel=1e-14)
 
     def test_zero_mean_uncorrelated_median_at_zero(self):
         assert cdf_product(validate(0, 0, 1, 1, 0), 0.0) == pytest.approx(

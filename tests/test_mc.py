@@ -45,14 +45,23 @@ class TestSampler:
     def test_batches_reproducible_out_of_order(self):
         # each batch is keyed by (seed, batch index): regenerating any
         # batch from its key must reproduce the sequential stream.  The
-        # draw formula is restated here: two normals, then for n > 1 two
-        # chi-square(n - 1) draws, each 2 Gamma(k), k = (n - 1) // 2, plus
-        # one squared normal when n - 1 is odd; Gamma(k) is -log of a
-        # product of k factors 1 - U up to the cutoff, numpy's gamma above
+        # draw formula is restated here: N1 and N2 from a Box-Muller pair,
+        # R cos 2w and R sin 2w with R = sqrt(2E) and w = pi U, cos and sin
+        # from v = tan w; then for even n a second pair, whose normals the
+        # two chi-square(n - 1) draws square, one each; each chi-square is
+        # 2 Gamma(k), k = (n - 1) // 2, plus that square when n - 1 is odd;
+        # Gamma(k) is -log of a product of k factors 1 - U up to the
+        # cutoff, numpy's gamma above
         from normprod.mc import _UNIFORM_GAMMA_MAX, BATCH, _batch_rng
         p = MP.base
 
-        def chi_square(rng, dof, size):
+        def pair(rng, size):
+            r = np.sqrt(2.0 * rng.standard_exponential(size))
+            v = np.tan(np.pi * rng.random(size))
+            den = 1.0 + v * v
+            return r * ((1.0 - v * v) / den), r * (2.0 * v / den)
+
+        def chi_square(rng, dof, size, g):
             k = dof // 2
             if k == 0:
                 out = np.zeros(size)
@@ -64,12 +73,11 @@ class TestSampler:
             else:
                 out = 2.0 * rng.standard_gamma(k, size)
             if dof % 2:
-                g = rng.standard_normal(size)
                 out += g * g
             return out
 
         # n = 14 and 17 draw the largest uniform-product gamma and the
-        # smallest numpy one
+        # smallest numpy one; 2 and 14 the odd-dof pair
         for n in (1, 2, 5, 14, 17):
             mp = MeanParams(p, n)
             # two full batches and a short last one
@@ -80,21 +88,22 @@ class TestSampler:
             for idx in (2, 0, 1):
                 size = batches[idx].size
                 rng = _batch_rng(cfg, idx)
-                n1, n2 = rng.standard_normal((2, size))
+                n1, n2 = pair(rng, size)
                 plus = np.sqrt(var_plus) * n1 + np.sqrt(n) * (p.r_x + p.r_y)
                 minus = np.sqrt(var_minus) * n2 + np.sqrt(n) * (p.r_x - p.r_y)
                 total = plus * plus - minus * minus
                 if n > 1:
-                    total += var_plus * chi_square(rng, n - 1, size)
-                    total -= var_minus * chi_square(rng, n - 1, size)
+                    g1, g2 = pair(rng, size) if n % 2 == 0 else (None, None)
+                    total += var_plus * chi_square(rng, n - 1, size, g1)
+                    total -= var_minus * chi_square(rng, n - 1, size, g2)
                 expected = p.sigma_x * p.sigma_y / (4 * n) * total
                 assert np.array_equal(batches[idx], expected)
 
     @pytest.mark.parametrize("n,expected", [
-        (1, [-0.14680133866453768, 1.772182591593905, -1.648382370407639,
-             1.359094643727662, 0.913672972780132]),
-        (2, [-0.3859599151928867, 1.9512277115720769, -1.6651354893751593,
-             1.2677309463118716, 0.14849756009654771]),
+        (1, [0.3197452574294723, 1.020940038045531, 0.5050824667009705,
+             -2.0115758447248986, 2.295121588629518]),
+        (2, [-0.552787827834427, -0.1292736008376057, 0.9311106797743691,
+             -1.4807733403606524, 1.0412493307962578]),
     ])
     def test_small_n_streams_unchanged(self, n, expected):
         # the n = 1 and n = 2 streams draw no gamma; their bits are pinned
@@ -196,12 +205,42 @@ class TestChiSquare:
         # 1..2 * cutoff + 3 degrees of freedom: the uniform-product gamma
         # up to the cutoff, numpy's gamma above it, each with and without
         # the squared normal of an odd dof
-        from normprod.mc import _UNIFORM_GAMMA_MAX, _batch_rng, _chi_square
+        from normprod.mc import (_UNIFORM_GAMMA_MAX, _batch_rng,
+                                 _chi_square, _normal_pair)
         assert 2 * _UNIFORM_GAMMA_MAX + 3 == 15
         rng = _batch_rng(SamplerConfig(seed=808, count=1), dof)
-        draws = _chi_square(rng, dof, *np.empty((2, 200_000)))
+        rows = np.empty((4, 200_000))
+        normal = _normal_pair(rng, rows[:2], rows[2:])[0] if dof % 2 else None
+        draws = _chi_square(rng, dof, *rows[2:], normal)
         assert np.all(np.isfinite(draws)) and np.all(draws >= 0)
         assert scipy.stats.kstest(draws, scipy.stats.chi2(dof).cdf).pvalue > 1e-3
+
+
+class TestNormalPair:
+    """The Box-Muller pair the sampler draws its normals from."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        from normprod.mc import _batch_rng, _normal_pair
+        rng = _batch_rng(SamplerConfig(seed=909, count=1), 0)
+        rows = np.empty((4, 200_000))
+        return _normal_pair(rng, rows[:2], rows[2:])
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_each_row_standard_normal(self, pair, row):
+        assert np.all(np.isfinite(pair[row]))
+        assert scipy.stats.kstest(pair[row], "norm").pvalue > 1e-3
+
+    def test_squared_radius_chi_square_2(self, pair):
+        r2 = pair[0] * pair[0] + pair[1] * pair[1]
+        assert scipy.stats.kstest(r2, scipy.stats.chi2(2).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rotations_standard_normal(self, pair, sign):
+        # (N0 +- N1) / sqrt(2) is standard normal only if the rows are
+        # jointly normal, uncorrelated and of unit variance
+        rotated = (pair[0] + sign * pair[1]) / np.sqrt(2)
+        assert scipy.stats.kstest(rotated, "norm").pvalue > 1e-3
 
 
 class TestHalfAngle:
