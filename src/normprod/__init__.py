@@ -59,6 +59,7 @@ from .mc import (
     estimate_cf,
     estimate_moment,
     estimate_stein_expectation,
+    estimate_stein_expectations,
     sample_mean_of_products,
 )
 from .moments import (

@@ -625,6 +625,13 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     s = p.sigma_y * math.sqrt(1.0 - p.rho ** 2)
     k = p.rho * p.sigma_y / p.sigma_x
     b = p.mu_y - k * p.mu_x
+    # within the bracket, |u| <= reach, |m(u)| <= |b| + |k| reach; where
+    # |z| / reach exceeds that by 40 s, Phi's argument is beyond +-40 at
+    # every node (and z / u / s may overflow), so F is 0 or 1 to within
+    # e^-800
+    reach = abs(p.mu_x) + 40 * p.sigma_x
+    if abs(z) / reach >= abs(b) + abs(k) * reach + 40 * s:
+        return 1.0 if z > 0 else 0.0
     # with z = 0 the conditional probability has no step near u = 0
     c0 = (abs(b) / s if z else 0.0) + _CDF_ARG_RANGE
     c1 = 1.0 / p.sigma_x + 2.0 * abs(k) / s

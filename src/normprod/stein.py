@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,101 @@ class SteinOperatorSpec:
         return len(self.coeffs) - 1
 
 
+#: Log of 2^-10 of the largest double; see FoldedOperator.covers.
+_LOG_SAFE = math.log(sys.float_info.max) - 10 * math.log(2)
+
+
+@dataclass(frozen=True)
+class FoldedOperator:
+    """An operator applied to a built-in f as A f = sum_r p_r(x) g_r(x):
+    ``polys[r]`` holds the coefficients of the polynomial p_r, highest
+    power first, and ``basis`` and ``rate`` are those of f's table."""
+
+    polys: tuple[tuple[float, ...], ...]
+    basis: Optional[Callable]
+    rate: float
+    log_scale: float
+    degree: int
+
+    def covers(self, reach: float) -> bool:
+        """Whether on |x| <= reach (>= 1) this fold and ``apply`` are both
+        finite.  Every value either computes (a power of x, a term of some
+        P_jr or p_r, a Horner partial sum, a coefficient times a derivative,
+        a sum of these) is at most ten times exp(log_scale) reach^degree
+        exp(rate reach), so stays finite while that is below _LOG_SAFE."""
+        return (self.log_scale + self.degree * math.log(reach)
+                + self.rate * reach <= _LOG_SAFE)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A f at the float array x: one Horner pass per basis row."""
+        values = [_horner(p, x) for p in self.polys]
+        if self.basis is not None:
+            for v, g in zip(values, self.basis(x)):
+                v *= g
+        total = values[0]
+        for v in values[1:]:
+            total += v
+        return total
+
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs``, highest power first, at x, in a new
+    array, by Horner's rule in place."""
+    if len(coeffs) == 1:
+        return np.full_like(x, coeffs[0])
+    out = np.multiply(coeffs[0], x)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+@dataclass(frozen=True)
+class DerivativeTable:
+    """A built-in's derivatives f^(j) = sum_r P_jr g_r, j = 0..4:
+    ``polys[j][r]`` holds the coefficients of the polynomial P_jr, highest
+    power first, and ``basis`` maps a float array x to the rows g_r (None:
+    the one row g = 1), with |g_r(x)| <= exp(rate |x|)."""
+
+    polys: tuple[tuple[tuple[float, ...], ...], ...]
+    basis: Optional[Callable] = None
+    rate: float = 0.0
+
+    def fold(self, spec: SteinOperatorSpec) -> FoldedOperator:
+        """The operator on f as sum_r p_r g_r, p_r = sum_j (a0_j + a1_j x)
+        P_jr, its coefficients computed once in floats.  log_scale bounds
+        the coefficients: log of (1 + sum of |a0_j|, |a1_j|) times (1 + sum
+        of |P_jr|'s coefficients); degree is 1 + the largest P_jr degree."""
+        used = self.polys[:spec.order + 1]
+        folded = tuple(
+            _trimmed(functools.reduce(np.polyadd, (
+                np.polymul((a1, a0), p)
+                for (a0, a1), p in zip(spec.coeffs, row))))
+            for row in zip(*used))
+        weight = 1 + sum(abs(c) for pair in spec.coeffs for c in pair)
+        size = 1 + sum(abs(c) for row in used for p in row for c in p)
+        degree = max(len(p) for row in used for p in row)
+        return FoldedOperator(folded, self.basis, self.rate,
+                              math.log(weight * size), degree)
+
+
+def _table(first, step, basis=None, rate=0.0) -> DerivativeTable:
+    """The table with P_0 = ``first`` (one polynomial per basis row) and
+    P_(j+1) = step(*P_j)."""
+    polys = [tuple(map(_trimmed, first))]
+    for _ in range(4):
+        polys.append(tuple(map(_trimmed, step(*map(np.array, polys[-1])))))
+    return DerivativeTable(tuple(polys), basis, rate)
+
+
+def _trimmed(p) -> tuple[float, ...]:
+    """Polynomial coefficients, highest power first, as a tuple of floats
+    without leading zeros ((0.0,) for the zero polynomial)."""
+    return tuple(map(float, np.trim_zeros(np.asarray(p, dtype=float),
+                                          "f"))) or (0.0,)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Bundle of f and derivatives f', f'', f''', f'''' evaluated jointly.
@@ -53,13 +149,17 @@ class TestFunction:
     ``evaluate`` maps x (scalar or ndarray) to the five values, as a
     tuple or stacked in one (5, *x.shape) array; ``monomial`` and
     ``gaussian_bump`` stack theirs, which ``apply`` then reads in place.
-    Membership of the theorems' function class (moment-finiteness of the
-    derivatives under the target law) is the caller's obligation; the
-    built-ins below all qualify against product-normal laws.
+    The built-ins also carry their derivatives as a ``DerivativeTable``,
+    into which the Monte Carlo Stein estimator folds the operator; a
+    function without one goes through ``apply`` there.  Membership of the
+    theorems' function class (moment-finiteness of the derivatives under
+    the target law) is the caller's obligation; the built-ins below all
+    qualify against product-normal laws.
     """
 
     evaluate: Callable
     label: str
+    table: Optional[DerivativeTable] = None
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -106,7 +206,8 @@ def monomial(k: int) -> TestFunction:
                 np.multiply(math.perm(k, k - p), power, out=rows[k - p])
         return out
 
-    return TestFunction(ev, f"x^{k}")
+    return TestFunction(ev, f"x^{k}",
+                        _table([[1.0] + [0.0] * k], lambda p: [np.polyder(p)]))
 
 
 def exponential(a: float) -> TestFunction:
@@ -119,7 +220,8 @@ def exponential(a: float) -> TestFunction:
         f = np.exp(a * x)
         return tuple(a ** j * f for j in range(5))
 
-    return TestFunction(ev, f"exp({a}x)")
+    return TestFunction(ev, f"exp({a}x)", _table(
+        [[1.0]], lambda p: [a * p], lambda x: (np.exp(a * x),), abs(a)))
 
 
 def sine(t: float) -> TestFunction:
@@ -131,7 +233,7 @@ def sine(t: float) -> TestFunction:
         s, c = np.sin(t * x), np.cos(t * x)
         return (s, t * c, -t * t * s, -t ** 3 * c, t ** 4 * s)
 
-    return TestFunction(ev, f"sin({t}x)")
+    return TestFunction(ev, f"sin({t}x)", _trig_table(t, [[1.0], [0.0]]))
 
 
 def cosine(t: float) -> TestFunction:
@@ -143,7 +245,18 @@ def cosine(t: float) -> TestFunction:
         s, c = np.sin(t * x), np.cos(t * x)
         return (c, -t * s, -t * t * c, t ** 3 * s, t ** 4 * c)
 
-    return TestFunction(ev, f"cos({t}x)")
+    return TestFunction(ev, f"cos({t}x)", _trig_table(t, [[0.0], [1.0]]))
+
+
+def _trig_table(t: float, first) -> DerivativeTable:
+    """The table over the rows sin(t x) and cos(t x), whose P_jr are
+    constants: (P_s, P_c) -> (-t P_c, t P_s)."""
+
+    def basis(x):
+        tx = t * x
+        return np.sin(tx), np.cos(tx)
+
+    return _table(first, lambda ps, pc: [-t * pc, t * ps], basis)
 
 
 def gaussian_bump(a: float) -> TestFunction:
@@ -171,7 +284,11 @@ def gaussian_bump(a: float) -> TestFunction:
         d4 *= f
         return out
 
-    return TestFunction(ev, f"exp(-{a}x^2)")
+    # P_(j+1) = P_j' - 2a x P_j
+    return TestFunction(ev, f"exp(-{a}x^2)", _table(
+        [[1.0]],
+        lambda p: [np.polysub(np.polyder(p), np.polymul((2 * a, 0.0), p))],
+        lambda x: (np.exp(-a * (x * x)),)))
 
 
 def _table_inputs(mp: MeanParams, num):

@@ -27,7 +27,7 @@ SIGNATURES = {
     "ProductNormalParams": ["mu_x", "mu_y", "sigma_x", "sigma_y", "rho"],
     "SamplerConfig": ["seed", "count"],
     "SteinOperatorSpec": ["coeffs"],
-    "TestFunction": ["evaluate", "label"],
+    "TestFunction": ["evaluate", "label", "table=None"],
     "apply": ["spec", "f", "x"],
     "bessel_k": ["order", "x", "scaled=False"],
     "bessel_k_sequence": ["max_order", "x", "scaled=False"],
@@ -48,6 +48,7 @@ SIGNATURES = {
     "estimate_cf": ["mp", "t", "cfg"],
     "estimate_moment": ["mp", "k", "central", "cfg"],
     "estimate_stein_expectation": ["mp", "spec", "f", "cfg"],
+    "estimate_stein_expectations": ["mp", "spec", "fns", "cfg"],
     "exponential": ["a"],
     "gaussian_bump": ["a"],
     "in_span": ["vector", "basis"],
@@ -167,6 +168,10 @@ _ARGS = {"x": 0.7, "t": 0.7, "kmax": 4, "num_equations": 8, "k": 2,
          "count": 10, "n": 2, "central": False, "derivs": [1.0] * 5,
          "seed": 1, "which": "auto", "ansatz": normprod.OperatorAnsatz(3),
          "f": normprod.monomial(3), "cfg": normprod.SamplerConfig(1, 100),
+         # built-ins (each folded) and a hand-written f (through apply)
+         "fns": [normprod.monomial(3), normprod.exponential(0.5),
+                 normprod.gaussian_bump(0.5),
+                 normprod.TestFunction(normprod.sine(0.7).evaluate, "sin")],
          "spec": normprod.operator_a1(_GENERAL),
          "max_order": normprod.BesselOrder(4)}
 _BAD = {"x": (math.nan, math.inf, -math.inf),

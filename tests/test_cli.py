@@ -647,6 +647,17 @@ class TestExitCodes:
         assert re.search(r"^cdf +1$", proc.stdout, re.M)
         assert proc.stderr == ""
 
+    def test_cdf_far_past_the_conditional_sd_without_warning(self):
+        # sigma_y / sigma_x = 1e-300 is in range, but x / u over s = 1e-300
+        # overflowed: a RuntimeWarning on stderr before "cdf 1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "normprod.cli", "cdf", "--sigma-y",
+             "1e-300", "--x", "1e300"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert re.search(r"^cdf +1$", proc.stdout, re.M)
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("args", [
         ["stein-apply", "--which", "a1", "--f", "exp:100", "--x", "10",
          "--json"],

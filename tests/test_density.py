@@ -896,6 +896,22 @@ class TestCdf:
         assert got == cdf_product(unit, x / sx / sy)
         assert got == pytest.approx(cdf_product(unit, x), rel=1e-14)
 
+    @pytest.mark.parametrize("params, x, expected", [
+        ((0, 0, 1, 1e-300, 0), 1e300, 1.0),
+        ((0, 0, 1, 1e-20, 0), 1e300, 1.0),
+        ((0, 0, 1, 1e-5, 0), 1e306, 1.0),
+        ((0, 0, 1, 1e-300, 0.5), 1e300, 1.0),
+        ((0, 0, 1, 1e-300, 0), -1e300, 0.0),
+        # this one ran out of nodes (NotConverged)
+        ((1, 2, 1, 1e-300, 0.3), -1e300, 0.0)])
+    def test_far_past_the_conditional_sd(self, params, x, expected):
+        # sigma_y/sigma_x is in range, but sigma_y sqrt(1 - rho^2) is so
+        # small against x that z / u / s overflowed ("overflow encountered
+        # in divide"); Phi's argument is beyond +-40 over the whole bracket
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf_product(validate(*params), x) == expected
+
     def test_zero_mean_uncorrelated_median_at_zero(self):
         assert cdf_product(validate(0, 0, 1, 1, 0), 0.0) == pytest.approx(
             0.5, abs=1e-7)

@@ -17,6 +17,7 @@ from normprod import (
     estimate_cf,
     estimate_moment,
     estimate_stein_expectation,
+    estimate_stein_expectations,
     raw_moments_exact,
     sample_mean_of_products,
     validate,
@@ -282,6 +283,65 @@ class TestSteinExpectation:
         est = estimate_stein_expectation(target, spec, stein.monomial(2),
                                          SamplerConfig(seed=21, count=500_000))
         assert abs(est.z_score()) > 6
+
+    def test_one_stream_gives_each_single_estimate(self):
+        # every statistic of the shared stream has the bits of its own
+        # call: the same batches, slices and pooling, whatever else shares
+        # the stream; the count ends inside a batch and inside a slice
+        mp = MeanParams(validate(0.8, -1.2, 1.1, 0.9, 0.3), 5)
+        spec = stein.operator_a1(mp)
+        cfg = SamplerConfig(seed=12, count=70_001)
+        fns = [stein.monomial(k) for k in range(5)] + [
+            stein.exponential(0.3), stein.sine(1.3), stein.cosine(0.4),
+            stein.gaussian_bump(0.25),
+            stein.TestFunction(stein.monomial(3).evaluate, "x^3 by hand")]
+        together = estimate_stein_expectations(mp, spec, fns, cfg)
+        assert together == [estimate_stein_expectation(mp, spec, f, cfg)
+                            for f in fns]
+        assert estimate_stein_expectations(mp, spec, [], cfg) == []
+
+    def test_hand_written_function_goes_through_apply(self):
+        # a TestFunction(evaluate, label) has no derivative table: the
+        # estimator calls its evaluate on every 2^13 slice, by ``apply``,
+        # and agrees with the built-in's fold far inside a standard error
+        calls = []
+
+        def evaluate(x):
+            calls.append(np.size(x))
+            return stein.monomial(2).evaluate(x)
+
+        by_hand = stein.TestFunction(evaluate, "x^2 by hand")
+        assert by_hand.table is None
+        cfg = SamplerConfig(seed=3, count=100_000)
+        spec = stein.operator_a1(MP)
+        est = estimate_stein_expectation(MP, spec, by_hand, cfg)
+        assert calls == [8192] * 12 + [1696]
+        folded = estimate_stein_expectation(MP, spec, stein.monomial(2), cfg)
+        assert est.count == folded.count
+        assert abs(est.mean - folded.mean) <= 1e-9 * est.stderr
+        assert est.stderr == pytest.approx(folded.stderr, rel=1e-9)
+
+    def test_uncovered_batches_go_through_apply(self):
+        # a table goes through ``apply`` (which calls evaluate) on every
+        # batch its fold does not cover: under A1 the fold covers them
+        # all; a coefficient of 1e304 on f''' (zero for x^2) leaves it
+        # no batch of reach > 1.44
+        calls = []
+
+        def evaluate(x):
+            calls.append(np.size(x))
+            return stein.monomial(2).evaluate(x)
+
+        f = stein.TestFunction(evaluate, "x^2", stein.monomial(2).table)
+        cfg = SamplerConfig(seed=3, count=20_000)
+        estimate_stein_expectation(MP, stein.operator_a1(MP), f, cfg)
+        assert calls == []
+        big = stein.SteinOperatorSpec(((0.0, 1.0), (0.0, 0.0), (0.0, 1.0),
+                                       (1e304, 0.0)))
+        assert f.table.fold(big).covers(1.0)
+        assert not f.table.fold(big).covers(1.44)
+        estimate_stein_expectation(MP, big, f, cfg)
+        assert calls == [8192, 8192, 3616]
 
     def test_zero_stderr_gives_infinite_z(self):
         from normprod.mc import EstimateWithError

@@ -200,6 +200,102 @@ class TestApply:
                 assert v == stein.apply(spec, f, float(x))
 
 
+FOLD_FUNCTIONS = [stein.monomial(k) for k in range(9)] + [
+    stein.exponential(0.7), stein.exponential(-1.1), stein.sine(1.3),
+    stein.cosine(0.4), stein.gaussian_bump(0.6)]
+#: A1 at general parameters, A2 at equal mean-to-sd ratios, and the
+#: order-2 zero-mean operator a4, each with its parameters
+FOLD_SETS = {
+    "a1": (stein.operator_a1, MeanParams(validate(0.8, -1.2, 1.1, 0.9, 0.3), 2)),
+    "a2": (stein.operator_a2, MeanParams(validate(0.5, 1.0, 1.0, 2.0, 0.4), 2)),
+    "a4": (lambda mp: stein.operator_special("a4", mp),
+           MeanParams(validate(0, 0, 1.3, 0.8, -0.4), 3)),
+}
+_U = 2.0 ** -53  # unit roundoff
+
+
+def _fold_case(name):
+    """The operator of FOLD_SETS[name], and POINTS with one 2^13 slice of
+    the sampler at its parameters (a 2^13-sample stream's one batch)."""
+    from normprod.mc import SamplerConfig, sample_mean_of_products
+    build, mp = FOLD_SETS[name]
+    stream = sample_mean_of_products(mp, SamplerConfig(4, 1 << 13))
+    return build(mp), np.concatenate([POINTS, next(stream)])
+
+
+class TestFold:
+    @pytest.mark.parametrize("name", sorted(FOLD_SETS))
+    @pytest.mark.parametrize("f", FOLD_FUNCTIONS,
+                             ids=[f.label for f in FOLD_FUNCTIONS])
+    def test_fold_matches_apply(self, f, name):
+        # Both routes evaluate the same g_r(x) (the same numpy calls), and
+        # each computes sums of products of a0_j, a1_j, x, the built-in's
+        # parameter and g_r.  A value reached through at most K roundings
+        # on any path is within gamma_K = K u / (1 - K u) of the exact one,
+        # relative to the same expression in absolute values (Higham,
+        # Accuracy and Stability, ch. 3), and for both routes that
+        # expression is S = sum_j (|a0_j| + |a1_j x|) sum_r sum_i |P_jr,i|
+        # |x|^i |g_r(x)|: sum_j |(a0_j + a1_j x) f^(j)| with each product
+        # and each derivative taken term by term.  Roundings on a path:
+        # the fold <= 24 (P_jr by the recurrence <= 8, the fold of a pair
+        # into it <= 5, Horner at degree <= 9 <= 18 or <= 10 at degree 5,
+        # the product by g_r and the sum over rows 2); apply <= 16 (a
+        # derivative row <= 9, einsum's product and sum over j <= 5, the
+        # product by x and the final sum 2).  So |fold - apply| <=
+        # (gamma_24 + gamma_16) S < 41 u S.
+        spec, x = _fold_case(name)
+        table = f.table
+        used = table.polys[:spec.order + 1]
+        rows = np.ones((1, x.size)) if table.basis is None \
+            else np.abs(np.asarray(table.basis(x)))
+        scale = sum(
+            (abs(a0) + abs(a1 * x)) * sum(
+                np.polyval(np.abs(p), np.abs(x)) * g
+                for p, g in zip(ps, rows))
+            for (a0, a1), ps in zip(spec.coeffs, used))
+        fold = table.fold(spec)
+        assert fold.covers(float(np.abs(x).max()) + 1)
+        error = np.abs(fold(x) - stein.apply(spec, f, x))
+        assert (error <= 41 * _U * scale).all(), float((error / scale).max())
+
+    @pytest.mark.parametrize("name", sorted(FOLD_SETS))
+    @pytest.mark.parametrize("f", FOLD_FUNCTIONS,
+                             ids=[f.label for f in FOLD_FUNCTIONS])
+    def test_covered_reach_is_finite_on_both_routes(self, f, name):
+        # the estimator folds a batch only where ``covers`` holds, so a
+        # value is not finite on the fold where it is not on ``apply``,
+        # and the estimator refuses the same streams
+        build, mp = FOLD_SETS[name]
+        spec = build(mp)
+        fold = f.table.fold(spec)
+        reaches = np.geomspace(1, 1e308, 155)
+        x = np.concatenate([reaches, -reaches])
+        with np.errstate(over="ignore", invalid="ignore"):
+            by_apply = np.isfinite(stein.apply(spec, f, x))
+            by_fold = np.isfinite(fold(x))
+        covered = np.array([fold.covers(abs(v)) for v in x])
+        assert (by_apply & by_fold)[covered].all()
+        # the guarantee holds up to the first non-finite value of apply
+        assert not covered[~by_apply].any()
+        assert covered.any() and not covered.all()
+
+    def test_tables_are_the_derivatives(self):
+        # the table of each built-in gives the rows of its own evaluate;
+        # a built-in, table and all, stays hashable
+        x = POINTS
+        for f in FOLD_FUNCTIONS:
+            assert hash(f) == hash(stein.TestFunction(f.evaluate, f.label,
+                                                      f.table))
+            derivs = f(x)
+            basis = [np.ones_like(x)] if f.table.basis is None \
+                else f.table.basis(x)
+            for j, ps in enumerate(f.table.polys):
+                got = sum(np.polyval(p, x) * g
+                          for p, g in zip(ps, basis))
+                np.testing.assert_allclose(got, derivs[j], rtol=1e-14,
+                                           atol=1e-14, err_msg=f.label)
+
+
 class TestSubstitutionIdentities:
     def test_a1_a2_identity(self, rng):
         from conftest import random_equal_ratio_params
