@@ -44,9 +44,9 @@ generator set-up small; the Stein estimator evaluates its operator on
 slices of 2^13 (see _APPLY_SLICE), for a built-in test function as one
 Horner pass per basis row of the operator folded into the function's
 derivative table (see estimate_stein_expectations), which costs about a
-fifth to a third of ``apply`` a sample (2^13 slices of a 2-vCPU Xeon:
-x^2 2.7 against 11.5 ns, exp(-x^2/4) 6.5 against 15.0 ns; sin and cos,
-whose numpy calls take most of it, 30-35 against 32-43 ns).  Several
+sixth to a third of ``apply`` a sample (2^13 slices of a 2-vCPU Xeon:
+x^2 1.6 against 10.1 ns, exp(-x^2/4) 4.8 against 16.6 ns; sin and cos,
+whose numpy calls take most of it, 15-26 against 29-42 ns).  Several
 test functions share one stream (estimate_stein_expectations), each
 with the bits of its own estimate.  Estimators merge batch statistics by
 count-weighted pooling; merge order only moves results at floating
@@ -273,9 +273,9 @@ def _estimate(mean: float, m2: float, count: int) -> EstimateWithError:
     return EstimateWithError(mean, stderr, count)
 
 
-#: Samples per evaluation of the Stein operator.  ``apply`` and a
-#: hand-written test function hold about a dozen arrays of this length at
-#: once, a fold (DerivativeTable.fold) at most five; at 2^13 doubles
+#: Samples per evaluation of the Stein operator.  ``apply`` on a
+#: built-in's derivatives holds 10 to 12 arrays of this length at once,
+#: a fold (DerivativeTable.fold) at most four; at 2^13 doubles
 #: (64 KiB) each stays under glibc malloc's 128 KiB mmap threshold, so
 #: freed arrays are reused rather than unmapped and faulted in again
 #: (whole 2^15 batches cost about 12000 minor page faults per 10^6

@@ -72,24 +72,32 @@ class FoldedOperator:
         return (self.log_scale + self.degree * math.log(reach)
                 + self.rate * reach <= _LOG_SAFE)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """A f at the float array x: one Horner pass per basis row."""
-        values = [_horner(p, x) for p in self.polys]
-        if self.basis is not None:
-            for v, g in zip(values, self.basis(x)):
-                v *= g
-        total = values[0]
-        for v in values[1:]:
-            total += v
-        return total
+    def __call__(self, x) -> np.ndarray:
+        """A f at x (a scalar or an array): one Horner pass per basis row."""
+        x = np.asarray(x, dtype=float)
+        return _rows_sum(self.polys,
+                         None if self.basis is None else self.basis(x), x)
+
+
+def _rows_sum(polys, rows, x: np.ndarray) -> np.ndarray:
+    """sum_r P_r(x) g_r, with ``polys[r]`` the coefficients of P_r, highest
+    power first, and ``rows`` the arrays g_r (None: the one row g = 1)."""
+    values = [_horner(p, x) for p in polys]
+    if rows is not None:
+        for v, g in zip(values, rows):
+            v *= g
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
 
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coeffs``, highest power first, at x, in a new
-    array, by Horner's rule in place."""
+    """The polynomial with ``coeffs``, highest power first, at the float
+    array x, in a new array (0-d for a 0-d x), by Horner's rule in place."""
     if len(coeffs) == 1:
         return np.full_like(x, coeffs[0])
-    out = np.multiply(coeffs[0], x)
+    out = np.multiply(coeffs[0], x, out=np.empty_like(x))
     for c in coeffs[1:-1]:
         out += c
         out *= x
@@ -107,6 +115,13 @@ class DerivativeTable:
     polys: tuple[tuple[tuple[float, ...], ...], ...]
     basis: Optional[Callable] = None
     rate: float = 0.0
+
+    def derivatives(self, x) -> np.ndarray:
+        """f, f', ..., f'''' at x (a scalar or an array), stacked in one
+        (5, *x.shape) array."""
+        x = np.asarray(x, dtype=float)
+        rows = None if self.basis is None else self.basis(x)
+        return np.stack([_rows_sum(ps, rows, x) for ps in self.polys])
 
     def fold(self, spec: SteinOperatorSpec) -> FoldedOperator:
         """The operator on f as sum_r p_r g_r, p_r = sum_j (a0_j + a1_j x)
@@ -126,13 +141,15 @@ class DerivativeTable:
                               math.log(weight * size), degree)
 
 
-def _table(first, step, basis=None, rate=0.0) -> DerivativeTable:
-    """The table with P_0 = ``first`` (one polynomial per basis row) and
-    P_(j+1) = step(*P_j)."""
+def _builtin(label: str, first, step, basis=None,
+             rate=0.0) -> TestFunction:
+    """The built-in ``label`` whose table has P_0 = ``first`` (one
+    polynomial per basis row) and P_(j+1) = step(*P_j)."""
     polys = [tuple(map(_trimmed, first))]
     for _ in range(4):
         polys.append(tuple(map(_trimmed, step(*map(np.array, polys[-1])))))
-    return DerivativeTable(tuple(polys), basis, rate)
+    table = DerivativeTable(tuple(polys), basis, rate)
+    return TestFunction(table.derivatives, label, table)
 
 
 def _trimmed(p) -> tuple[float, ...]:
@@ -147,14 +164,14 @@ class TestFunction:
     """Bundle of f and derivatives f', f'', f''', f'''' evaluated jointly.
 
     ``evaluate`` maps x (scalar or ndarray) to the five values, as a
-    tuple or stacked in one (5, *x.shape) array; ``monomial`` and
-    ``gaussian_bump`` stack theirs, which ``apply`` then reads in place.
-    The built-ins also carry their derivatives as a ``DerivativeTable``,
-    into which the Monte Carlo Stein estimator folds the operator; a
-    function without one goes through ``apply`` there.  Membership of the
-    theorems' function class (moment-finiteness of the derivatives under
-    the target law) is the caller's obligation; the built-ins below all
-    qualify against product-normal laws.
+    tuple or stacked in one (5, *x.shape) array.  A built-in's ``table``
+    is its only description of them: its ``evaluate`` is the table's
+    ``derivatives``, and the Monte Carlo Stein estimator folds the
+    operator into the table; a hand-written function has no table and
+    goes through ``apply`` there.  Membership of the theorems' function
+    class (moment-finiteness of the derivatives under the target law) is
+    the caller's obligation; the built-ins below all qualify against
+    product-normal laws.
     """
 
     evaluate: Callable
@@ -178,117 +195,52 @@ def _parameter(name: str, value: float, positive: bool = False) -> float:
     return value
 
 
-def _stacked(x):
-    """x as a float array, an uninitialised (5, *x.shape) array for its
-    derivatives, and that array's rows as views ufuncs can write into
-    (0-d arrays for a scalar x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((5,) + x.shape)
-    return x, out, [out[j, ...] for j in range(5)]
-
-
 def monomial(k: int) -> TestFunction:
-    """f(x) = x**k with exact derivative formulas, k <= 8; all derivatives
-    are polynomially bounded."""
+    """f(x) = x**k, k <= 8; all derivatives are polynomially bounded."""
     k = int_at_least("k", k, 0, InvalidTestFunction)
     if k > 8:
         raise InvalidTestFunction(f"k={k}; the monomial degree must be <= 8")
-
-    def ev(x):
-        # f^(j) = k!/(k - j)! x^(k - j), zero past j = k
-        x, out, rows = _stacked(x)
-        out[k + 1:] = 0.0
-        power = 1.0
-        for p in range(k + 1):
-            if p:
-                power = power * x
-            if k - p <= 4:
-                np.multiply(math.perm(k, k - p), power, out=rows[k - p])
-        return out
-
-    return TestFunction(ev, f"x^{k}",
-                        _table([[1.0] + [0.0] * k], lambda p: [np.polyder(p)]))
+    return _builtin(f"x^{k}", [[1.0] + [0.0] * k], lambda p: [np.polyder(p)])
 
 
 def exponential(a: float) -> TestFunction:
     """f(x) = exp(a*x); valid test function for |a| small enough that the
     exponential moments exist (caller's obligation)."""
     a = _parameter("a", a)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        f = np.exp(a * x)
-        return tuple(a ** j * f for j in range(5))
-
-    return TestFunction(ev, f"exp({a}x)", _table(
-        [[1.0]], lambda p: [a * p], lambda x: (np.exp(a * x),), abs(a)))
+    return _builtin(f"exp({a}x)", [[1.0]], lambda p: [a * p],
+                    lambda x: (np.exp(a * x),), abs(a))
 
 
 def sine(t: float) -> TestFunction:
     """f(x) = sin(t*x); bounded with bounded derivatives."""
-    t = _parameter("t", t)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        s, c = np.sin(t * x), np.cos(t * x)
-        return (s, t * c, -t * t * s, -t ** 3 * c, t ** 4 * s)
-
-    return TestFunction(ev, f"sin({t}x)", _trig_table(t, [[1.0], [0.0]]))
+    return _trig("sin", _parameter("t", t), [[1.0], [0.0]])
 
 
 def cosine(t: float) -> TestFunction:
     """f(x) = cos(t*x); bounded with bounded derivatives."""
-    t = _parameter("t", t)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        s, c = np.sin(t * x), np.cos(t * x)
-        return (c, -t * s, -t * t * c, t ** 3 * s, t ** 4 * c)
-
-    return TestFunction(ev, f"cos({t}x)", _trig_table(t, [[0.0], [1.0]]))
+    return _trig("cos", _parameter("t", t), [[0.0], [1.0]])
 
 
-def _trig_table(t: float, first) -> DerivativeTable:
-    """The table over the rows sin(t x) and cos(t x), whose P_jr are
+def _trig(name: str, t: float, first) -> TestFunction:
+    """The built-in over the rows sin(t x) and cos(t x), whose P_jr are
     constants: (P_s, P_c) -> (-t P_c, t P_s)."""
 
     def basis(x):
         tx = t * x
         return np.sin(tx), np.cos(tx)
 
-    return _table(first, lambda ps, pc: [-t * pc, t * ps], basis)
+    return _builtin(f"{name}({t}x)", first,
+                    lambda ps, pc: [-t * pc, t * ps], basis)
 
 
 def gaussian_bump(a: float) -> TestFunction:
     """f(x) = exp(-a*x**2), a > 0; bounded with bounded derivatives."""
     a = _parameter("a", a, positive=True)
-
-    def ev(x):
-        # f, -2a x f, (4a^2 x^2 - 2a) f, (12a^2 - 8a^3 x^2) x f and
-        # (12a^2 + (16a^4 x^2 - 48a^3) x^2) f, each row written in place
-        x, out, (f, d1, d2, d3, d4) = _stacked(x)
-        x2 = x * x
-        np.exp(np.multiply(-a, x2, out=f), out=f)
-        np.multiply(-2 * a, x, out=d1)
-        d1 *= f
-        np.multiply(4 * a * a, x2, out=d2)
-        d2 -= 2 * a
-        d2 *= f
-        np.subtract(12 * a * a, np.multiply(8 * a ** 3, x2, out=d3), out=d3)
-        d3 *= x
-        d3 *= f
-        np.multiply(16 * a ** 4, x2, out=d4)
-        d4 -= 48 * a ** 3
-        d4 *= x2
-        d4 += 12 * a * a
-        d4 *= f
-        return out
-
     # P_(j+1) = P_j' - 2a x P_j
-    return TestFunction(ev, f"exp(-{a}x^2)", _table(
-        [[1.0]],
+    return _builtin(
+        f"exp(-{a}x^2)", [[1.0]],
         lambda p: [np.polysub(np.polyder(p), np.polymul((2 * a, 0.0), p))],
-        lambda x: (np.exp(-a * (x * x)),)))
+        lambda x: (np.exp(-a * (x * x)),))
 
 
 def _table_inputs(mp: MeanParams, num):

@@ -29,6 +29,12 @@ BUILTIN_CASES = [
     (stein.sine(1.3), sympy.sin(sympy.Rational(13, 10) * X)),
     (stein.cosine(0.4), sympy.cos(sympy.Rational(2, 5) * X)),
     (stein.gaussian_bump(0.6), sympy.exp(-sympy.Rational(3, 5) * X ** 2)),
+    # the highest degree (f'''' = 1680 x^4), and rows past k that vanish
+    (stein.monomial(8), X ** 8),
+    (stein.monomial(2), X ** 2),
+    (stein.exponential(-1.1), sympy.exp(-sympy.Rational(11, 10) * X)),
+    (stein.gaussian_bump(2.5), sympy.exp(-sympy.Rational(5, 2) * X ** 2)),
+    (stein.cosine(3.7), sympy.cos(sympy.Rational(37, 10) * X)),
 ]
 
 
@@ -191,10 +197,14 @@ class TestApply:
 
     def test_vectorized_matches_scalar(self):
         # a lone point and a batch give the same bits, through the
-        # stacked-array path (gaussian_bump) and the tuple path (sine)
+        # stacked-array path (a built-in) and the tuple path (by hand)
         mp = MeanParams(validate(0.5, 1.5, 1, 1, -0.3), 1)
         spec = stein.operator_a1(mp)
-        for f in (stein.gaussian_bump(0.5), stein.sine(1.3)):
+        sine = stein.TestFunction(
+            lambda x: (np.sin(1.3 * x), 1.3 * np.cos(1.3 * x),
+                       -1.69 * np.sin(1.3 * x), -2.197 * np.cos(1.3 * x),
+                       2.8561 * np.sin(1.3 * x)), "sin(1.3x) by hand")
+        for f in (stein.gaussian_bump(0.5), sine):
             vec = stein.apply(spec, f, POINTS)
             for x, v in zip(POINTS, vec):
                 assert v == stein.apply(spec, f, float(x))
@@ -223,40 +233,68 @@ def _fold_case(name):
     return build(mp), np.concatenate([POINTS, next(stream)])
 
 
+def _terms_sum(spec, table, x):
+    """S = sum_j (|a0_j| + |a1_j x|) sum_r sum_i |P_jr,i| |x|^i |g_r(x)|
+    at the float array x: A f in absolute values, term by term."""
+    used = table.polys[:spec.order + 1]
+    rows = np.ones((1, x.size)) if table.basis is None \
+        else np.abs(np.asarray(table.basis(x)))
+    return sum(
+        (abs(a0) + abs(a1 * x)) * sum(
+            np.polyval(np.abs(p), np.abs(x)) * g for p, g in zip(ps, rows))
+        for (a0, a1), ps in zip(spec.coeffs, used))
+
+
 class TestFold:
     @pytest.mark.parametrize("name", sorted(FOLD_SETS))
     @pytest.mark.parametrize("f", FOLD_FUNCTIONS,
                              ids=[f.label for f in FOLD_FUNCTIONS])
     def test_fold_matches_apply(self, f, name):
-        # Both routes evaluate the same g_r(x) (the same numpy calls), and
-        # each computes sums of products of a0_j, a1_j, x, the built-in's
-        # parameter and g_r.  A value reached through at most K roundings
-        # on any path is within gamma_K = K u / (1 - K u) of the exact one,
+        # Both routes read the same stored a0_j, a1_j and P_jr and the same
+        # g_r(x) (the same numpy calls), and each computes sums of products
+        # of these and x.  A value reached through at most K roundings on
+        # any path is within gamma_K = K u / (1 - K u) of the exact one,
         # relative to the same expression in absolute values (Higham,
         # Accuracy and Stability, ch. 3), and for both routes that
-        # expression is S = sum_j (|a0_j| + |a1_j x|) sum_r sum_i |P_jr,i|
-        # |x|^i |g_r(x)|: sum_j |(a0_j + a1_j x) f^(j)| with each product
-        # and each derivative taken term by term.  Roundings on a path:
-        # the fold <= 24 (P_jr by the recurrence <= 8, the fold of a pair
-        # into it <= 5, Horner at degree <= 9 <= 18 or <= 10 at degree 5,
-        # the product by g_r and the sum over rows 2); apply <= 16 (a
-        # derivative row <= 9, einsum's product and sum over j <= 5, the
-        # product by x and the final sum 2).  So |fold - apply| <=
-        # (gamma_24 + gamma_16) S < 41 u S.
+        # expression is S (_terms_sum).  An addition with an exact zero
+        # (a zero coefficient of P_jr, or a product with one) is exact, so
+        # a sum of N nonzero terms rounds each at most N - 1 times.
+        # Roundings on a path, fold + apply:
+        # - x^k, k <= 8 (one nonzero coefficient per P_j, no basis): a
+        #   coefficient of p, two terms, <= 2, Horner at degree <= 9 <= 18;
+        #   Horner of P_j <= 8, einsum's product and sum over j <= 5, the
+        #   product by x and the final sum <= 2: 20 + 15;
+        # - exp(-a x^2) (P_j of degree j, every other coefficient zero): a
+        #   coefficient of p, at most five terms, <= 5, Horner at degree 5
+        #   <= 10, the product by g <= 1; Horner of P_4 <= 6, the product
+        #   by g 1, then 5 + 2: 16 + 14;
+        # - exp(a x), sin, cos (constant P_jr): a coefficient of p <= 5,
+        #   Horner at degree 1 <= 2, the product by g_r and the sum over
+        #   rows <= 2; the product by g_r and the sum over rows <= 2, then
+        #   5 + 2: 9 + 9.
+        # So |fold - apply| <= (gamma_20 + gamma_15) S < 41 u S.
         spec, x = _fold_case(name)
-        table = f.table
-        used = table.polys[:spec.order + 1]
-        rows = np.ones((1, x.size)) if table.basis is None \
-            else np.abs(np.asarray(table.basis(x)))
-        scale = sum(
-            (abs(a0) + abs(a1 * x)) * sum(
-                np.polyval(np.abs(p), np.abs(x)) * g
-                for p, g in zip(ps, rows))
-            for (a0, a1), ps in zip(spec.coeffs, used))
-        fold = table.fold(spec)
+        scale = _terms_sum(spec, f.table, x)
+        fold = f.table.fold(spec)
         assert fold.covers(float(np.abs(x).max()) + 1)
         error = np.abs(fold(x) - stein.apply(spec, f, x))
         assert (error <= 41 * _U * scale).all(), float((error / scale).max())
+
+    @pytest.mark.parametrize("name", sorted(FOLD_SETS))
+    @pytest.mark.parametrize("f", FOLD_FUNCTIONS,
+                             ids=[f.label for f in FOLD_FUNCTIONS])
+    def test_fold_at_a_scalar(self, f, name):
+        # a Python float, a numpy scalar and a 0-d array keep every basis
+        # row (an in-place product on a numpy scalar would rebind the name
+        # and drop the row), within test_fold_matches_apply's bound
+        build, mp = FOLD_SETS[name]
+        spec = build(mp)
+        fold = f.table.fold(spec)
+        for point in POINTS:
+            scale = _terms_sum(spec, f.table, np.array([point]))[0]
+            for x in (float(point), np.float64(point), np.array(point)):
+                error = abs(fold(x) - stein.apply(spec, f, x))
+                assert error <= 41 * _U * scale, (type(x), float(error))
 
     @pytest.mark.parametrize("name", sorted(FOLD_SETS))
     @pytest.mark.parametrize("f", FOLD_FUNCTIONS,
@@ -280,8 +318,9 @@ class TestFold:
         assert covered.any() and not covered.all()
 
     def test_tables_are_the_derivatives(self):
-        # the table of each built-in gives the rows of its own evaluate;
-        # a built-in, table and all, stays hashable
+        # the table's polynomials by np.polyval give the rows of the
+        # built-in's evaluate (the table's own Horner passes); a built-in,
+        # table and all, stays hashable
         x = POINTS
         for f in FOLD_FUNCTIONS:
             assert hash(f) == hash(stein.TestFunction(f.evaluate, f.label,
