@@ -35,7 +35,7 @@ from .bessel import _log_k_forward
 from .errors import (CaseMismatch, NonFiniteParameter, NotConverged,
                      SingularPoint)
 from .params import MeanParams, ProductNormalParams
-from .stein import a1_table
+from .stein import a1_table, a4_table
 
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 _EPS = np.finfo(float).eps
@@ -68,15 +68,14 @@ _SERIES_REL_TOL = 1e-14
 _LOG_SERIES_REL_TOL = math.log(_SERIES_REL_TOL)
 _SERIES_BLOCKS = 300
 
-# Rounding bound, relative to the derivative, past which the zero-mean
-# derivatives are refused: five such errors move a density-ODE residual
-# (relative to its largest term) by at most 5e-9, half the 1e-8 to which
-# criterion 6 checks it.  Then their orders j, j!, and the shifts of K's
-# order that the Bessel factor's derivatives take.
-_LEIBNIZ_REL_TOL = 1e-9
-_ORDERS = np.arange(5)
-_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
-_KVE_SHIFTS = np.arange(-4, 5)
+# Rounding bound, relative to a zero-mean derivative, past which it is
+# refused: five such errors move a density-ODE residual (relative to its
+# largest term) by 5e-9, half criterion 6's 1e-8.  It takes 4 ulps in each
+# coefficient of the variance-gamma ODE and in kve's K_(nu-1) / K_nu, but
+# 64 there at integer orders and c|x| <= 2, where against 30-digit mpmath
+# that ratio erred by up to 52 ulps (elsewhere by at most 3.1).
+_DERIV_REL_TOL = 1e-9
+_ULP = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -490,57 +489,68 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
 
 
 def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
-    """Density of the zero-mean average and its first four derivatives.
+    """Density of the zero-mean average and its first four derivatives,
+    from the variance-gamma operator a4 (``stein.a4_table``).
 
-    Analytic: the Leibniz rule over the three factors |x|^nu, e^(rho c x)
-    and K_nu(c|x|) of the closed form, with the Bessel derivatives from
-    K_nu^(j)(z) = (-1/2)^j sum_k C(j,k) K_(nu-j+2k)(z) (DLMF 10.29.5).
-    Every factor is exponent-scaled (``kve``) and the common factor
-    exp(log_base + nu log|x| + rho c x - c|x|) is applied once at the end,
-    so the values stay nonzero wherever the density is representable.
-    Each Leibniz sum's rounding error is bounded by 4 eps times the same
-    sum over its terms' magnitudes (over 596 sampled sums, the error
-    against mpmath reached 3.9 eps times it).  NotConverged where that
-    bound exceeds _LEIBNIZ_REL_TOL = 1e-9 of the sum, as where the terms
-    of |x|^nu and K_nu cancel near x = 0 (at n = 2 and rho = 0.3, below
-    about |x| = 0.04), or where a derivative is not finite.
+    p is ``pdf_mean_zero_means``; p'/p = c (rho - sgn(x) K_(nu-1) / K_nu)
+    (c|x|) by DLMF 10.29.4, the ratio from ``kve``.  p solves a4's adjoint
+    sum_i B_i p^(i) = 0, B_i = b0_i + b1_i x (``_adjoint``), whose k-th
+    derivative gives r_j = p^(j)/p: B_2 r_(k+2) + (B_1 + k b1_2) r_(k+1) +
+    (B_0 + k b1_1) r_k + k b1_0 r_(k-1) = 0, k = 0, 1, 2.  A first-order
+    bound carries each r_j's rounding through the steps (_DERIV_REL_TOL),
+    leaving out the error of about ulp / (1 - rho^2) that 1 - rho^2 gives
+    c and every coefficient alike.  NotConverged where a derivative is not
+    finite or a bound exceeds 1e-9 of its r_j: near x = 0, where B_2 = O(x),
+    and in the heavy tail under strong correlation.  Five zeros where p
+    underflows.
     """
-    nu, c, log_base = _mean_zero_means_form(mp)
+    nu, c, _ = _mean_zero_means_form(mp)
     x = _finite_x(x)
     if x == 0:
         raise SingularPoint("derivatives at the singular point are undefined")
-    sgn, ax, rc = math.copysign(1.0, x), abs(x), mp.base.rho * c
-    j, fact = _ORDERS, _FACTORIALS
-    # Taylor coefficients f^(j)(x)/j! of each factor, scaled by its value
-    # at x (for the Bessel factor, by e^(-c|x|)); their convolution is the
-    # Leibniz rule.
-    with np.errstate(all="ignore"):  # a value out of range is refused below
-        power = np.cumprod(np.concatenate(([1.0], (nu - j[:-1]) * sgn / ax)))
-        power /= fact
-        expo = rc ** j / fact
-        # as floats, so that the sums below run without numpy's scalar costs
-        kv = special.kve(np.abs(nu + _KVE_SHIFTS), c * ax).tolist()
-        bessel = np.array([
-            (-0.5 * c * sgn) ** d
-            * sum(math.comb(d, k) * kv[4 - d + 2 * k] for k in range(d + 1))
-            for d in j
-        ]) / fact
-        taylor = np.convolve(np.convolve(power, expo), bessel)[:5]
-        mag = np.convolve(np.convolve(abs(power), abs(expo)), abs(bessel))
-        scale = math.exp(log_base + nu * math.log(ax) + rc * x - c * ax)
-        derivs = (scale * taylor * fact).tolist()
+    p = pdf_mean_zero_means(mp, x).value
+    if p == 0:
+        return [0.0] * 5
+    z, what = c * abs(x), f"zero-mean density derivatives: a derivative at x={x}"
+    k_lower, k_nu = special.kve([abs(nu - 1), nu], z).tolist()
+    # B_i at x, b0_i's parts summed first (exact at n = 2), b1_i, and m_i =
+    # the sum of B_i's parts' magnitudes, which bounds its rounding
+    (B0, s0, m0), (B1, s1, m1), (B2, s2, m2) = [
+        ((a0 + shift) + s * x, s, abs(a0) + abs(shift) + abs(s * x))
+        for a0, shift, s in _adjoint(a4_table(mp))]
+    if not (math.isfinite(k_lower / k_nu) and B2):
+        raise NotConverged(f"{what} is not finite")
+    drift, bessel = mp.base.rho * c, math.copysign(c * k_lower / k_nu, x)
+    ratio_ulps = 64 if nu % 1 == 0 and z <= 2 else 4
+    # r_(j-1) and its error bound at index j; r_(-1) = 0 starts the recursion
+    r = [0.0, 1.0, drift - bessel]
+    err = [0.0, 0.0, ratio_ulps * _ULP * (abs(drift) + abs(bessel))]
+    for k in range(3):
+        coefs = (k * s0, B0 + k * s1, B1 + k * s2)
+        sizes = (k * abs(s0), m0 + k * abs(s1), m1 + k * abs(s2))
+        r.append(-sum(cf * rj for cf, rj in zip(coefs, r[k:])) / B2)
+        err.append((sum(abs(cf) * e + 4 * _ULP * size * abs(rj)
+                        for cf, size, rj, e in zip(coefs, sizes, r[k:], err[k:]))
+                    + 4 * _ULP * m2 * abs(r[-1])) / abs(B2))
+    derivs = [p * rj for rj in r[1:]]
     if not all(map(math.isfinite, derivs)):
-        raise NotConverged(f"zero-mean density derivatives: a derivative "
-                           f"at x={x} is not finite")
-    if any(4 * _EPS * m > _LEIBNIZ_REL_TOL * abs(t)
-           for m, t in zip(mag.tolist(), taylor.tolist())):
-        raise NotConverged(f"zero-mean density derivatives: a Leibniz sum "
-                           f"at x={x} cancels to its rounding")
+        raise NotConverged(f"{what} is not finite")
+    if any(e > _DERIV_REL_TOL * abs(rj) for rj, e in zip(r[2:], err[2:])):
+        raise NotConverged(f"{what} cancels to its rounding")
     return derivs
 
 
 # The old name; perfbench's ode_finite_difference op still calls it.
 finite_difference_derivatives = pdf_product_derivatives
+
+
+def _adjoint(table) -> list[tuple[float, float, float]]:
+    """The adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] = sum_i (b0_i + b1_i
+    x) p^(i) of an operator table, b0_i in two parts: ((-1)^i a0_i,
+    -(-1)^i (i + 1) a1_(i+1), b1_i = (-1)^i a1_i) for each i."""
+    a1_next = [a1 for _, a1 in table[1:]] + [0.0]
+    return [((-1) ** i * a0, (-1) ** (i + 1) * (i + 1) * b, (-1) ** i * a1)
+            for i, ((a0, a1), b) in enumerate(zip(table, a1_next))]
 
 
 def ode_residual_density(mp: MeanParams, x: float,
@@ -560,12 +570,8 @@ def ode_residual_density(mp: MeanParams, x: float,
         raise ValueError("derivs must contain p and its first four derivatives")
     if not all(map(math.isfinite, derivs)):
         raise NotConverged(f"density ODE: a derivative at x={x} is not finite")
-    # the adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] of the operator: the
-    # coefficient of p^(i) is (-1)^i [(a0_i + a1_i x) - (i + 1) a1_(i+1)]
-    table = a1_table(mp)
-    a1_next = [a1 for _, a1 in table[1:]] + [0.0]
-    terms = [(-1) ** i * ((a0 + a1 * x) - (i + 1) * b) * d
-             for i, ((a0, a1), b, d) in enumerate(zip(table, a1_next, derivs))]
+    terms = [((a0 + a1 * x) + t) * d
+             for (a0, t, a1), d in zip(_adjoint(a1_table(mp)), derivs)]
     scale = max(abs(t) for t in terms)
     if scale == 0:
         return 0.0

@@ -21,11 +21,8 @@ Marsaglia-Tsang gamma there; above it, as a numpy gamma (see _chi_square).
 Every normal is one row of a Box & Muller (1958) pair, R cos 2w and
 R sin 2w with R = sqrt(2E), E a standard exponential, and w = pi U, U
 uniform: N1 and N2 are one pair, and for even n the two odd-dof normals
-of C1 and C2 another.  On rows of 2^15 (2-vCPU Xeon, numpy 2.4) numpy's
-ziggurat normal costs 11.8 ns a draw; a pair costs 7.4 ns a normal (an
-exponential 5.1 ns, a uniform 2.1 ns and a tan 2.2 ns, then the
-arithmetic, per two normals).  This changed every stream, n = 1 and 2
-included.
+of C1 and C2 another: an exponential, a uniform and a tan for two
+normals cost less than two of numpy's ziggurat normals.
 
 Both the pair and the empirical characteristic function take cos and
 sin of an angle 2w from one tangent of its half, v = tan(w):
@@ -36,21 +33,18 @@ call where there were two), and |v| stays below about 2e18, so v^2
 cannot overflow.
 
 Streams are generated batch-by-batch with an independent SFC64 generator
-(the fastest of numpy's bit generators for uniforms: 2.1 ns a draw
-against PCG64's 2.6 ns) keyed on (seed, batch index), so parallel or
-out-of-order evaluation of batches reproduces the same numbers as a
-sequential pass.  Batches of BATCH = 2^15 samples keep the per-batch
-generator set-up small; the Stein estimator evaluates its operator on
-slices of 2^13 (see _APPLY_SLICE), for a built-in test function as one
-Horner pass per basis row of the operator folded into the function's
-derivative table (see estimate_stein_expectations), which costs about a
-sixth to a third of ``apply`` a sample (2^13 slices of a 2-vCPU Xeon:
-x^2 1.6 against 10.1 ns, exp(-x^2/4) 4.8 against 16.6 ns; sin and cos,
-whose numpy calls take most of it, 15-26 against 29-42 ns).  Several
-test functions share one stream (estimate_stein_expectations), each
-with the bits of its own estimate.  Estimators merge batch statistics by
-count-weighted pooling; merge order only moves results at floating
-roundoff level.
+(the fastest of numpy's bit generators for uniforms) keyed on (seed,
+batch index), so parallel or out-of-order evaluation of batches
+reproduces the same numbers as a sequential pass.  Batches of BATCH =
+2^15 samples keep the per-batch generator set-up small; the Stein
+estimator evaluates its operator on slices of 2^13 (see _APPLY_SLICE),
+for a built-in test function as one Horner pass per basis row of the
+operator folded into the function's derivative table (see
+estimate_stein_expectations), a fraction of the cost of ``apply``.
+Several test functions share one stream (estimate_stein_expectations),
+each with the bits of its own estimate.  Estimators merge batch
+statistics by count-weighted pooling; merge order only moves results at
+floating roundoff level.
 """
 
 from __future__ import annotations
@@ -104,13 +98,9 @@ def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:
         np.random.SFC64(np.random.SeedSequence((cfg.seed, index))))
 
 
-#: Largest gamma shape k drawn as -log of a product of k uniforms.  Per
-#: chi-square(2k) draw, batches of 2^15 on a 2-vCPU Xeon with AVX-512,
-#: medians of 41 alternated rounds, uniforms against numpy's gamma:
-#: k = 1: 5.1 against 8.3 ns; 2: 8.6 / 27.3; 4: 16.3 / 25.5;
-#: 6: 23.1 / 26.4 (faster in 37 of 41 rounds); 7: 26.7 / 24.7 (faster in
-#: 4 of 41).  Each factor costs about 3.7 ns, numpy's Marsaglia-Tsang
-#: gamma about 25 ns at any k >= 2.
+#: Largest gamma shape k drawn as -log of a product of k uniforms, whose
+#: cost grows with k while numpy's Marsaglia-Tsang gamma costs about the
+#: same at any k >= 2; the product measured faster up to k = 6.
 _UNIFORM_GAMMA_MAX = 6
 
 

@@ -1,13 +1,13 @@
 """Stein operators with linear coefficients for the product-normal mean.
 
-An operator is a table of pairs (a0_j, a1_j), j = 0..order, with
-A f(x) = sum_j (a0_j + a1_j x) f^(j)(x) and E[A f(Z)] = 0 for the mean Z
-of n copies.  The general fourth-order table and the third-order one for
-equal mean-to-sd ratios are written once (``a1_table``, ``a2_table``),
-generic over the number type: the moment recursions of ``moments`` solve
-them in floats or Fractions, the density ODE is their adjoint and the
-characteristic-function ODE their Fourier transform.  Tables can be
-printed, diffed, exported, and fed to the exact-arithmetic order search.
+An operator is a table of pairs (a0_j, a1_j), j = 0..order, with A f(x) =
+sum_j (a0_j + a1_j x) f^(j)(x) and E[A f(Z)] = 0 for the mean Z of n
+copies.  The general fourth-order table, the equal-ratio third-order one
+and the zero-mean variance-gamma one (``a1_table``, ``a2_table``,
+``a4_table``) are written once, generic over the number type: ``moments``
+solves the first two in floats or Fractions, the density's ODEs are
+adjoints of the first and last, the CF's ODE a Fourier transform.  Tables
+can be printed, diffed, exported, and fed to the exact order search.
 """
 
 from __future__ import annotations
@@ -250,17 +250,9 @@ def _table_inputs(mp: MeanParams, num):
     return mux, muy, rho, mux / sx, muy / sy, sx * sy / mp.n, 1 - rho * rho, mp.n
 
 
-def _in_range(table):
-    """A float coefficient table as it is; NotConverged where a coefficient
-    is not finite or the top pair underflows to (0, 0)."""
-    if not (all(math.isfinite(c) for pair in table for c in pair)
-            and any(table[-1])):
-        raise NotConverged("an operator coefficient leaves the double range")
-    return table
-
-
 def _float_checked(table_of):
-    """``table_of``, whose float tables pass ``_in_range``."""
+    """``table_of``, whose float tables raise NotConverged where a
+    coefficient is not finite or the top pair underflows to (0, 0)."""
 
     @functools.wraps(table_of)
     def checked(mp: MeanParams, num=float) -> tuple[tuple, ...]:
@@ -268,7 +260,11 @@ def _float_checked(table_of):
             table = table_of(mp, num)
         except OverflowError:  # a float power past the double range
             table = ((math.inf, 0.0),)
-        return _in_range(table) if num is float else table
+        if num is float and not (
+                all(math.isfinite(c) for pair in table for c in pair)
+                and any(table[-1])):
+            raise NotConverged("an operator coefficient leaves the double range")
+        return table
 
     return checked
 
@@ -311,6 +307,19 @@ def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
     )
 
 
+@_float_checked
+def a4_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
+    """Coefficient pairs (a0_j, a1_j), j = 0..2, of the second-order
+    variance-gamma operator (Gaunt, EJP 2014) characterising the mean at
+    zero means (its means are not read), in the number type ``num``."""
+    _, _, rho, _, _, s_n, om, n = _table_inputs(mp, num)
+    return (
+        (n * s_n * rho, num(-1)),
+        (n * (s_n * s_n) * om, 2 * rho * s_n),
+        (num(0), s_n * s_n * om),
+    )
+
+
 def operator_a1(mp: MeanParams) -> SteinOperatorSpec:
     """The fourth-order operator characterising the mean for any valid
     parameters."""
@@ -338,7 +347,7 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
     if which not in _SPECIAL:
         raise ValueError(f"unknown operator {which!r}; expected one of {_SPECIAL}")
     p = mp.base
-    rho, n, s_n = p.rho, mp.n, mp.s_n
+    rho, n = p.rho, mp.n
     zero_means = p.mu_x == 0 and p.mu_y == 0
     if which in ("a3", "a4") and not zero_means:
         raise CaseMismatch(f"{which} requires zero means")
@@ -354,12 +363,7 @@ def operator_special(which: str, mp: MeanParams) -> SteinOperatorSpec:
         return operator_a1(mp)
     if which == "a7":
         return operator_a2(mp)
-    om = 1.0 - rho * rho
-    return SteinOperatorSpec(_in_range((
-        (n * s_n * rho, -1.0),
-        (n * (s_n * s_n) * om, 2 * rho * s_n),
-        (0.0, s_n * s_n * om),
-    )))
+    return SteinOperatorSpec(a4_table(mp))
 
 
 def apply(spec: SteinOperatorSpec, f: TestFunction, x):

@@ -475,8 +475,8 @@ class TestExitCodes:
         ["besselk", "--nu", "200", "--x", "0.1"],
         ["moments", "--closed-form", "--sigma-x", "1e-170",
          "--sigma-y", "1e-170"],
-        # the Leibniz sums cancel to their rounding (a residual of
-        # 0.99999993 used to exit 0), and N1 is lost next to 1e80 (four
+        # the zero-mean derivatives cancel to their rounding (a residual
+        # of 0.99999993 used to exit 0), and N1 is lost next to 1e80 (four
         # zeros used to exit 0)
         ["ode-check", "--n", "4", "--rho", "0.3", "--x", "1e-7", "--json"],
         ["sample", "--mu-x", "1e80", "--mu-y", "1", "--count", "4"],

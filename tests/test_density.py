@@ -98,6 +98,33 @@ def _central_differences(p, x):
     return out
 
 
+def _mpmath_zero_mean_derivatives(sx, sy, rho, n, x, dps):
+    """Test-only oracle for ``mean_zero_means_derivatives``: the Taylor
+    coefficients of the closed form p = C |x|^nu e^(rho c x) K_nu(c|x|),
+    times k!, in mpmath at ``dps`` digits, by the Leibniz rule over the
+    three factors with K_nu^(j)(z) = (-1/2)^j sum_i C(j, i) K_(nu-j+2i)(z)
+    (DLMF 10.29.5); ``mpmath.taylor`` of integer-order ``besselk`` took
+    0.4-5 s a point."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(dps):
+        rho, x = mpf(rho), mpf(x)
+        om, s_n = 1 - rho ** 2, mpf(sx) * mpf(sy) / n
+        c, nu, sgn, ax = 1 / (s_n * om), mpf(n - 1) / 2, mpmath.sign(x), abs(x)
+        pref = (mpf(2) ** -nu / (s_n ** (mpf(n + 1) / 2)
+                                 * mpmath.sqrt(mpmath.pi * om)
+                                 * mpmath.gamma(mpf(n) / 2)))
+        power = [mpmath.ff(nu, j) * sgn ** j * ax ** (nu - j) for j in range(5)]
+        expo = [(rho * c) ** j * mpmath.exp(rho * c * x) for j in range(5)]
+        bessel = [(-c * sgn / 2) ** j * mpmath.fsum(
+            mpmath.binomial(j, i) * mpmath.besselk(abs(nu - j + 2 * i), c * ax)
+            for i in range(j + 1)) for j in range(5)]
+        return [float(pref * mpmath.fsum(
+            mpmath.factorial(k) / (mpmath.factorial(a) * mpmath.factorial(b)
+                                   * mpmath.factorial(k - a - b))
+            * power[a] * expo[b] * bessel[k - a - b]
+            for a in range(k + 1) for b in range(k + 1 - a))) for k in range(5)]
+
+
 class TestDoubleSeries:
     def test_double_equals_single_series(self):
         # one zero mean, uncorrelated: the double series collapses
@@ -658,27 +685,50 @@ class TestDerivativesAndOde:
         (1, 0.3, -0.4), (1, -0.5, 0.5),     # integer order nu = 0
         (2, 0.4, -1.3), (2, -0.4, 0.6),     # half-integer order
         (3, 0.3, -0.4),                     # integer order nu = 1
+        (4, 0.6, 0.9), (5, -0.4, -1.2), (7, 0.3, 2.0),
     ])
     def test_derivatives_match_mpmath_taylor(self, n, rho, x):
-        mp = MeanParams(validate(0, 0, 1, 1, rho), n)
-        with mpmath.workdps(20):
-            # the closed form of pdf_mean_zero_means, written out in mpmath
-            om = 1 - mpmath.mpf(rho) ** 2
-            s_n = mpmath.mpf(1) / n
-            c = 1 / (s_n * om)
-            nu = mpmath.mpf(n - 1) / 2
-            pref = (mpmath.mpf(2) ** -nu
-                    / (s_n ** (mpmath.mpf(n + 1) / 2) * mpmath.sqrt(mpmath.pi * om)
-                       * mpmath.gamma(mpmath.mpf(n) / 2)))
-            sgn = mpmath.sign(x)
-            coeffs = mpmath.taylor(
-                lambda t: (pref * (sgn * t) ** nu * mpmath.exp(rho * c * t)
-                           * mpmath.besselk(nu, c * sgn * t)),
-                mpmath.mpf(x), 4)
-        expected = [float(ck * mpmath.factorial(k)) for k, ck in enumerate(coeffs)]
-        got = mean_zero_means_derivatives(mp, x)
-        for k, (a, b) in enumerate(zip(got, expected)):
-            assert a == pytest.approx(b, rel=1e-12), f"order {k}"
+        for sigmas in [(1.0, 1.0), (0.6, 1.7)]:
+            mp = MeanParams(validate(0, 0, *sigmas, rho), n)
+            expected = _mpmath_zero_mean_derivatives(*sigmas, rho, n, x, 20)
+            got = mean_zero_means_derivatives(mp, x)
+            for k, (a, b) in enumerate(zip(got, expected)):
+                assert a == pytest.approx(b, rel=1e-12), (sigmas, k)
+
+    # (0, 0, 3, 0.4, -0.95) at x = -15: the heavy tail, where p'/p is
+    # small against each of its terms and every step of the recursion
+    # cancels.  The Leibniz sums refused all four; the recursion answers
+    # n = 1 (1.2e-10 off) and refuses the rest (bounds 1.1-1.3e-9 against
+    # errors of 4e-11 to 2.1e-10)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_strongly_correlated_tail_within_1e_9_or_refused(self, n):
+        mp = MeanParams(validate(0, 0, 3, 0.4, -0.95), n)
+        expected = _mpmath_zero_mean_derivatives(3, 0.4, -0.95, n, -15.0, 40)
+        try:
+            got = mean_zero_means_derivatives(mp, -15.0)
+        except NotConverged:
+            return
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_near_origin_within_1e_12(self):
+        # the Leibniz sums of |x|^nu and K_nu cancelled here (1.0e-10 off)
+        mp = MeanParams(validate(0, 0, 1, 1, 0.3), 2)
+        expected = _mpmath_zero_mean_derivatives(1, 1, 0.3, 2, 0.04, 30)
+        assert mean_zero_means_derivatives(mp, 0.04) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_density_is_pdf_mean_zero_means_bit_for_bit(self):
+        for n in (2, 3, 5):
+            for rho in (0.0, 0.4, -0.4):
+                mp = MeanParams(validate(0, 0, 1, 1, rho), n)
+                for x in (-1.5, 0.7, 2.0):
+                    assert (mean_zero_means_derivatives(mp, x)[0]
+                            == pdf_mean_zero_means(mp, x).value)
+
+    def test_underflowing_density_gives_five_zeros(self):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
+        assert pdf_mean_zero_means(mp, -134.5).value == 0.0
+        assert mean_zero_means_derivatives(mp, -134.5) == [0.0] * 5
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("rho", [0.4, -0.4])
@@ -819,9 +869,10 @@ class TestDerivativesAndOde:
         assert ode_residual_density(mp, 0.5, [0.0] * 5) == 0.0
 
     # (0, 0, 1, 1, 0.3) at n = 2 and x = 1e-4 returned f''' 8.1e-5 and
-    # f'''' 22% off a 60-digit mpmath derivative, where eps times the
-    # Leibniz sums over the terms' magnitudes read 2.3e-4 and 4.3 of the
-    # sums; at n = 4 and x = 1e-7 the ODE residual read 0.99999993
+    # f'''' 22% off a 60-digit mpmath derivative; at n = 4 and x = 1e-7 the
+    # ODE residual read 0.99999993.  The recursion divides by B_2 = O(x)
+    # at each step; its rounding bound reads 1.1e-7 and 1.4e-3 of f''' and
+    # f'''' at the first point, 8.6e-3 and 1.0e-2 at the last
     @pytest.mark.parametrize("n, x", [(2, 1e-4), (2, -1e-4), (4, 1e-7)])
     def test_cancelled_zero_mean_derivatives_not_converged(self, n, x):
         mp = MeanParams(validate(0, 0, 1, 1, 0.3), n)

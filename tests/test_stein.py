@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from normprod import (CaseMismatch, InvalidOrder, InvalidTestFunction,
                       MeanParams, validate)
@@ -352,6 +353,24 @@ class TestSubstitutionIdentities:
             f = stein.exponential(float(rng.uniform(-0.4, 0.4)))
             x = float(rng.uniform(-3, 3))
             assert stein.substitution_identity_check(mp, f, x, "a3a4") <= 1e-9
+
+    @given(sx=st.integers(1, 64), sy=st.integers(1, 64),
+           rho=st.integers(-31, 31), n=st.sampled_from([1, 2, 3, 7]))
+    def test_a4_composed_with_l_prime_is_a1_exactly(self, sx, sy, rho, n):
+        # A3 = A4 o L' with L' = (1 - rho^2) s_n^2 D^2 + 2 rho s_n D - 1, at
+        # dyadic parameters, whose floats are exact Fractions.  L' has
+        # constant coefficients, so the table of A4 o L' is a4's table
+        # convolved with (-1, 2 rho s_n, (1 - rho^2) s_n^2), column by column
+        mp = MeanParams(validate(0, 0, sx / 16, sy / 16, rho / 32), n)
+        r, s_n = Fraction(rho, 32), Fraction(sx * sy, 256 * n)
+        l_prime = (-1, 2 * r * s_n, (1 - r * r) * s_n * s_n)
+        a4 = stein.a4_table(mp, Fraction)
+        composed = tuple(
+            tuple(sum(a4[j][col] * l_prime[m - j]
+                      for j in range(max(0, m - 2), min(m, 2) + 1))
+                  for col in (0, 1))
+            for m in range(5))
+        assert composed == stein.a1_table(mp, Fraction)
 
     def test_auto_selects_by_case(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.3), 2)
