@@ -38,7 +38,7 @@ from .params import MeanParams, ProductNormalParams
 from .stein import a1_table, a4_table
 
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _SIGN_U = np.array([[1.0], [-1.0]])  # a row per sign of u in the integrals
 
 # Nats of cancellation between the positive and negative partial sums
@@ -68,14 +68,9 @@ _SERIES_REL_TOL = 1e-14
 _LOG_SERIES_REL_TOL = math.log(_SERIES_REL_TOL)
 _SERIES_BLOCKS = 300
 
-# Rounding bound, relative to a zero-mean derivative, past which it is
-# refused: five such errors move a density-ODE residual (relative to its
-# largest term) by 5e-9, half criterion 6's 1e-8.  It takes 4 ulps in each
-# coefficient of the variance-gamma ODE and in kve's K_(nu-1) / K_nu, but
-# 64 there at integer orders and c|x| <= 2, where against 30-digit mpmath
-# that ratio erred by up to 52 ulps (elsewhere by at most 3.1).
+# Relative rounding bound past which a zero-mean derivative is refused:
+# five such errors move a density-ODE residual by 5e-9, half criterion 6's.
 _DERIV_REL_TOL = 1e-9
-_ULP = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -497,45 +492,51 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
     sum_i B_i p^(i) = 0, B_i = b0_i + b1_i x (``_adjoint``), whose k-th
     derivative gives r_j = p^(j)/p: B_2 r_(k+2) + (B_1 + k b1_2) r_(k+1) +
     (B_0 + k b1_1) r_k + k b1_0 r_(k-1) = 0, k = 0, 1, 2.  A first-order
-    bound carries each r_j's rounding through the steps (_DERIV_REL_TOL),
-    leaving out the error of about ulp / (1 - rho^2) that 1 - rho^2 gives
-    c and every coefficient alike.  NotConverged where a derivative is not
-    finite or a bound exceeds 1e-9 of its r_j: near x = 0, where B_2 = O(x),
-    and in the heavy tail under strong correlation.  Five zeros where p
-    underflows.
+    bound carries the rounding of the ratio and of each coefficient (4 ulps
+    each) through the steps; it leaves out 1 - rho^2's rounding, which
+    moves c and every coefficient alike.  NotConverged where K_nu or
+    K_(nu-1) leaves the double range, where a derivative is not finite or
+    a bound exceeds 1e-9 of its r_j (near x = 0 and in correlated tails).
     """
     nu, c, _ = _mean_zero_means_form(mp)
     x = _finite_x(x)
     if x == 0:
         raise SingularPoint("derivatives at the singular point are undefined")
-    p = pdf_mean_zero_means(mp, x).value
-    if p == 0:
-        return [0.0] * 5
+    log_p = pdf_mean_zero_means(mp, x).log_abs
     z, what = c * abs(x), f"zero-mean density derivatives: a derivative at x={x}"
     k_lower, k_nu = special.kve([abs(nu - 1), nu], z).tolist()
-    # B_i at x, b0_i's parts summed first (exact at n = 2), b1_i, and m_i =
-    # the sum of B_i's parts' magnitudes, which bounds its rounding
+    adj = _adjoint(a4_table(mp))
+    # homogeneous: a power of two keeps b1_i x in range, changing no r_j
+    room = 1000 - math.frexp(x)[1] - math.frexp(max(map(abs, sum(adj, ()))))[1]
+    # B_i at x, b0_i's parts summed first (exact at n = 2), b1_i, and m_i,
+    # its parts' magnitudes, which bound its rounding where they cancel
     (B0, s0, m0), (B1, s1, m1), (B2, s2, m2) = [
         ((a0 + shift) + s * x, s, abs(a0) + abs(shift) + abs(s * x))
-        for a0, shift, s in _adjoint(a4_table(mp))]
-    if not (math.isfinite(k_lower / k_nu) and B2):
+        for a0, shift, s in (row if room >= 0 else [math.ldexp(v, room) for v in row]
+                             for row in adj)]
+    # an overflowed K_nu would make the ratio 0, not a refusal
+    if not (0 < k_lower / k_nu < math.inf and B2 and m0 + m1 + m2 < math.inf):
         raise NotConverged(f"{what} is not finite")
     drift, bessel = mp.base.rho * c, math.copysign(c * k_lower / k_nu, x)
-    ratio_ulps = 64 if nu % 1 == 0 and z <= 2 else 4
+    # 64 ulps where kve's ratio erred by up to 52 (elsewhere by at most 3.1)
+    ratio_eps = 32 * _EPS if nu % 1 == 0 and z <= 2 else 2 * _EPS
     # r_(j-1) and its error bound at index j; r_(-1) = 0 starts the recursion
     r = [0.0, 1.0, drift - bessel]
-    err = [0.0, 0.0, ratio_ulps * _ULP * (abs(drift) + abs(bessel))]
+    err = [0.0, 0.0, ratio_eps * (abs(drift) + abs(bessel))]
     for k in range(3):
         coefs = (k * s0, B0 + k * s1, B1 + k * s2)
         sizes = (k * abs(s0), m0 + k * abs(s1), m1 + k * abs(s2))
         r.append(-sum(cf * rj for cf, rj in zip(coefs, r[k:])) / B2)
-        err.append((sum(abs(cf) * e + 4 * _ULP * size * abs(rj)
-                        for cf, size, rj, e in zip(coefs, sizes, r[k:], err[k:]))
-                    + 4 * _ULP * m2 * abs(r[-1])) / abs(B2))
-    derivs = [p * rj for rj in r[1:]]
+        err.append((sum(abs(cf) * ej + 2 * _EPS * size * abs(rj)
+                        for cf, size, rj, ej in zip(coefs, sizes, r[k:], err[k:]))
+                    + 2 * _EPS * m2 * abs(r[-1])) / abs(B2))
+    p = math.exp(log_p)  # below DBL_MIN, p r_j from logs keeps its digits
+    derivs = [p * rj if p >= _DBL_MIN or not rj else
+              math.copysign(math.exp(log_p + math.log(abs(rj))), rj)
+              for rj in r[1:]]
     if not all(map(math.isfinite, derivs)):
         raise NotConverged(f"{what} is not finite")
-    if any(e > _DERIV_REL_TOL * abs(rj) for rj, e in zip(r[2:], err[2:])):
+    if not all(ej <= _DERIV_REL_TOL * abs(rj) for rj, ej in zip(r[2:], err[2:])):
         raise NotConverged(f"{what} cancels to its rounding")
     return derivs
 
@@ -546,8 +547,8 @@ finite_difference_derivatives = pdf_product_derivatives
 
 def _adjoint(table) -> list[tuple[float, float, float]]:
     """The adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] = sum_i (b0_i + b1_i
-    x) p^(i) of an operator table, b0_i in two parts: ((-1)^i a0_i,
-    -(-1)^i (i + 1) a1_(i+1), b1_i = (-1)^i a1_i) for each i."""
+    x) p^(i) of a table: b0_i's two parts and b1_i, ((-1)^i a0_i, -(-1)^i
+    (i + 1) a1_(i+1), (-1)^i a1_i), for each i."""
     a1_next = [a1 for _, a1 in table[1:]] + [0.0]
     return [((-1) ** i * a0, (-1) ** (i + 1) * (i + 1) * b, (-1) ** i * a1)
             for i, ((a0, a1), b) in enumerate(zip(table, a1_next))]

@@ -309,9 +309,8 @@ def a2_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
 
 @_float_checked
 def a4_table(mp: MeanParams, num=float) -> tuple[tuple, ...]:
-    """Coefficient pairs (a0_j, a1_j), j = 0..2, of the second-order
-    variance-gamma operator (Gaunt, EJP 2014) characterising the mean at
-    zero means (its means are not read), in the number type ``num``."""
+    """Coefficient pairs (a0_j, a1_j), j = 0..2, of the variance-gamma
+    operator (Gaunt, EJP 2014) for zero means, in the number type ``num``."""
     _, _, rho, _, _, s_n, om, n = _table_inputs(mp, num)
     return (
         (n * s_n * rho, num(-1)),

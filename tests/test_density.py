@@ -686,6 +686,9 @@ class TestDerivativesAndOde:
         (2, 0.4, -1.3), (2, -0.4, 0.6),     # half-integer order
         (3, 0.3, -0.4),                     # integer order nu = 1
         (4, 0.6, 0.9), (5, -0.4, -1.2), (7, 0.3, 2.0),
+        # near the origin, where Leibniz sums of |x|^nu and K_nu cancelled
+        # (1.0e-10 off at sigmas (1, 1))
+        (2, 0.3, 0.04),
     ])
     def test_derivatives_match_mpmath_taylor(self, n, rho, x):
         for sigmas in [(1.0, 1.0), (0.6, 1.7)]:
@@ -710,13 +713,6 @@ class TestDerivativesAndOde:
             return
         assert got == pytest.approx(expected, rel=1e-9)
 
-    def test_near_origin_within_1e_12(self):
-        # the Leibniz sums of |x|^nu and K_nu cancelled here (1.0e-10 off)
-        mp = MeanParams(validate(0, 0, 1, 1, 0.3), 2)
-        expected = _mpmath_zero_mean_derivatives(1, 1, 0.3, 2, 0.04, 30)
-        assert mean_zero_means_derivatives(mp, 0.04) == pytest.approx(
-            expected, rel=1e-12)
-
     def test_density_is_pdf_mean_zero_means_bit_for_bit(self):
         for n in (2, 3, 5):
             for rho in (0.0, 0.4, -0.4):
@@ -729,6 +725,41 @@ class TestDerivativesAndOde:
         mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
         assert pdf_mean_zero_means(mp, -134.5).value == 0.0
         assert mean_zero_means_derivatives(mp, -134.5) == [0.0] * 5
+
+    # p''''/p is about 1e20 here: p is subnormal at x = 0.0075 and
+    # underflows at 0.0076, while p'' ... p'''' are in range
+    @pytest.mark.parametrize("x", [0.0075, 0.0076])
+    def test_derivatives_of_a_subnormal_density_keep_their_digits(self, x):
+        mp = MeanParams(validate(0, 0, 1e-2, 1e-2, -0.9), 1)
+        got = mean_zero_means_derivatives(mp, x)
+        assert got[0] == pdf_mean_zero_means(mp, x).value < sys.float_info.min
+        assert got[4] > sys.float_info.min
+        expected = _mpmath_zero_mean_derivatives(1e-2, 1e-2, -0.9, 1, x, 40)
+        assert got == pytest.approx(expected, rel=1e-9, abs=5e-324)
+
+    # s_n = 1e150: the adjoint's b1_2 x is 1e438 unless it is scaled
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_adjoint_scaled_back_into_range(self, n):
+        mp = MeanParams(validate(0, 0, 1e-150, 1e300, 0.0), n)
+        got = mean_zero_means_derivatives(mp, -1e138)
+        expected = _mpmath_zero_mean_derivatives(1e-150, 1e300, 0.0, n,
+                                                 -1e138, 100)
+        assert got == pytest.approx(expected, rel=1e-9, abs=5e-324)
+
+    # at rho = 0, K_nu(c|x|) overflows from about these x while
+    # K_(nu-1) does not; a ratio of 0 there gave p''/p the wrong sign
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("x", [1e-104, 1e-160])
+    def test_tiny_x_within_1e_9_or_refused(self, n, x):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.0), n)
+        try:
+            got = mean_zero_means_derivatives(mp, x)
+        except NotConverged:
+            return
+        # the Leibniz sums cancel by up to a factor x^-4
+        dps = int(40 - 4 * math.log10(x))
+        expected = _mpmath_zero_mean_derivatives(1, 1, 0.0, n, x, dps)
+        assert got == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("rho", [0.4, -0.4])
