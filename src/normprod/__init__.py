@@ -57,6 +57,7 @@ from .mc import (
     EstimateWithError,
     SamplerConfig,
     estimate_cf,
+    estimate_cfs,
     estimate_moment,
     estimate_stein_expectation,
     estimate_stein_expectations,

@@ -16,21 +16,31 @@ chi-square(n - 1) (zero for n = 1).  A chi-square(n - 1) is twice a gamma
 of integer shape k = (n - 1) // 2 plus one squared normal when n - 1 is
 odd.  Up to k = 6 the gamma is drawn as -log of a product of k uniforms
 (Devroye 1986, section IX.3), which is cheaper than numpy's
-Marsaglia-Tsang gamma there; above it, as a numpy gamma (see _chi_square).
+Marsaglia-Tsang gamma there; above it, as a numpy gamma (see
+_add_chi_square).  The sampler draws uniforms only below the gamma
+cutoff (n <= 14): an exponential E is -log(1 - U), cheaper than numpy's
+ziggurat.
 
-Every normal is one row of a Box & Muller (1958) pair, R cos 2w and
-R sin 2w with R = sqrt(2E), E a standard exponential, and w = pi U, U
-uniform: N1 and N2 are one pair, and for even n the two odd-dof normals
-of C1 and C2 another: an exponential, a uniform and a tan for two
-normals cost less than two of numpy's ziggurat normals.
+N1 and N2 are a Box & Muller (1958) pair, R cos 2w and R sin 2w with
+R = sqrt(2E) and w = pi U, its cos and sin taken from one tangent of the
+half angle, v = tan(w): cos 2w = (1 - v^2)/(1 + v^2) and sin 2w =
+2v/(1 + v^2) (stein._cos_sin_from_half).  The widths, the shifts and
+sqrt(sigma_x sigma_y / (4n)) are folded into per-call constants, so the
+two shifted rows come out directly (see _normal_pair):
 
-Both the pair and the empirical characteristic function take cos and
-sin of an angle 2w from one tangent of its half, v = tan(w):
-cos = (1 - v^2)/(1 + v^2), sin = 2v/(1 + v^2), within 2.2e-16 of numpy's
-cos and sin at any magnitude.  numpy's vectorised tan costs a tenth of
-cos and sin together (on a CPU without AVX-512 it is libm's, still one
-call where there were two), and |v| stays below about 2e18, so v^2
-cannot overflow.
+    sample = (plus - minus)(plus + minus) + c C1 - d C2,
+    plus  = k (1 - v^2) + sqrt(scale) b+,
+    minus = (2 a- / a+) k v + sqrt(scale) b-,
+    k = a+ sqrt(2 E scale) / (1 + v^2),
+
+with scale = sigma_x sigma_y / (4n), c, d = scale a+-^2 and b+- =
+sqrt(n)(r_x +- r_y); for rho < 0 the rows' roles swap, so that the wider
+normal takes the cosine row.  For even n the odd-dof normals N3 and N4
+of C1 and C2 enter as c N3^2 - d N4^2, one draw of 2E'((c + d)/(1 + v'^2)
+- d): a pair's squares are 2E' cos^2 and 2E' sin^2 (_squares_difference).
+
+The empirical characteristic function takes its cos and sin from the
+half-angle tangent too.
 
 Streams are generated batch-by-batch with an independent SFC64 generator
 (the fastest of numpy's bit generators for uniforms) keyed on (seed,
@@ -58,7 +68,8 @@ import numpy as np
 
 from .errors import NonFiniteParameter, NotConverged, ValidationError
 from .params import MeanParams, int_at_least
-from .stein import SteinOperatorSpec, TestFunction, apply
+from .stein import (SteinOperatorSpec, TestFunction, _cos_sin_from_half,
+                    apply)
 
 
 #: Samples per batch; batch i is drawn from the generator keyed on (seed, i).
@@ -104,66 +115,85 @@ def _batch_rng(cfg: SamplerConfig, index: int) -> np.random.Generator:
 _UNIFORM_GAMMA_MAX = 6
 
 
-def _cos_sin_from_half(w, scratch) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2w, overwriting w and the (2, >= w.size) ``scratch``:
-    with v = tan(w), cos = (1 - v^2)/(1 + v^2) and sin = 2v/(1 + v^2)."""
-    w2, den = scratch[:, :w.size]
-    np.tan(w, out=w)
-    np.multiply(w, w, out=w2)
-    np.add(1.0, w2, out=den)
-    cos = np.subtract(1.0, w2, out=w2)
-    cos /= den
-    sin = np.multiply(2.0, w, out=w)
-    sin /= den
-    return cos, sin
-
-
-def _normal_pair(rng: np.random.Generator, out, scratch) -> np.ndarray:
-    """Two rows of independent standard normals into the (2, size) ``out``
-    (``scratch`` alike, overwritten), by Box & Muller (1958): R cos 2w and
-    R sin 2w with R = sqrt(2E), E standard exponential, and w = pi U, U
-    uniform in [0, 1); cos and sin from one tangent (_cos_sin_from_half)."""
-    r, w = out
-    np.sqrt(np.multiply(2.0, rng.standard_exponential(out=r), out=r), out=r)
-    np.multiply(math.pi, rng.random(out=w), out=w)
-    cos, sin = _cos_sin_from_half(w, scratch)  # sin overwrites w
-    sin *= r
-    r *= cos
+def _normal_pair(rng: np.random.Generator, radius2: float, ratio: float,
+                 shifts: tuple[float, float], out, scratch) -> np.ndarray:
+    """Two rows of shifted normals into the (2, size) ``out`` (``scratch``
+    alike, overwritten), by Box & Muller (1958) with the widths folded
+    in: k (1 - v^2) + shifts[0] and ratio k v + shifts[1], where v =
+    tan(pi U), k = sqrt(radius2 E) / (1 + v^2) and E = -log(1 - U') is
+    standard exponential, U' and U from one fill of uniforms in [0, 1)
+    (1 - U' is exact, in (0, 1]).  These are a R cos 2w and (ratio a / 2)
+    R sin 2w, shifted, with R = sqrt(2E), w = pi U and a = sqrt(radius2 /
+    2); at radius2 = 2 and ratio = 2, unshifted, two independent standard
+    normals."""
+    k, v = rng.random(out=out)
+    v2, den = scratch
+    np.subtract(1.0, k, out=k)
+    np.log(k, out=k)
+    k *= -radius2
+    np.sqrt(k, out=k)
+    np.multiply(math.pi, v, out=v)
+    np.tan(v, out=v)
+    np.multiply(v, v, out=v2)
+    np.add(1.0, v2, out=den)
+    k /= den
+    v *= k
+    v *= ratio
+    v += shifts[1]
+    k *= np.subtract(1.0, v2, out=v2)
+    k += shifts[0]
     return out
 
 
-def _chi_square(rng: np.random.Generator, dof: int, out, scratch,
-                normal) -> np.ndarray:
-    """chi-square(dof) draws into ``out`` (``scratch`` alike, both
-    contiguous): 2 Gamma(k), k = dof // 2, plus the square of ``normal``,
-    a row of standard normals that it overwrites, when dof is odd (a
-    half-integer shape is several times slower).  For k <=
-    _UNIFORM_GAMMA_MAX, Gamma(k) = -log prod_i (1 - U_i) over k uniforms
-    U_i in [0, 1), each factor in (0, 1]; for larger k, numpy's gamma."""
-    k = dof // 2
+def _squares_difference(rng: np.random.Generator, c: float, d: float,
+                        out) -> np.ndarray:
+    """c N^2 - d N'^2 for independent standard normals N and N', into
+    out[0] (``out`` (2, size), contiguous, overwritten).  The squares of a
+    Box-Muller pair are 2E cos^2 w and 2E sin^2 w, so this is one draw of
+    2E ((c + d) / (1 + v^2) - d), with v = tan w, w = pi U and E = -log(1
+    - U'), U' and U from one fill."""
+    e, v = rng.random(out=out)
+    np.multiply(math.pi, v, out=v)
+    np.tan(v, out=v)
+    np.multiply(v, v, out=v)
+    v += 1.0
+    np.divide(-2.0 * (c + d), v, out=v)
+    v += 2.0 * d
+    np.subtract(1.0, e, out=e)
+    np.log(e, out=e)
+    e *= v
+    return e
+
+
+def _add_chi_square(rng: np.random.Generator, k: int, weight: float, total,
+                    scratch) -> None:
+    """total += weight chi-square(2k), chi-square(2k) being 2 Gamma(k)
+    (nothing at k = 0), with ``scratch`` (2, total.size), contiguous, whose
+    rows it overwrites.  For k <= _UNIFORM_GAMMA_MAX, Gamma(k) = -log
+    prod_i (1 - U_i) over k uniforms U_i in [0, 1), each factor in (0, 1];
+    for larger k, numpy's gamma."""
     if k == 0:
-        return np.square(normal, out=out)
+        return
+    draw, factor = scratch
     if k <= _UNIFORM_GAMMA_MAX:
-        np.subtract(1.0, rng.random(out=out), out=out)
+        np.subtract(1.0, rng.random(out=draw), out=draw)
         for _ in range(k - 1):
-            out *= np.subtract(1.0, rng.random(out=scratch), out=scratch)
-        np.log(out, out=out)
-        out *= -2.0
+            draw *= np.subtract(1.0, rng.random(out=factor), out=factor)
+        np.log(draw, out=draw)
+        draw *= -2.0 * weight
     else:
-        np.multiply(2.0, rng.standard_gamma(k, out=out), out=out)
-    if dof % 2:
-        out += np.square(normal, out=normal)
-    return out
+        np.multiply(2.0 * weight, rng.standard_gamma(k, out=draw), out=draw)
+    total += draw
 
 
 def sample_mean_of_products(mp: MeanParams,
                             cfg: SamplerConfig) -> Iterator[np.ndarray]:
-    """Batched stream of means of n products.
+    """Batched stream of means of n products, each batch a new array.
 
     Each mean is drawn from the difference of two noncentral chi-squares
-    given in the module docstring: two normals and, for n > 1, two
-    chi-square(n - 1) draws per sample.  Deterministic given the seed,
-    independent of batch scheduling.
+    given in the module docstring, with the constants folded into the
+    draws.  Deterministic given the seed, independent of batch
+    scheduling.
 
     NotConverged, before any draw, where the shifts b+- = sqrt(n)(r_x +-
     r_y) swamp the draws: plus = a+ N1 + b+ rounds by about eps |plus|,
@@ -173,15 +203,14 @@ def sample_mean_of_products(mp: MeanParams,
     square of sd a and mean b).  That rounding may reach _ROUNDING_FRACTION
     of the sd (at rho = 0, max(|b+|, |b-|) from 4.5e9 to 6.4e9).
     NotConverged too where the samples' scale sigma_x sigma_y / (4n)
-    leaves the double range, before any draw, or where a sample overflows.
+    leaves the double range, before any draw, or where a sample, or a
+    constant folded into the draws, overflows.
     """
     p = mp.base
     n = mp.n
     var_plus, var_minus = 2.0 * (1.0 + p.rho), 2.0 * (1.0 - p.rho)
-    widths = np.sqrt([[var_plus], [var_minus]])  # of the two normals
     b_plus = math.sqrt(n) * (p.r_x + p.r_y)
     b_minus = math.sqrt(n) * (p.r_x - p.r_y)
-    shifts = np.array([[b_plus], [b_minus]])
     sq_plus, sq_minus = b_plus * b_plus, b_minus * b_minus  # inf past 1e154
     rounding = 2 * math.ulp(1.0) * (sq_plus + sq_minus + 4)
     sd = math.sqrt(2 * n * (var_plus ** 2 + var_minus ** 2)
@@ -193,28 +222,40 @@ def sample_mean_of_products(mp: MeanParams,
     if not sys.float_info.min <= scale < math.inf:
         raise NotConverged(f"the samples' scale sigma_x sigma_y / (4n) = "
                            f"{scale:.3g} leaves the double range")
-    # N1 and N2 (a pair, then the total) and the pair's scratch, where the
-    # chi-squares go; for even n, one more row holds the odd-dof pair
-    rows = 5 if n % 2 == 0 else 4
-    flat = np.empty(rows * min(BATCH, cfg.count))
+    # scale times the module docstring's bracket: the rows sqrt(scale)(a+-
+    # N + b+-), whose squares' difference is a sample with c C1 - d C2
+    # added.  The wider normal takes the cosine row of the pair, so that
+    # its constant 2 scale a^2 >= 4 scale stays normal and ratio <= 2.
+    c, d = scale * var_plus, scale * var_minus
+    root = math.sqrt(scale)
+    plus, minus = (var_plus, b_plus * root), (var_minus, b_minus * root)
+    flip = p.rho < 0
+    (cvar, cshift), (svar, sshift) = (minus, plus) if flip else (plus, minus)
+    radius2, ratio = 2.0 * scale * cvar, 2.0 * math.sqrt(svar / cvar)
+    # the largest multiplier in the draws is 2(c + d); a float product
+    # that overflows to inf raises no FloatingPointError
+    if not all(map(math.isfinite, (2.0 * (c + d), cshift, sshift))):
+        raise NotConverged("a sample of the mean overflows")
+    k = (n - 1) // 2  # the shape of each chi-square(n - 1)'s gamma
+    work = np.empty(4 * min(BATCH, cfg.count))
     for index, start in enumerate(range(0, cfg.count, BATCH)):
         size = min(BATCH, cfg.count - start)
         rng = _batch_rng(cfg, index)
-        draws = flat[:rows * size].reshape(rows, size)  # contiguous, for out=
-        normals = _normal_pair(rng, draws[:2], draws[2:4])
-        normals *= widths
-        normals += shifts
-        normals *= normals
-        total = np.subtract(*normals, out=normals[0])
-        if n > 1:
-            odd = _normal_pair(rng, draws[1:3], draws[3:5]) if n % 2 == 0 \
-                else (None, None)
-            for var, normal in zip((var_plus, -var_minus), odd):
-                chi = _chi_square(rng, n - 1, *draws[-2:], normal)
-                total += np.multiply(var, chi, out=chi)
+        rows = work[:4 * size].reshape(4, size)  # contiguous, for out=
         try:  # not held across the yield, which runs the caller's code
             with np.errstate(over="raise"):
-                batch = scale * total
+                first, second = _normal_pair(rng, radius2, ratio,
+                                             (cshift, sshift), rows[:2],
+                                             rows[2:])
+                both = np.add(first, second, out=rows[2])
+                if flip:
+                    first, second = second, first
+                # plus^2 - minus^2, finite wherever the sample is
+                batch = np.subtract(first, second, out=first) * both
+                if n % 2 == 0:  # the two chi-squares' odd-dof normals
+                    batch += _squares_difference(rng, c, d, rows[:2])
+                _add_chi_square(rng, k, c, batch, rows[:2])
+                _add_chi_square(rng, k, -d, batch, rows[:2])
         except FloatingPointError:
             raise NotConverged("a sample of the mean overflows") from None
         yield batch
@@ -323,30 +364,41 @@ class ComplexEstimate:
 
 
 def estimate_cf(mp: MeanParams, t: float, cfg: SamplerConfig) -> ComplexEstimate:
-    """Empirical characteristic function at t with per-component errors.
+    """Empirical characteristic function at t with per-component errors:
+    the one-t case of estimate_cfs."""
+    return estimate_cfs(mp, [t], cfg)[0]
+
+
+def estimate_cfs(mp: MeanParams, ts: Sequence[float],
+                 cfg: SamplerConfig) -> list[ComplexEstimate]:
+    """estimate_cf at each t in ts, from one stream: each batch is drawn
+    once and every t evaluated on it, so each estimate has the bits of
+    its own call.
 
     cos and sin of t z come from w = tan(t z / 2) (module docstring).
     NonFiniteParameter at a non-finite t; NotConverged where t z / 2
-    overflows for some sample z.
+    overflows for some t and some sample z.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteParameter(f"t={t}; must be finite")
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not math.isfinite(t):
+            raise NonFiniteParameter(f"t={t}; must be finite")
     int_at_least("count", cfg.count, 2)  # for a standard error
-    half_t = 0.5 * t
-    pool_re, pool_im = _Pool(), _Pool()
-    scratch = np.empty((2, min(BATCH, cfg.count)))  # w^2 and 1 + w^2
+    pools = [(_Pool(), _Pool()) for _ in ts]
+    # t z / 2, then w^2 and 1 + w^2; the batch itself is left as it is
+    scratch = np.empty((3, min(BATCH, cfg.count)))
     for batch in sample_mean_of_products(mp, cfg):
-        try:
-            with np.errstate(over="raise"):
-                w = np.multiply(half_t, batch, out=batch)
-        except FloatingPointError:
-            raise NotConverged(f"t={t}: t z / 2 overflows for a sample z "
-                               "of the mean") from None
-        cos, sin = _cos_sin_from_half(w, scratch)
-        pool_re.add(cos)
-        pool_im.add(sin)
-    return ComplexEstimate(pool_re.estimate(), pool_im.estimate())
+        for t, (pool_re, pool_im) in zip(ts, pools):
+            try:
+                with np.errstate(over="raise"):
+                    w = np.multiply(0.5 * t, batch, out=scratch[0, :batch.size])
+            except FloatingPointError:
+                raise NotConverged(f"t={t}: t z / 2 overflows for a sample z "
+                                   "of the mean") from None
+            cos, sin = _cos_sin_from_half(w, scratch[1:])
+            pool_re.add(cos)
+            pool_im.add(sin)
+    return [ComplexEstimate(re.estimate(), im.estimate()) for re, im in pools]
 
 
 def estimate_moment(mp: MeanParams, k: int, central: bool,

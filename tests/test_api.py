@@ -46,6 +46,7 @@ SIGNATURES = {
     "cosine": ["t"],
     "determinant_exact": ["matrix"],
     "estimate_cf": ["mp", "t", "cfg"],
+    "estimate_cfs": ["mp", "ts", "cfg"],
     "estimate_moment": ["mp", "k", "central", "cfg"],
     "estimate_stein_expectation": ["mp", "spec", "f", "cfg"],
     "estimate_stein_expectations": ["mp", "spec", "fns", "cfg"],

@@ -15,6 +15,7 @@ from normprod import (
     cf_mean,
     closed_form_four,
     estimate_cf,
+    estimate_cfs,
     estimate_moment,
     estimate_stein_expectation,
     estimate_stein_expectations,
@@ -46,65 +47,70 @@ class TestSampler:
     def test_batches_reproducible_out_of_order(self):
         # each batch is keyed by (seed, batch index): regenerating any
         # batch from its key must reproduce the sequential stream.  The
-        # draw formula is restated here: N1 and N2 from a Box-Muller pair,
-        # R cos 2w and R sin 2w with R = sqrt(2E) and w = pi U, cos and sin
-        # from v = tan w; then for even n a second pair, whose normals the
-        # two chi-square(n - 1) draws square, one each; each chi-square is
-        # 2 Gamma(k), k = (n - 1) // 2, plus that square when n - 1 is odd;
-        # Gamma(k) is -log of a product of k factors 1 - U up to the
-        # cutoff, numpy's gamma above
+        # draw formula is restated here, with scale = sigma_x sigma_y /
+        # (4n), c, d = scale a+-^2 and the wider normal on the cosine row:
+        # one fill of uniforms U', U gives E = -log(1 - U'), v = tan(pi U)
+        # and the rows k (1 - v^2) + sqrt(scale) b and ratio k v +
+        # sqrt(scale) b', k = sqrt(2 scale a^2 E) / (1 + v^2), a sample
+        # being (plus - minus)(plus + minus); for even n one more fill
+        # gives c N3^2 - d N4^2 = 2E ((c + d)/(1 + v^2) - d); then c and -d
+        # times 2 Gamma(k), k = (n - 1) // 2, -log of a product of k
+        # factors 1 - U up to the cutoff, numpy's gamma above
         from normprod.mc import _UNIFORM_GAMMA_MAX, BATCH, _batch_rng
-        p = MP.base
 
-        def pair(rng, size):
-            r = np.sqrt(2.0 * rng.standard_exponential(size))
-            v = np.tan(np.pi * rng.random(size))
-            den = 1.0 + v * v
-            return r * ((1.0 - v * v) / den), r * (2.0 * v / den)
-
-        def chi_square(rng, dof, size, g):
-            k = dof // 2
-            if k == 0:
-                out = np.zeros(size)
-            elif k <= _UNIFORM_GAMMA_MAX:
-                prod = np.ones(size)
-                for _ in range(k):
-                    prod *= 1.0 - rng.random(size)
-                out = -2.0 * np.log(prod)
-            else:
-                out = 2.0 * rng.standard_gamma(k, size)
-            if dof % 2:
-                out += g * g
-            return out
+        def restated(p, n, rng, size):
+            scale = p.sigma_x * p.sigma_y / (4 * n)
+            var_plus, var_minus = 2 * (1 + p.rho), 2 * (1 - p.rho)
+            c, d = scale * var_plus, scale * var_minus
+            plus = (var_plus, np.sqrt(n) * (p.r_x + p.r_y) * np.sqrt(scale))
+            minus = (var_minus, np.sqrt(n) * (p.r_x - p.r_y) * np.sqrt(scale))
+            (cw, cb), (sw, sb) = (plus, minus) if p.rho >= 0 else (minus, plus)
+            e, u = rng.random((2, size))
+            v = np.tan(np.pi * u)
+            k = np.sqrt(np.log(1.0 - e) * -(2 * scale * cw)) / (1.0 + v * v)
+            rows = [k * (1.0 - v * v) + cb, v * k * (2 * np.sqrt(sw / cw)) + sb]
+            first, second = rows if p.rho >= 0 else rows[::-1]
+            total = (first - second) * (first + second)
+            if n % 2 == 0:
+                e, u = rng.random((2, size))
+                v = np.tan(np.pi * u)
+                total += np.log(1.0 - e) * (-2 * (c + d) / (1.0 + v * v)
+                                            + 2 * d)
+            shape = (n - 1) // 2
+            for weight in (c, -d) if shape else ():
+                if shape <= _UNIFORM_GAMMA_MAX:
+                    prod = 1.0 - rng.random(size)
+                    for _ in range(shape - 1):
+                        prod *= 1.0 - rng.random(size)
+                    total += np.log(prod) * (-2 * weight)
+                else:
+                    total += 2 * weight * rng.standard_gamma(shape, size)
+            return total
 
         # n = 14 and 17 draw the largest uniform-product gamma and the
-        # smallest numpy one; 2 and 14 the odd-dof pair
-        for n in (1, 2, 5, 14, 17):
-            mp = MeanParams(p, n)
-            # two full batches and a short last one
-            cfg = SamplerConfig(seed=3, count=2 * BATCH + 1000)
-            batches = list(sample_mean_of_products(mp, cfg))
-            assert [b.size for b in batches] == [BATCH, BATCH, 1000]
-            var_plus, var_minus = 2.0 * (1.0 + p.rho), 2.0 * (1.0 - p.rho)
-            for idx in (2, 0, 1):
-                size = batches[idx].size
-                rng = _batch_rng(cfg, idx)
-                n1, n2 = pair(rng, size)
-                plus = np.sqrt(var_plus) * n1 + np.sqrt(n) * (p.r_x + p.r_y)
-                minus = np.sqrt(var_minus) * n2 + np.sqrt(n) * (p.r_x - p.r_y)
-                total = plus * plus - minus * minus
-                if n > 1:
-                    g1, g2 = pair(rng, size) if n % 2 == 0 else (None, None)
-                    total += var_plus * chi_square(rng, n - 1, size, g1)
-                    total -= var_minus * chi_square(rng, n - 1, size, g2)
-                expected = p.sigma_x * p.sigma_y / (4 * n) * total
-                assert np.array_equal(batches[idx], expected)
+        # smallest numpy one; 2, 4 and 14 the even-n odd-dof weight, 4
+        # with a gamma part; rho < 0 puts the minus normal on the cosine
+        for p, ns in ((MP.base, (1, 2, 4, 5, 14, 17)),
+                      (validate(-0.4, 1.3, 0.7, 2.2, -0.6), (1, 4))):
+            for n in ns:
+                mp = MeanParams(p, n)
+                # two full batches and a short last one
+                cfg = SamplerConfig(seed=3, count=2 * BATCH + 1000)
+                batches = list(sample_mean_of_products(mp, cfg))
+                assert [b.size for b in batches] == [BATCH, BATCH, 1000]
+                # each batch a new array: list() keeps every one of them
+                assert not any(np.shares_memory(a, b) for i, a in
+                               enumerate(batches) for b in batches[i + 1:])
+                for idx in (2, 0, 1):
+                    expected = restated(p, n, _batch_rng(cfg, idx),
+                                        batches[idx].size)
+                    assert np.array_equal(batches[idx], expected), (n, idx)
 
     @pytest.mark.parametrize("n,expected", [
-        (1, [0.3197452574294723, 1.020940038045531, 0.5050824667009705,
-             -2.0115758447248986, 2.295121588629518]),
-        (2, [-0.552787827834427, -0.1292736008376057, 0.9311106797743691,
-             -1.4807733403606524, 1.0412493307962578]),
+        (1, [-0.07750798318158518, 0.9125465573303428, 0.4645381373806127,
+             -2.309125248358105, 1.5677570447589049]),
+        (2, [-0.41378278965414256, 0.19264097499942684, 0.9033937149427214,
+             -2.324328894298814, 0.6192782577477942]),
     ])
     def test_small_n_streams_unchanged(self, n, expected):
         # the n = 1 and n = 2 streams draw no gamma; their bits are pinned
@@ -167,6 +173,35 @@ class TestSampler:
             with pytest.raises(NotConverged, match=match):
                 call(SamplerConfig(seed=1, count=100))
 
+    # sigma_x sigma_y / (4n) near the top of the double range: at 1e7
+    # every one of 5000 samples is finite, at 1e8 some overflow; the
+    # constants folded into the draws must not change either outcome
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("sigma_y, finite", [(1e7, True), (1e8, False)])
+    def test_overflow_at_the_top_of_the_range(self, n, sigma_y, finite):
+        mp = MeanParams(validate(0, 0, 1e300, sigma_y, 0.3), n)
+        cfg = SamplerConfig(seed=0, count=5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if finite:
+                assert np.isfinite(collect(mp, cfg)).all()
+            else:
+                with pytest.raises(NotConverged, match="overflows"):
+                    collect(mp, cfg)
+
+    @pytest.mark.parametrize("rho", [0.3, -0.9])
+    def test_folded_constant_past_the_double_range_refused(self, rho):
+        # scale = 4e307 is in range, but 8 scale, which bounds the
+        # constants folded into the draws, is not (only at n = 1 can it
+        # leave the range while sigma_x sigma_y does not): a Python float
+        # product that overflows to inf raises no floating-point error,
+        # and would have put inf and NaN into the samples
+        mp = MeanParams(validate(0, 0, 1e300, 1.6e8, rho), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged, match="overflows"):
+                collect(mp, SamplerConfig(seed=0, count=2))
+
     def test_count_respected(self):
         assert collect(MP, SamplerConfig(seed=0, count=12345)).size == 12345
 
@@ -203,29 +238,50 @@ class TestSampler:
 class TestChiSquare:
     @pytest.mark.parametrize("dof", range(1, 16))
     def test_ks_against_scipy(self, dof):
-        # 1..2 * cutoff + 3 degrees of freedom: the uniform-product gamma
-        # up to the cutoff, numpy's gamma above it, each with and without
-        # the squared normal of an odd dof
-        from normprod.mc import (_UNIFORM_GAMMA_MAX, _batch_rng,
-                                 _chi_square, _normal_pair)
+        # 2 Gamma(k) for k = dof // 2 = 0..7: the uniform-product gamma up
+        # to the cutoff, numpy's gamma above it; an odd dof adds the
+        # square of one normal, the even-n weight at c = 1, d = 0
+        from normprod.mc import (_UNIFORM_GAMMA_MAX, _add_chi_square,
+                                 _batch_rng, _squares_difference)
         assert 2 * _UNIFORM_GAMMA_MAX + 3 == 15
         rng = _batch_rng(SamplerConfig(seed=808, count=1), dof)
-        rows = np.empty((4, 200_000))
-        normal = _normal_pair(rng, rows[:2], rows[2:])[0] if dof % 2 else None
-        draws = _chi_square(rng, dof, *rows[2:], normal)
+        rows = np.empty((2, 200_000))
+        draws = np.zeros(rows.shape[1])
+        if dof % 2:
+            draws += _squares_difference(rng, 1.0, 0.0, rows)
+        _add_chi_square(rng, dof // 2, 1.0, draws, rows)
         assert np.all(np.isfinite(draws)) and np.all(draws >= 0)
         assert scipy.stats.kstest(draws, scipy.stats.chi2(dof).cdf).pvalue > 1e-3
 
 
+class TestSquaresDifference:
+    """The even-n weight: one draw for the two chi-squares' odd-dof
+    normals, a+^2 N3^2 - a-^2 N4^2."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9, -0.9])
+    def test_two_sample_ks_against_scipy(self, rho):
+        from normprod.mc import _batch_rng, _squares_difference
+        a2_plus, a2_minus = 2 * (1 + rho), 2 * (1 - rho)
+        rng = _batch_rng(SamplerConfig(seed=515, count=1), 0)
+        drawn = _squares_difference(rng, a2_plus, a2_minus,
+                                    np.empty((2, 100_000))).copy()
+        chi2 = scipy.stats.chi2(1)
+        ref = (a2_plus * chi2.rvs(100_000, random_state=61)
+               - a2_minus * chi2.rvs(100_000, random_state=62))
+        assert np.all(np.isfinite(drawn))
+        assert scipy.stats.ks_2samp(drawn, ref).pvalue > 1e-3
+
+
 class TestNormalPair:
-    """The Box-Muller pair the sampler draws its normals from."""
+    """The Box-Muller pair the sampler draws its normals from, at unit
+    widths (radius2 = 2, ratio = 2), zero shifts and scale 1."""
 
     @pytest.fixture(scope="class")
     def pair(self):
         from normprod.mc import _batch_rng, _normal_pair
         rng = _batch_rng(SamplerConfig(seed=909, count=1), 0)
         rows = np.empty((4, 200_000))
-        return _normal_pair(rng, rows[:2], rows[2:])
+        return _normal_pair(rng, 2.0, 2.0, (0.0, 0.0), rows[:2], rows[2:])
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_each_row_standard_normal(self, pair, row):
@@ -247,7 +303,7 @@ class TestNormalPair:
 class TestHalfAngle:
     @pytest.mark.parametrize("magnitude", [10.0 ** e for e in range(0, 301, 20)])
     def test_matches_cos_and_sin(self, magnitude):
-        from normprod.mc import _cos_sin_from_half
+        from normprod.stein import _cos_sin_from_half
         theta = np.random.default_rng(17).uniform(-1, 1, 200_000) * magnitude
         theta = np.concatenate([theta, [np.pi, -np.pi, 3 * np.pi]])
         cos, sin = _cos_sin_from_half(0.5 * theta, np.empty((2, theta.size)))
@@ -387,6 +443,19 @@ class TestCfAndMoments:
     def test_cf_at_non_finite_t(self, t):
         with pytest.raises(NonFiniteParameter):
             estimate_cf(MP, t, SamplerConfig(seed=0, count=10))
+        with pytest.raises(NonFiniteParameter):
+            estimate_cfs(MP, [0.5, t], SamplerConfig(seed=0, count=10))
+
+    def test_one_stream_gives_each_single_cf(self):
+        # every t of the shared stream has the bits of its own call: no t
+        # may overwrite the batch the next one reads; the count ends
+        # inside a batch
+        mp = MeanParams(validate(0.8, -1.2, 1.1, 0.9, 0.3), 5)
+        cfg = SamplerConfig(seed=12, count=70_001)
+        ts = [0.25, -1.7, 0.0, 6.4, 0.25]
+        assert estimate_cfs(mp, ts, cfg) == [estimate_cf(mp, t, cfg)
+                                             for t in ts]
+        assert estimate_cfs(mp, [], cfg) == []
 
     def test_cf_where_t_z_overflows(self):
         # used to warn of an overflow and return NaN
@@ -394,6 +463,8 @@ class TestCfAndMoments:
             warnings.simplefilter("error")
             with pytest.raises(NotConverged):
                 estimate_cf(MP, 1e308, SamplerConfig(seed=0, count=1000))
+            with pytest.raises(NotConverged, match="t=1e\\+308"):
+                estimate_cfs(MP, [1.0, 1e308], SamplerConfig(seed=0, count=1000))
             est = estimate_cf(MP, 1e300, SamplerConfig(seed=0, count=1000))
         assert np.isfinite(est.re.mean) and np.isfinite(est.im.mean)
 
