@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Substitution identities between Stein operators: the A1->A2 identity on
-# equal-ratio parameters and the A3->A4 identity on zero-mean parameters
-# hold pointwise to <= 1e-9.
+# Substitution identities between Stein operators, as compositions of
+# coefficient tables: on equal-ratio parameters A1 = A2 o L with
+# L = (1-rho) s_n D + 1, and on zero-mean parameters A3 = A4 o L' with
+# L' = (1-rho^2) s_n^2 D^2 + 2 rho s_n D - 1.  Applied to f at x, the
+# composed table and the fourth-order one agree to <= 1e-9.
 set -euo pipefail
 NORMPROD="${NORMPROD:-normprod}"
 

@@ -23,13 +23,14 @@ from .stein import a1_table
 CAUCHY_NODES = 128
 
 
-def _cf_unit(mx: float, my: float, rho: float, n: int, t) -> np.ndarray:
-    """Unit-variance characteristic function at (complex-extendable) t,
-    elementwise over an array of t."""
-    d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
-    num = (-(mx * mx + my * my - 2 * rho * mx * my) * t * t / n
-           + 2 * mx * my * 1j * t)
-    return np.exp(num / (2 * d)) * np.exp(-0.5 * n * np.log(d))
+def _closed_form(mp: MeanParams, u):
+    """(c, d, num) of the unit-variance closed form phi = exp(num / (2d))
+    d^(-n/2), num = -c u^2/n + 2i rx ry u, at u = s t, elementwise."""
+    p, n = mp.base, mp.n
+    mx, my, rho = p.r_x, p.r_y, p.rho
+    c = mx * mx + my * my - 2 * rho * mx * my
+    d = (1 - (1 + rho) * 1j * u / n) * (1 + (1 - rho) * 1j * u / n)
+    return c, d, -c * u * u / n + 2 * mx * my * 1j * u
 
 
 def _complex_or_array(values: np.ndarray):
@@ -53,7 +54,8 @@ def cf_mean(mp: MeanParams, t):
                            f"({p.r_x:.3g}, {p.r_y:.3g})")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = _cf_unit(p.r_x, p.r_y, p.rho, mp.n, p.s * t)
+            _, d, num = _closed_form(mp, p.s * t)
+            values = np.exp(num / (2 * d)) * np.exp(-0.5 * mp.n * np.log(d))
     except FloatingPointError:
         raise NotConverged("the closed form overflows at |t| = "
                            f"{np.max(np.abs(t)):.3g}") from None
@@ -72,10 +74,8 @@ def _cf_and_derivative(mp: MeanParams, t):
     phi = cf_mean(mp, t)  # first: it refuses where s t overflows
     p, n = mp.base, mp.n
     mx, my, rho, u = p.r_x, p.r_y, p.rho, p.s * np.asarray(t)
-    c = mx * mx + my * my - 2 * rho * mx * my
-    d = (1 - (1 + rho) * 1j * u / n) * (1 + (1 - rho) * 1j * u / n)
+    c, d, num = _closed_form(mp, u)
     d_prime = 2 * (1 - rho ** 2) * u / n ** 2 - 2j * rho / n
-    num = -c * u * u / n + 2 * mx * my * 1j * u
     num_prime = -2 * c * u / n + 2j * mx * my
     log_d = 0.5 * (num_prime / d - (num / d + n) * (d_prime / d))
     return phi, _complex_or_array(phi * p.s * log_d)
@@ -90,24 +90,25 @@ def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
     return cf_mean(mp, np.asarray(ts, dtype=float))
 
 
-def cf_ode_residual(mp: MeanParams, t: float) -> float:
-    """Normalized magnitude of the first-order ODE the characteristic
-    function satisfies, with the derivative computed analytically from
-    the closed form."""
+def cf_ode_residual(mp: MeanParams, t):
+    """Normalized residual of the CF's first-order ODE, phi' from the
+    closed form: a float at a scalar t, an array over an array of t.
+    Raises as cf_mean, and NotConverged where a term overflows."""
+    t = np.asarray(t, dtype=float)
     phi, dphi = _cf_and_derivative(mp, t)
-    # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
     table = a1_table(mp)
     try:
-        powers = [(1j * t) ** j for j in range(len(table))]
-    except OverflowError:
-        raise NotConverged(f"(i t)^4 overflows at t = {t!r}") from None
-    c_phi = sum(a0 * w for (a0, _), w in zip(table, powers))
-    c_dphi = -1j * sum(a1 * w for (_, a1), w in zip(table, powers))
-    t1, t2 = c_dphi * dphi, c_phi * phi
-    scale = max(abs(t1), abs(t2))
-    if scale == 0:
-        return 0.0
-    return abs(t1 + t2) / scale
+        with np.errstate(over="raise", invalid="raise"):
+            # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
+            c0, c1 = (np.polyval(col[::-1], 1j * t) for col in zip(*table))
+            t1, t2 = -1j * c1 * dphi, c0 * phi
+            scale = np.maximum(abs(t1), abs(t2))
+            residual = np.divide(abs(t1 + t2), scale,
+                                 out=np.zeros_like(scale), where=scale > 0)
+    except FloatingPointError:
+        raise NotConverged("the ODE's terms overflow at |t| = "
+                           f"{np.max(np.abs(t)):.3g}") from None
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:

@@ -391,13 +391,12 @@ def cf(mp, t, grid, check_ode):
     if (t is None) == (grid is None):
         raise ValidationError("provide --t or --grid, not both")
     ts = np.array([t]) if grid is None else _parse_grid(grid)
-    points = []
-    for tv, value in zip(ts, map(complex, charfn.cf_mean(mp, ts))):
-        entry = {"t": float(tv), "re": value.real, "im": value.imag,
-                 "abs": abs(value)}
-        if check_ode:
-            entry["ode_residual"] = charfn.cf_ode_residual(mp, float(tv))
-        points.append(entry)
+    points = [{"t": float(tv), "re": value.real, "im": value.imag,
+               "abs": abs(value)}
+              for tv, value in zip(ts, map(complex, charfn.cf_mean(mp, ts)))]
+    if check_ode:
+        for point, residual in zip(points, charfn.cf_ode_residual(mp, ts)):
+            point["ode_residual"] = float(residual)
     return {"points": points}
 
 

@@ -563,14 +563,15 @@ def ode_residual_density(mp: MeanParams, x: float,
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
     the ODE left-hand side divided by the largest absolute term, so a
     value near zero certifies the ODE regardless of the density's scale.
-    NonFiniteParameter at a non-finite x, NotConverged at a non-finite
-    derivative (p'''' ~ x^-4 overflows from about |x| = 1e-77).
+    NonFiniteParameter at a non-finite x, NotConverged at a derivative not
+    finite (p'''' ~ x^-4 overflows from |x| ~ 1e-77) or subnormal.
     """
     x = _finite_x(x)
     if len(derivs) != 5:
         raise ValueError("derivs must contain p and its first four derivatives")
-    if not all(map(math.isfinite, derivs)):
-        raise NotConverged(f"density ODE: a derivative at x={x} is not finite")
+    if not all(d == 0 or _DBL_MIN <= abs(d) <= _DBL_MAX for d in derivs):
+        raise NotConverged(f"density ODE: a derivative at x={x} is not "
+                           "finite or subnormal")
     terms = [((a0 + a1 * x) + t) * d
              for (a0, t, a1), d in zip(_adjoint(a1_table(mp)), derivs)]
     scale = max(abs(t) for t in terms)

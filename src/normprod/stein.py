@@ -6,8 +6,9 @@ copies.  The general fourth-order table, the equal-ratio third-order one
 and the zero-mean variance-gamma one (``a1_table``, ``a2_table``,
 ``a4_table``) are written once, generic over the number type: ``moments``
 solves the first two in floats or Fractions, the density's ODEs are
-adjoints of the first and last, the CF's ODE a Fourier transform.  Tables
-can be printed, diffed, exported, and fed to the exact order search.
+adjoints of the first and last, the CF's ODE a Fourier transform, and
+the first the others composed with constant-coefficient operators
+(``_compose``).  Tables print, diff, export and feed the order search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -408,49 +409,46 @@ def apply(spec: SteinOperatorSpec, f: TestFunction, x):
     return const + np.asarray(x, dtype=float) * slope
 
 
-def _shifted_function(f: TestFunction, weights: Sequence[float],
-                      orders: Sequence[int], label: str) -> TestFunction:
-    """g with g^(j) = sum_i weights[i] * f^(j + orders[i])."""
-
-    def ev(x):
-        d = f(x)
-        return tuple(
-            sum(w * d[j + o] for w, o in zip(weights, orders))
-            for j in range(5 - max(orders))
-        )
-
-    return TestFunction(ev, label)
+def _compose(table: tuple[tuple, ...], shift) -> tuple[tuple, ...]:
+    """The table of A o L, L = sum_k shift[k] D^k, in the tables' number
+    type: L's coefficients are constants, so (L f)^(j) = sum_k shift[k]
+    f^(j + k) and pair m is the sum over j + k = m of shift[k] (a0_j, a1_j)."""
+    out = [[0, 0] for _ in range(len(table) + len(shift) - 1)]
+    for j, (a0, a1) in enumerate(table):
+        for k, c in enumerate(shift):
+            out[j + k][0] += c * a0
+            out[j + k][1] += c * a1
+    return tuple(map(tuple, out))
 
 
 def substitution_identity_check(mp: MeanParams, f: TestFunction, x,
                                 which: str = "auto") -> float:
     """Residual of the substitution identities relating operators.
 
-    ``which`` is "a1a2" (equal ratios: the fourth-order operator applied
-    to f equals the third-order one applied to g = (1-rho) s_n f' + f),
-    "a3a4" (zero means: the zero-mean fourth-order operator on f equals
-    the variance-gamma one on g = (1-rho^2) s_n^2 f'' + 2 rho s_n f' - f),
-    or "auto" to pick by case.  Both identities hold exactly; the residual
-    is floating roundoff only.  NonFiniteParameter where x is not finite.
+    ``which`` is "a1a2" (equal ratios: the fourth-order operator is the
+    third-order one composed with L = (1-rho) s_n D + 1), "a3a4" (zero
+    means: the zero-mean fourth-order operator is the variance-gamma one
+    composed with L' = (1-rho^2) s_n^2 D^2 + 2 rho s_n D - 1), or "auto"
+    to pick by case.  Both identities hold exactly between the tables
+    (``_compose``); the residual of the two applied to f is roundoff only.
+    NonFiniteParameter where x is not finite.
     """
     if not np.isfinite(x).all():
         raise NonFiniteParameter("x must be finite")
-    p = mp.base
-    case = classify(p)
     if which == "auto":
-        which = "a3a4" if case is DistributionCase.ZERO_MEANS else "a1a2"
-    rho, s_n = p.rho, mp.s_n
+        zero_means = classify(mp.base) is DistributionCase.ZERO_MEANS
+        which = "a3a4" if zero_means else "a1a2"
+    rho, s_n = mp.base.rho, mp.s_n
     # the reduced operators raise CaseMismatch outside their case
     if which == "a1a2":
-        g = _shifted_function(f, [(1 - rho) * s_n, 1.0], [1, 0], "substituted g")
         lhs = apply(operator_a1(mp), f, x)
-        rhs = apply(operator_a2(mp), g, x)
+        composed = _compose(a2_table(mp), (1, (1 - rho) * s_n))
     elif which == "a3a4":
-        g = _shifted_function(
-            f, [(1 - rho * rho) * (s_n * s_n), 2 * rho * s_n, -1.0], [2, 1, 0],
-            "substituted g")
         lhs = apply(operator_special("a3", mp), f, x)
-        rhs = apply(operator_special("a4", mp), g, x)
+        composed = _compose(a4_table(mp),
+                            (-1, 2 * rho * s_n, (1 - rho * rho) * (s_n * s_n)))
     else:
         raise ValueError(f"unknown identity {which!r}")
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
+    if not any(composed[-1]):  # underflowed where A1's top pair did not
+        raise NotConverged("an operator coefficient leaves the double range")
+    return float(np.max(np.abs(lhs - apply(SteinOperatorSpec(composed), f, x))))

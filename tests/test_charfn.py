@@ -92,6 +92,22 @@ class TestOde:
             assert abs(cf_ode_residual(mp, t)) <= 1e-12
 
 
+    def test_residual_at_an_array_of_t(self, rng):
+        # used to raise a bare ValueError (the truth value of an array);
+        # elementwise now, each within rounding of its scalar call
+        for _ in range(10):
+            mp = random_mean_params(rng)
+            ts = rng.uniform(-6, 6, 7)
+            got = cf_ode_residual(mp, ts)
+            assert isinstance(got, np.ndarray) and got.shape == ts.shape
+            expected = [cf_ode_residual(mp, float(t)) for t in ts]
+            assert all(type(e) is float for e in expected)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+        mp = MeanParams(validate(0.5, 1, 1, 1, 0.3), 1)
+        grid = cf_ode_residual(mp, np.array([[0.0, 0.5], [-1.0, 2.0]]))
+        assert grid.shape == (2, 2) and grid[0, 0] == 0.0
+
+
 class TestLargeAndNonFiniteT:
     MP = MeanParams(validate(0.7, -1.1, 1.2, 0.9, 0.35), 2)
 
@@ -142,8 +158,10 @@ class TestLargeAndNonFiniteT:
 
     def test_ode_residual_past_coefficient_range(self):
         # (i t)^4 used to end in an OverflowError from complex power
-        with pytest.raises(NotConverged):
-            cf_ode_residual(MeanParams(validate(0.5, 1, 1, 1, 0.3), 1), 1e100)
+        mp = MeanParams(validate(0.5, 1, 1, 1, 0.3), 1)
+        for t in (1e100, np.array([0.5, 1e100])):
+            with pytest.raises(NotConverged):
+                cf_ode_residual(mp, t)
 
 
 class TestMomentExtraction:

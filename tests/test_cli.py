@@ -185,6 +185,25 @@ class TestSubcommands:
                                 "--count", "200000", "--seed", "7"])
         assert abs(env["results"]["z_score"]) < 5
 
+    def test_cf_grid_with_ode_in_one_call(self, runner, monkeypatch):
+        # the residuals of a grid come from one array call, each within
+        # rounding of its own scalar call
+        from normprod import MeanParams, charfn
+        residual, calls = charfn.cf_ode_residual, []
+
+        def counted(mp, t):
+            calls.append(np.shape(t))
+            return residual(mp, t)
+        monkeypatch.setattr(charfn, "cf_ode_residual", counted)
+        env = run_json(runner, ["cf", "--mu-x", "1", "--mu-y", "2", "--rho",
+                                "0.25", "--grid", "-5:5:11", "--check-ode"])
+        assert calls == [(11,)]
+        mp = MeanParams(validate(1, 2, 1, 1, 0.25), 1)
+        for point in env["results"]["points"]:
+            assert isinstance(point["ode_residual"], float)
+            assert point["ode_residual"] == pytest.approx(
+                residual(mp, point["t"]), abs=1e-14)
+
     def test_cf_with_ode(self, runner):
         env = run_json(runner, ["cf", "--mu-x", "1", "--mu-y", "2",
                                 "--rho", "0.25", "--t", "0.8", "--check-ode"])
@@ -513,6 +532,14 @@ class TestExitCodes:
                                      "--json"])
         assert result.exit_code == 3
         assert "not finite" in result.output
+
+    @pytest.mark.parametrize("x", ["-74", "-72.5"])
+    def test_ode_check_from_subnormal_derivatives_is_3(self, runner, x):
+        # used to exit 0 with residuals 9.0e-5 and 3.2e-11
+        result = runner.invoke(cli, ["ode-check", "--rho", "0.9", "--x", x,
+                                     "--json"])
+        assert result.exit_code == 3
+        assert "subnormal" in result.output
 
     @pytest.mark.parametrize("x", ["5e-324", "-5e-324", "1e-320"])
     def test_pdf_at_subnormal_x_is_3(self, runner, x):

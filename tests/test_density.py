@@ -892,6 +892,22 @@ class TestDerivativesAndOde:
         with pytest.raises(NotConverged):
             ode_residual_density(mp, 1e-100, [1.0, 2.0, 3.0, 4.0, bad])
 
+    # along the light tail at (0, 0, 1, 1, 0.9), n = 1, the derivatives
+    # turn subnormal: at x = -74 they are 2e-323 ... 1.9e-319 and the
+    # residual read 9.0e-5, at x = -72.5 p holds one digit and it read
+    # 3.2e-11; at x = -70 every derivative is a normal double
+    @pytest.mark.parametrize("x", [-74.0, -72.5])
+    def test_ode_residual_refuses_subnormal_derivatives(self, x):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
+        with pytest.raises(NotConverged, match="subnormal"):
+            ode_residual_density(mp, x, mean_zero_means_derivatives(mp, x))
+
+    def test_ode_residual_in_the_normal_range_of_the_tail(self):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
+        derivs = mean_zero_means_derivatives(mp, -70.0)
+        assert min(map(abs, derivs)) >= sys.float_info.min
+        assert abs(ode_residual_density(mp, -70.0, derivs)) <= 1e-8
+
     def test_ode_residual_needs_five_derivatives(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.3), 1)
         with pytest.raises(ValueError, match="first four derivatives"):

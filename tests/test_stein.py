@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from normprod import (CaseMismatch, InvalidOrder, InvalidTestFunction,
-                      MeanParams, validate)
+                      MeanParams, NotConverged, validate)
 from normprod import stein
 
 
@@ -371,6 +371,63 @@ class TestSubstitutionIdentities:
                   for col in (0, 1))
             for m in range(5))
         assert composed == stein.a1_table(mp, Fraction)
+        # this inline convolution is _compose's independent oracle
+        assert stein._compose(a4, l_prime) == composed
+
+    @given(sx=st.integers(1, 64), sy=st.integers(1, 64),
+           r=st.integers(-32, 32), rho=st.integers(-31, 31),
+           n=st.sampled_from([1, 2, 3, 7]))
+    def test_a2_composed_with_l_is_a1_exactly(self, sx, sy, r, rho, n):
+        # A1 = A2 o L with L = (1 - rho) s_n D + 1 at equal mean-to-sd
+        # ratios r (zero included), at dyadic parameters: mu = r sigma is
+        # exact in floats, so the ratios are equal and every float an
+        # exact Fraction
+        mp = MeanParams(validate(r * sx / 256, r * sy / 256, sx / 16, sy / 16,
+                                 rho / 32), n)
+        rho_, s_n = Fraction(rho, 32), Fraction(sx * sy, 256 * n)
+        composed = stein._compose(stein.a2_table(mp, Fraction),
+                                  (1, (1 - rho_) * s_n))
+        assert composed == stein.a1_table(mp, Fraction)
+
+    # two dyadic sets per identity: equal ratios with rho of either sign,
+    # and zero means at n = 1 and 3
+    NULLSPACE_SETS = [("a1a2", (0.375, 0.5625, 0.75, 1.125, 0.25), 1),
+                      ("a1a2", (-0.5, -1.0, 0.5, 1.0, -0.625), 2),
+                      ("a3a4", (0, 0, 1.25, 0.5, 0.375), 1),
+                      ("a3a4", (0, 0, 0.75, 1.5, -0.8125), 3)]
+
+    @pytest.mark.parametrize("which, params, n", NULLSPACE_SETS)
+    def test_composed_tables_annihilate_the_moments(self, which, params, n):
+        # the exact order-4 search's candidate space holds the composed
+        # table, an oracle that shares no code with the tables
+        from normprod.opsearch import in_span, operator_exists
+        mp = MeanParams(validate(*params), n)
+        p = mp.base
+        rho, s_n = Fraction(p.rho), Fraction(p.sigma_x) * Fraction(p.sigma_y) / n
+        if which == "a1a2":
+            composed = stein._compose(stein.a2_table(mp, Fraction),
+                                      (1, (1 - rho) * s_n))
+        else:
+            composed = stein._compose(
+                stein.a4_table(mp, Fraction),
+                (-1, 2 * rho * s_n, (1 - rho * rho) * s_n * s_n))
+        basis = operator_exists(mp, 4).nullspace_basis
+        assert in_span([v for pair in composed for v in pair], basis)
+
+    @pytest.mark.parametrize("which", ["a1a2", "a3a4"])
+    def test_tiny_scales_answer_or_refuse(self, which):
+        # near sigma_x sigma_y = 1e-81 the top pairs underflow; at
+        # (0, 0, 1.254e-81, 1, 0.3) the composed one did where A1's did
+        # not, and the check ended in a bare ValueError from the spec
+        for s in np.geomspace(1e-82, 1e-80, 200):
+            mu = (0.5 * s, 0.25) if which == "a1a2" else (0, 0)
+            mp = MeanParams(validate(*mu, s, 0.5, 0.3), 1)
+            try:
+                residual = stein.substitution_identity_check(
+                    mp, stein.monomial(4), 0.3, which)
+            except NotConverged:
+                continue
+            assert residual <= 1e-9
 
     def test_auto_selects_by_case(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.3), 2)
@@ -388,3 +445,64 @@ class TestSubstitutionIdentities:
         with pytest.raises(ValueError, match="unknown identity"):
             stein.substitution_identity_check(general, stein.monomial(2), 1.0,
                                               "a2a1")
+
+
+def _proportional(table, other) -> bool:
+    """Whether two coefficient tables agree up to a nonzero scalar factor,
+    exactly."""
+    flat = [Fraction(v) for pair in table for v in pair]
+    ref = [Fraction(v) for pair in other for v in pair]
+    if len(flat) != len(ref):
+        return False
+    k = next(i for i, v in enumerate(ref) if v)
+    factor = flat[k] / ref[k]
+    return factor != 0 and all(a == factor * b for a, b in zip(flat, ref))
+
+
+class TestLiteratureOperators:
+    """The published operators the tables generalise, each written out
+    here in Fraction from its own parametrisation."""
+
+    @staticmethod
+    def _random_zero_mean(rng, n):
+        sx, sy = rng.uniform(0.2, 3, 2)
+        return MeanParams(validate(0, 0, sx, sy, rng.uniform(-0.95, 0.95)), n)
+
+    @staticmethod
+    def variance_gamma(r, theta, sigma2):
+        # Gaunt (EJP 2014): sigma^2 x f'' + (sigma^2 r + 2 theta x) f'
+        # + (r theta - x) f, for the VG(r, theta, sigma, mu = 0) law
+        return ((r * theta, -1), (sigma2 * r, 2 * theta), (0, sigma2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_variance_gamma_is_a4(self, rng, n):
+        # the mean of n zero-mean products is VG with r = n, theta =
+        # rho s_n and sigma^2 = (1 - rho^2) s_n^2
+        for _ in range(5):
+            mp = self._random_zero_mean(rng, n)
+            p = mp.base
+            rho = Fraction(p.rho)
+            s_n = Fraction(p.sigma_x) * Fraction(p.sigma_y) / n
+            vg = self.variance_gamma(n, rho * s_n, (1 - rho * rho) * s_n * s_n)
+            assert _proportional(stein.a4_table(mp, Fraction), vg)
+
+    def test_variance_gamma_at_one_uncorrelated_product_is_a5(self):
+        # dyadic sigmas, so a5's float entries are the exact values
+        for sx, sy in [(1, 1), (0.5, 2), (1.25, 0.75), (3, 0.375)]:
+            mp = MeanParams(validate(0, 0, sx, sy, 0), 1)
+            s = Fraction(sx) * Fraction(sy)
+            vg = self.variance_gamma(1, 0, s * s)
+            assert _proportional(stein.operator_special("a5", mp).coeffs, vg)
+
+    def test_correlated_product_operator_is_a4_at_n_1(self, rng):
+        # Gaunt (Bernoulli 2017), Z = XY with zero means, variances
+        # sx^2, sy^2 and correlation rho:
+        # (1 - rho^2) sx^2 sy^2 x f'' + ((1 - rho^2) sx^2 sy^2
+        # + 2 rho sx sy x) f' + (rho sx sy - x) f
+        for _ in range(10):
+            mp = self._random_zero_mean(rng, 1)
+            p = mp.base
+            sx, sy, rho = map(Fraction, (p.sigma_x, p.sigma_y, p.rho))
+            v = (1 - rho * rho) * sx * sx * sy * sy
+            product = ((rho * sx * sy, -1), (v, 2 * rho * sx * sy), (0, v))
+            assert _proportional(stein.a4_table(mp, Fraction), product)
