@@ -215,24 +215,26 @@ def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
 
 def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
                    x: float, floor: float = -np.inf):
-    """(log trapezoid sum, nodes t, q) of exp(log_integrand), whose (2, n)
-    values q at n nodes t on [lo, hi] hold one row per sign of u.  Each pass
-    compares the sum at step h with the sum at step 2h on the even nodes of
-    the same grid (the standard test of a spectrally convergent rule), and
-    accepts the fine sum when the two agree to 1e-15 relative to the
-    exponent (its roundoff floor) or it drops below ``floor``; otherwise it
-    trims to within 45 nats of the peak and halves the step, or quarters it
-    where the square of the relative gap still exceeds the tolerance.
-    NotConverged past 2^18 nodes (formatted only then)."""
-    while n <= 1 << 18:  # caps the temporaries at about 40 MB
+    """(log trapezoid sum, t, q, first) of exp(log_integrand): its (2, n)
+    values q at n nodes t on [lo, hi], a row per sign of u, and the first
+    pass's (t, q).  Each pass compares the sum at step h with the sum at
+    step 2h on the even nodes of the same grid (the standard test of a
+    spectrally convergent rule), and accepts the fine sum when the two agree
+    to 1e-15 relative to the exponent (its roundoff floor) or it drops below
+    ``floor``; otherwise it trims to within 45 nats of the peak and halves
+    the step, or quarters it where the square of the relative gap still
+    exceeds the tolerance.  NotConverged past 2^18 nodes (formatted then)."""
+    first = None
+    while n <= 1 << 18:  # temporaries: about 40 MB, and 6 MB for the first pass
         h = (hi - lo) / (n - 1)
         t = np.arange(n, dtype=float) * h  # np.linspace's nodes, cheaper
         t += lo
         t[-1] = hi
         q = log_integrand(t)
+        first = first or (t, q)
         peak = float(np.maximum.reduce(q, axis=None))
         if peak == -np.inf:
-            return peak, t, q
+            return peak, t, q, first
         w = np.subtract(q, peak)
         np.exp(w, out=w)
         total = float(np.add.reduce(w, axis=None))
@@ -241,7 +243,7 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
         gap = abs(2 * float(np.add.reduce(w[:, ::2], axis=None)) - total)
         tol = 1e-15 * max(1.0, -peak) * total
         if log_sum < floor or gap <= tol:
-            return log_sum, t, q
+            return log_sum, t, q, first
         keep = np.flatnonzero((q > peak - 45).any(axis=0))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
         lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
@@ -319,8 +321,8 @@ def _pdf_product_bracket(p: ProductNormalParams, x: float):
 
 def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
-    log_sum, _, q = _log_trapezoid(exponent, lo, hi, n,
-                                   "product density integral", x)
+    log_sum, _, q, _ = _log_trapezoid(exponent, lo, hi, n,
+                                      "product density integral", x)
     return DensityValue(log_sum - log_norm, q.size)
 
 
@@ -332,7 +334,7 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
     g = dE/dx and c = d^2E/dx^2.  At small |x|, H_j e^E has mass near
     u -> 0, outside the 45 nats of e^E's peak to which the density trims
     its grid.  So the ratios sum H_j e^E / sum e^E are summed on the
-    density's first grid, on its untrimmed bracket, and then trimmed to
+    density's first grid, which its kernel hands over, and then trimmed to
     within 45 nats of the peak of each |H_j| e^E (or of its sum, where that
     cancels) and the step halved, down to the one on which the density
     converged, until each agrees with the same ratio on the even nodes to
@@ -347,50 +349,50 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
     the integral runs out of nodes (from about |rho| = 0.9999)."""
     x = _finite_x(x)
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
-    log_sum, s, q = _log_trapezoid(exponent, lo, hi, n,
-                                   "product density integral", x)
-    step = 1.5 * (s[1] - s[0])  # over the density's, by a margin
+    log_sum, last, _, (s, q) = _log_trapezoid(exponent, lo, hi, n,
+                                              "product density integral", x)
+    step = 1.5 * (last[1] - last[0])  # over the density's, by a margin
     om = 1.0 - p.rho ** 2
     while n <= 1 << 18:
-        if s.size != n or s[0] != lo:  # not the density's grid
+        if s is None:  # a trimmed window, after the first grid
             s = np.linspace(lo, hi, n)
             q = exponent(s)
         u = np.exp(s) * _SIGN_U
         a, b = _product_coords(p, x, u)
         w = np.exp(q - q.max())
         total, total_even = w.sum(), w[:, ::2].sum()
-        h_prev, h, hs = 0.0, np.ones_like(w), []
+        hw = np.empty((5, *w.shape))  # H_0 ... H_4, then times e^E
         # near x = 0, g ~ 1/u overflows; that is caught below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = (p.rho * a - b) / (om * u * p.sigma_y)  # db/dx = 1/(u sigma_y)
             c = -1.0 / (om * (u * p.sigma_y) ** 2)
-            for j in range(5):
-                hs.append(h)
-                h_prev, h = h, g * h + j * c * h_prev
-            hw = np.array(hs) * w
-            fine = hw.sum(axis=(1, 2)) / total
-            coarse = hw[..., ::2].sum(axis=(1, 2)) / total_even
+            hw[0], hw[1] = 1.0, g
+            for j in range(1, 4):
+                hw[j + 1] = g * hw[j] + j * c * hw[j - 1]
+            hw *= w
+            ratios = (hw.sum(axis=(1, 2)) / total).tolist()
+            evens = (hw[..., ::2].sum(axis=(1, 2)) / total_even).tolist()
             mag = np.abs(hw)
-            scale = mag.sum(axis=(1, 2)) / total
-        if not np.isfinite(scale).all():
+            scales = (mag.sum(axis=(1, 2)) / total).tolist()
+        if not all(map(math.isfinite, scales)):
             raise NotConverged(f"product density derivatives: a derivative "
                                f"at x={x} is not finite")
-        if ((hi - lo) / (n - 1) < step
-                and np.all(np.abs(fine - coarse) <= 1e-13 * scale)):
+        if ((hi - lo) / (n - 1) < step and all(
+                abs(r - e) <= 1e-13 * m for r, e, m in zip(ratios, evens, scales))):
             # the even-node test cannot see this: both sums carry the
             # same roundoff
-            if np.any(np.abs(fine) <= w.size * _EPS * scale):
+            if any(abs(r) <= w.size * _EPS * m for r, m in zip(ratios, scales)):
                 raise NotConverged(f"product density derivatives: a sum "
                                    f"cancels to its roundoff at x={x}")
             f = math.exp(log_sum - log_norm)
-            return [f * float(r) for r in fine]
+            return [f * r for r in ratios]
         # keep what is within 45 nats of the peak of some |H_j| e^E, or of
         # |sum H_j e^E| where cancellation makes that the smaller
-        cut = np.minimum(mag.max(axis=(1, 2)), np.abs(fine) * total)
+        cut = np.minimum(mag.max(axis=(1, 2)), np.abs(ratios) * total)
         keep = np.flatnonzero((mag > cut[:, None, None] * math.exp(-45))
                               .any(axis=(0, 1)))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
-        lo, hi, n = s[i0], s[i1], 2 * (i1 - i0) + 1
+        lo, hi, n, s = s[i0], s[i1], 2 * (i1 - i0) + 1, None
         while (hi - lo) / (n - 1) > step:
             n = 2 * n - 1
     raise NotConverged(f"product density derivatives: over 2^18 nodes at x={x}")
@@ -465,7 +467,11 @@ def pdf_mean_zero_means(mp: MeanParams, x: float) -> DensityValue:
     is returned); for n = 1 the log singularity at x = 0 raises
     SingularPoint, and a subnormal c|x| NotConverged.
     """
-    nu, c, log_base = _mean_zero_means_form(mp)
+    return _pdf_mean_zero_means(mp, x, *_mean_zero_means_form(mp))
+
+
+def _pdf_mean_zero_means(mp: MeanParams, x: float, nu, c, log_base):
+    """``pdf_mean_zero_means`` from its closed form's constants."""
     x = _finite_x(x)
     if x == 0 and mp.n == 1:
         raise SingularPoint("the n=1 density diverges logarithmically at x = 0")
@@ -489,34 +495,36 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
 
     p is ``pdf_mean_zero_means``; p'/p = c (rho - sgn(x) K_(nu-1) / K_nu)
     (c|x|) by DLMF 10.29.4, the ratio from ``kve``.  p solves a4's adjoint
-    sum_i B_i p^(i) = 0, B_i = b0_i + b1_i x (``_adjoint``), whose k-th
-    derivative gives r_j = p^(j)/p: B_2 r_(k+2) + (B_1 + k b1_2) r_(k+1) +
-    (B_0 + k b1_1) r_k + k b1_0 r_(k-1) = 0, k = 0, 1, 2.  A first-order
+    sum_i B_i p^(i) = 0, B_i = b0_i + b1_i x (``ode_residual_density``), whose
+    k-th derivative gives r_j = p^(j)/p: B_2 r_(k+2) + (B_1 + k b1_2) r_(k+1)
+    + (B_0 + k b1_1) r_k + k b1_0 r_(k-1) = 0, k = 0, 1, 2.  A first-order
     bound carries the rounding of the ratio and of each coefficient (4 ulps
-    each) through the steps; it leaves out 1 - rho^2's rounding, which
-    moves c and every coefficient alike.  NotConverged where K_nu or
-    K_(nu-1) leaves the double range, where a derivative is not finite or
-    a bound exceeds 1e-9 of its r_j (near x = 0 and in correlated tails).
+    each) through the steps; it leaves out 1 - rho^2's rounding, which moves c
+    and every coefficient alike.  NotConverged where K_nu or K_(nu-1) leaves
+    the double range, where a derivative is not finite or a bound exceeds 1e-9
+    of its r_j (near x = 0 and in correlated tails).
     """
-    nu, c, _ = _mean_zero_means_form(mp)
+    nu, c, log_base = _mean_zero_means_form(mp)
     x = _finite_x(x)
     if x == 0:
         raise SingularPoint("derivatives at the singular point are undefined")
-    log_p = pdf_mean_zero_means(mp, x).log_abs
-    z, what = c * abs(x), f"zero-mean density derivatives: a derivative at x={x}"
+    log_p = _pdf_mean_zero_means(mp, x, nu, c, log_base).log_abs
+    z, what = c * abs(x), "zero-mean density derivatives: a derivative at x="
     k_lower, k_nu = special.kve([abs(nu - 1), nu], z).tolist()
-    adj = _adjoint(a4_table(mp))
-    # homogeneous: a power of two keeps b1_i x in range, changing no r_j
-    room = 1000 - math.frexp(x)[1] - math.frexp(max(map(abs, sum(adj, ()))))[1]
-    # B_i at x, b0_i's parts summed first (exact at n = 2), b1_i, and m_i,
-    # its parts' magnitudes, which bound its rounding where they cancel
-    (B0, s0, m0), (B1, s1, m1), (B2, s2, m2) = [
-        ((a0 + shift) + s * x, s, abs(a0) + abs(shift) + abs(s * x))
-        for a0, shift, s in (row if room >= 0 else [math.ldexp(v, room) for v in row]
-                             for row in adj)]
+    (a00, a10), (a01, a11), (_, a12) = a4_table(mp)
+    # the adjoint's b0_i in two parts and b1_i (a4's a0_2 is 0); it is
+    # homogeneous, so a power of two keeps b1_i x in range, changing no r_j
+    adj = (a00, -a11, a10, -a01, 2 * a12, -a11, a12)
+    room = 1000 - math.frexp(x)[1] - math.frexp(max(map(abs, adj)))[1]
+    c0, d0, s0, c1, d1, s1, s2 = (
+        adj if room >= 0 else [math.ldexp(v, room) for v in adj])
+    # B_i at x, b0_i's parts summed first (exact at n = 2), and m_i, its
+    # parts' magnitudes, which bound its rounding where they cancel
+    B0, B1, B2 = (c0 + d0) + s0 * x, (c1 + d1) + s1 * x, s2 * x
+    m0, m1 = abs(c0) + abs(d0) + abs(s0 * x), abs(c1) + abs(d1) + abs(s1 * x)
     # an overflowed K_nu would make the ratio 0, not a refusal
-    if not (0 < k_lower / k_nu < math.inf and B2 and m0 + m1 + m2 < math.inf):
-        raise NotConverged(f"{what} is not finite")
+    if not (0 < k_lower / k_nu < math.inf and B2 and m0 + m1 + abs(B2) < math.inf):
+        raise NotConverged(f"{what}{x} is not finite")
     drift, bessel = mp.base.rho * c, math.copysign(c * k_lower / k_nu, x)
     # 64 ulps where kve's ratio erred by up to 52 (elsewhere by at most 3.1)
     ratio_eps = 32 * _EPS if nu % 1 == 0 and z <= 2 else 2 * _EPS
@@ -524,34 +532,26 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
     r = [0.0, 1.0, drift - bessel]
     err = [0.0, 0.0, ratio_eps * (abs(drift) + abs(bessel))]
     for k in range(3):
-        coefs = (k * s0, B0 + k * s1, B1 + k * s2)
-        sizes = (k * abs(s0), m0 + k * abs(s1), m1 + k * abs(s2))
-        r.append(-sum(cf * rj for cf, rj in zip(coefs, r[k:])) / B2)
-        err.append((sum(abs(cf) * ej + 2 * _EPS * size * abs(rj)
-                        for cf, size, rj, ej in zip(coefs, sizes, r[k:], err[k:]))
-                    + 2 * _EPS * m2 * abs(r[-1])) / abs(B2))
+        (ra, rb, rc), (ea, eb, ec) = r[k:], err[k:]
+        fa, fb, fc = k * s0, B0 + k * s1, B1 + k * s2
+        r.append(-(fa * ra + fb * rb + fc * rc) / B2)
+        err.append((abs(fa) * ea + 2 * _EPS * (k * abs(s0)) * abs(ra)
+                    + (abs(fb) * eb + 2 * _EPS * (m0 + k * abs(s1)) * abs(rb))
+                    + (abs(fc) * ec + 2 * _EPS * (m1 + k * abs(s2)) * abs(rc))
+                    + 2 * _EPS * abs(B2) * abs(r[-1])) / abs(B2))
     p = math.exp(log_p)  # below DBL_MIN, p r_j from logs keeps its digits
     derivs = [p * rj if p >= _DBL_MIN or not rj else
               math.copysign(math.exp(log_p + math.log(abs(rj))), rj)
               for rj in r[1:]]
     if not all(map(math.isfinite, derivs)):
-        raise NotConverged(f"{what} is not finite")
+        raise NotConverged(f"{what}{x} is not finite")
     if not all(ej <= _DERIV_REL_TOL * abs(rj) for rj, ej in zip(r[2:], err[2:])):
-        raise NotConverged(f"{what} cancels to its rounding")
+        raise NotConverged(f"{what}{x} cancels to its rounding")
     return derivs
 
 
 # The old name; perfbench's ode_finite_difference op still calls it.
 finite_difference_derivatives = pdf_product_derivatives
-
-
-def _adjoint(table) -> list[tuple[float, float, float]]:
-    """The adjoint sum_i (-1)^i d^i[(a0_i + a1_i x) p] = sum_i (b0_i + b1_i
-    x) p^(i) of a table: b0_i's two parts and b1_i, ((-1)^i a0_i, -(-1)^i
-    (i + 1) a1_(i+1), (-1)^i a1_i), for each i."""
-    a1_next = [a1 for _, a1 in table[1:]] + [0.0]
-    return [((-1) ** i * a0, (-1) ** (i + 1) * (i + 1) * b, (-1) ** i * a1)
-            for i, ((a0, a1), b) in enumerate(zip(table, a1_next))]
 
 
 def ode_residual_density(mp: MeanParams, x: float,
@@ -561,10 +561,13 @@ def ode_residual_density(mp: MeanParams, x: float,
     since E[A f] = int f A*p = 0 for every f.
 
     ``derivs`` supplies (p, p', p'', p''', p'''') at x.  The residual is
-    the ODE left-hand side divided by the largest absolute term, so a
-    value near zero certifies the ODE regardless of the density's scale.
+    the ODE left-hand side sum_i (-1)^i d^i[(a0_i + a1_i x) p] = sum_i (b0_i
+    + b1_i x) p^(i), b1_i = (-1)^i a1_i and b0_i = (-1)^i a0_i - (-1)^i (i +
+    1) a1_(i+1), divided by the largest absolute term, so a value near zero
+    certifies the ODE regardless of the density's scale.
     NonFiniteParameter at a non-finite x, NotConverged at a derivative not
-    finite (p'''' ~ x^-4 overflows from |x| ~ 1e-77) or subnormal.
+    finite (p'''' ~ x^-4 overflows from |x| ~ 1e-77) or subnormal, or
+    where a coefficient times x or a term overflows.
     """
     x = _finite_x(x)
     if len(derivs) != 5:
@@ -572,12 +575,16 @@ def ode_residual_density(mp: MeanParams, x: float,
     if not all(d == 0 or _DBL_MIN <= abs(d) <= _DBL_MAX for d in derivs):
         raise NotConverged(f"density ODE: a derivative at x={x} is not "
                            "finite or subnormal")
-    terms = [((a0 + a1 * x) + t) * d
-             for (a0, t, a1), d in zip(_adjoint(a1_table(mp)), derivs)]
-    scale = max(abs(t) for t in terms)
-    if scale == 0:
-        return 0.0
-    return sum(terms) / scale
+    (a00, a10), (a01, a11), (a02, a12), (a03, a13), (a04, a14) = a1_table(mp)
+    p0, p1, p2, p3, p4 = derivs
+    terms = (((a00 + a10 * x) - a11) * p0, ((-a01 - a11 * x) + 2 * a12) * p1,
+             ((a02 + a12 * x) - 3 * a13) * p2,
+             ((-a03 - a13 * x) + 4 * a14) * p3, (a04 + a14 * x) * p4)
+    scale = max(map(abs, terms))
+    residual = sum(terms) / scale if scale else 0.0
+    if not math.isfinite(residual):
+        raise NotConverged(f"density ODE: a term overflows at x={x}")
+    return residual
 
 
 def cdf_product(p: ProductNormalParams, x: float) -> float:
@@ -600,10 +607,12 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     and its nodes are never further apart than those rates allow: a unit
     step in tau moves each argument by about one unit at most.  Close to
     0, where nothing but e^v changes, tau(t) widens the step in v from
-    1/c0 to 1.  The trapezoid rule in t converges spectrally (Trefethen &
-    Weideman, SIAM Rev. 2014): the gap between the sums at steps h and 2h
-    about squares with each halving, from 1e-7 to 1e-4 at the unit step
-    to below 1e-15 at a quarter, so the first grid takes a quarter step.
+    1/c0 to 1 below a knee t_e, where the bracket starts less than 10
+    below t_e or above it (elsewhere tau = t).  The trapezoid rule in t
+    converges spectrally (Trefethen & Weideman, SIAM Rev. 2014): the gap
+    between the sums at steps h and 2h about squares with each halving,
+    from 1e-7 to 1e-4 at the unit step to below 1e-15 at a quarter, so
+    the first grid takes a quarter step.
 
     The bracket starts where the integrand vanishes near u = 0 and ends
     where a lower bound q* on the peak of its log proves the rest
@@ -620,8 +629,8 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
 
     Where the scale ratio sigma_y / sigma_x leaves the double range (it
     makes the slope k, and at rho = 0 a large x over u overflows once
-    divided by s) or the bracket does, the same CDF is that of the unit-variance problem at
-    (x / sigma_x) / sigma_y.
+    divided by s) or the bracket does, the same CDF is that of the
+    unit-variance problem at (x / sigma_x) / sigma_y.
     """
     z = float(x)
     if math.isnan(z):
@@ -680,14 +689,17 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     # tau(t) <= min(t, c0 t - (c0 - 1) t_e), and tau(t) > t - 1 past t_e
     lo = max(tau_lo, (tau_lo + (c0 - 1) * t_e) / c0)
     hi = tau_hi + 1
+    widen = t_e > lo - 10  # otherwise tau = t on the whole bracket
 
     def log_integrand(t):
-        tau = t - (c0 - 1) * np.logaddexp(0.0, t_e - t)
-        u = (c0 / c1) * np.logaddexp(0.0, tau / c0) * _SIGN_U
-        a = (u - p.mu_x) / p.sigma_x
-        arg = sign_phi * (z / u - p.mu_y - k * (u - p.mu_x)) / s
-        log_du_dt = (np.log1p((c0 - 1) * special.expit(t_e - t))
-                     - np.logaddexp(0.0, -tau / c0))
+        tau = t - (c0 - 1) * np.logaddexp(0.0, t_e - t) if widen else t
+        v = tau / c0
+        u = (c0 / c1) * np.logaddexp(0.0, v) * _SIGN_U
+        shifted = u - p.mu_x
+        a = shifted / p.sigma_x
+        arg = sign_phi * (z / u - p.mu_y - k * shifted) / s
+        log_du_dt = ((np.log1p((c0 - 1) * special.expit(t_e - t)) if widen
+                      else 0.0) - np.logaddexp(0.0, -v))
         # log phi_X + log du/dt + log Phi, up to the constant log_norm
         return -0.5 * a * a + log_du_dt + special.log_ndtr(arg)
 
@@ -711,11 +723,11 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     if lo < end:  # an empty bracket bounds no peak
         # a grid that reaches the guess sums to over e^guess / 4, so this
         # floor only stops a grid whose bracket the guess does not prove
-        log_sum, _, q = first_grid(end, _CDF_PEAK_GUESS - 2)
+        log_sum, _, q, _ = first_grid(end, _CDF_PEAK_GUESS - 2)
         q_star = float(q.max())
     if q_star < _CDF_PEAK_GUESS:
         # below -750 the probability underflows, resolved or not
-        log_sum, _, _ = first_grid(upper_end(q_star), log_norm - 750)
+        log_sum = first_grid(upper_end(q_star), log_norm - 750)[0]
     tail = min(math.exp(log_sum - log_norm), 1.0)
     value = 1.0 - tail if upper else tail
     if not lost <= _EPS * value:

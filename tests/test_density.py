@@ -417,8 +417,12 @@ class TestTrapezoidKernel:
             calls.append(t.size)
             return np.vstack([-0.5 * ((t - 0.3) / 0.05) ** 2,
                               np.full_like(t, -np.inf)])
-        log_sum, _, _ = _log_trapezoid(narrow, -10.0, 10.0, 21, "test", 0.0)
+        log_sum, t, _, (first, _) = _log_trapezoid(narrow, -10.0, 10.0, 21,
+                                                   "test", 0.0)
         assert len(calls) >= 2
+        # the first pass is handed back beside the last
+        assert first.tolist() == np.linspace(-10.0, 10.0, 21).tolist()
+        assert t.size == calls[-1]
         assert log_sum == pytest.approx(
             math.log(0.05 * math.sqrt(2 * math.pi)), abs=1e-14)
 
@@ -545,6 +549,88 @@ class TestPinnedValues:
         scalar = [_product_q(p, x, sign * math.exp(s)) for sign in (1, -1)]
         vector = -2 * (1 - p.rho ** 2) * exponent(s)
         assert scalar == pytest.approx(vector.ravel().tolist(), rel=8 * _EPS)
+
+
+class TestCatalogueValues:
+    # the benchmark's cdf-ode catalogue bit for bit: the CDF at mean -+ sd
+    # (alternating) of each NORMALIZATION_SWEEP set, and the derivatives
+    # and ODE residuals at its nine zero-mean points (0, 0, 1, 1, rho) and
+    # five general-means points (1, 0.5, 1, 1, 0.2), n = 1
+    CDF_PINS = [
+        ((0.0, 0.0, 1.0, 1.0, 0.0), -1.0, 0.10449683150232615),
+        ((0.0, 0.0, 0.5, 2.0, 0.9), 2.2453624047073713, 0.8797696284515906),
+        ((0.0, 0.0, 2.0, 0.5, -0.9), -2.2453624047073713, 0.12023037154840949),
+        ((1.0, 0.0, 1.0, 1.0, 0.0), 1.4142135623730951, 0.8887187559380556),
+        ((-1.0, 0.0, 0.5, 1.0, 0.0), -1.118033988749895, 0.12843447361654334),
+        ((3.0, 0.0, 1.0, 2.0, 0.0), 6.324555320336759, 0.8604987719814191),
+        ((-3.0, 0.0, 2.0, 1.0, 0.0), -3.605551275463989, 0.12034343002556365),
+        ((1.0, 1.0, 1.0, 1.0, 0.0), 2.732050807568877, 0.8609607002751131),
+        ((1.0, 1.0, 1.0, 1.0, 0.9), -0.46854385646540253,
+         0.00028748698599542636),
+        ((-1.0, -1.0, 1.0, 1.0, 0.9), 4.268543856465403, 0.8648161770133106),
+    ]
+
+    @pytest.mark.parametrize("tup, x, cdf", CDF_PINS)
+    def test_cdf(self, tup, x, cdf):
+        assert cdf_product(validate(*tup), x) == cdf
+
+    ZERO_MEAN_PINS = [
+        (2, 0.0, -1.5, [0.049787068367863924, 0.09957413673572785,
+                        0.1991482734714557, 0.3982965469429114,
+                        0.7965930938858228], 0.0),
+        (2, 0.4, 0.7, [0.36787944117144233, -0.5255420588163461,
+                       0.7507743697376376, -1.0725348139109105,
+                       1.532192591301304], 3.7723738417192523e-16),
+        (2, -0.4, 2.0, [0.0012726338013398079, -0.004242112671132693,
+                        0.014140375570442312, -0.04713458523480771,
+                        0.15711528411602568], -3.470402864600486e-16),
+        (3, 0.0, -1.5, [0.030415872395767974, 0.0825040821427958,
+                        0.21874013013338123, 0.5600415049105543,
+                        1.3519731887605848], -9.516626738325652e-17),
+        (3, 0.4, 0.7, [0.4394768270434478, -0.6965385338732616,
+                       0.8266236608179675, 0.20404794135332335,
+                       -7.113467851843601], -1.894678438612072e-17),
+        (3, -0.4, 2.0, [0.00013980848533852032, -0.0006673233504902594,
+                        0.0031707877300244155, -0.01498365299065885,
+                        0.07033055111359693], 0.0),
+        (5, 0.0, -1.5, [0.00954701630469059, 0.039584429088580106,
+                        0.15950654944010453, 0.61781838954952,
+                        2.256303840016929], 9.062968898278186e-17),
+        (5, 0.4, 0.7, [0.5338379099186138, -1.0355864894937887,
+                       1.0711153740767028, 3.5594456406041677,
+                       -30.503728823800255], 5.241180962048448e-17),
+        (5, -0.4, 2.0, [1.4129990987878279e-06, -1.0817643805193545e-05,
+                        8.238609380034463e-05, -0.000623733698344373,
+                        0.004690228328751532], -1.3330075859883473e-16),
+    ]
+
+    @pytest.mark.parametrize("n, rho, x, derivs, residual", ZERO_MEAN_PINS)
+    def test_zero_mean_ode(self, n, rho, x, derivs, residual):
+        mp = MeanParams(validate(0.0, 0.0, 1.0, 1.0, rho), n)
+        got = mean_zero_means_derivatives(mp, x)
+        assert got == derivs
+        assert ode_residual_density(mp, x, got) == residual
+
+    GENERAL_PINS = [
+        (-1.5, [0.044015874382616144, 0.0606048252645263, 0.09027468713064125,
+                0.1521549285884431, 0.30613938571281446], 0.0),
+        (-0.6, [0.16934441010014456, 0.2899252050001295, 0.6464906993582457,
+                2.0821623041425323, 9.806154351212289], -5.289749644336703e-16),
+        (0.7, [0.25924741562064724, -0.2221880738796273, 0.3254226985927701,
+               -0.9333259068655186, 4.175296266792215], -1.1540920725752179e-15),
+        (1.0, [0.20407822713654197, -0.15354942016977685, 0.1621545712283747,
+               -0.306327606980848, 0.9497197835408743], 2.5368937267959996e-16),
+        (2.2, [0.08965524285519433, -0.05873140185076234, 0.04017432900729805,
+               -0.032161681104733476, 0.03658697844871151],
+         -4.119377093399739e-16),
+    ]
+
+    @pytest.mark.parametrize("x, derivs, residual", GENERAL_PINS)
+    def test_general_ode(self, x, derivs, residual):
+        mp = MeanParams(validate(1.0, 0.5, 1.0, 1.0, 0.2), 1)
+        got = pdf_product_derivatives(mp.base, x)
+        assert got == derivs
+        assert ode_residual_density(mp, x, got) == residual
 
 
 class TestExtremeInputs:
@@ -857,7 +943,8 @@ class TestDerivativesAndOde:
 
         def first_grid(log_integrand, lo, hi, n, what, x):
             t = np.linspace(lo, hi, n)
-            return 0.0, t, log_integrand(t)
+            q = log_integrand(t)
+            return 0.0, t, q, (t, q)
 
         def counted(p, x, u):  # grids only, not the scalar peak bound
             if np.ndim(u):
@@ -870,6 +957,20 @@ class TestDerivativesAndOde:
         assert sizes[-1] > 4 * sizes[0]  # at least three halvings
         assert [g / got[0] for g in got] == pytest.approx(
             [r / ref[0] for r in ref], rel=1e-13)
+
+    def test_refined_density_hands_over_its_first_grid(self, monkeypatch):
+        # the density refines its first grid here (26515 nodes, then 13257
+        # on its trimmed bracket); the derivatives start from that first
+        # grid rather than evaluating it again, then refine their own window
+        from normprod import density
+        exponent, sizes = density._product_exponent, []
+
+        def counted(p, x, s):
+            sizes.append(s.size)
+            return exponent(p, x, s)
+        monkeypatch.setattr(density, "_product_exponent", counted)
+        pdf_product_derivatives(validate(1, 0.5, 1, 1, -0.999), -0.6)
+        assert sizes == [26515, 13257, 13601]
 
     def test_overflowing_derivatives_not_converged(self):
         # g ~ 1/u overflows at these u; the derivatives used to be NaN,
@@ -907,6 +1008,24 @@ class TestDerivativesAndOde:
         derivs = mean_zero_means_derivatives(mp, -70.0)
         assert min(map(abs, derivs)) >= sys.float_info.min
         assert abs(ode_residual_density(mp, -70.0, derivs)) <= 1e-8
+
+    # a1_i x overflows at these x, and a term at these derivatives; the
+    # residual was NaN.  The last point's derivatives are the library's,
+    # with f'''' underflowed to 0: a residual rescaled into range reads
+    # -0.085 there, which certifies nothing
+    @pytest.mark.parametrize("tup, x, derivs", [
+        ((1, 0.5, 1, 1, 0.9), 1e308, [1.0] * 5),
+        ((1, 0.5, 1, 1, 0.9), 1.7e308, [1.0] * 5),
+        ((1, 0.5, 1, 1, 0.9), 1.7e308, [1e-300, 0.0, 1e-300, 0.0, 0.0]),
+        ((1, 0.5, 1, 1, 0.9), -sys.float_info.max, [sys.float_info.max] * 5),
+        ((1, 0.5, 1, 1, 0.9), 1.0, [1e308, -1e308, 1e308, -1e308, 1e308]),
+        ((0, 0, 2.3921247255266395e73, 2.7660581261338226, 0.5275321167000603),
+         9.683126866906174e74, None)])
+    def test_ode_residual_refuses_an_overflowing_term(self, tup, x, derivs):
+        mp = MeanParams(validate(*tup), 1)
+        derivs = derivs or mean_zero_means_derivatives(mp, x)
+        with pytest.raises(NotConverged, match="a term overflows"):
+            ode_residual_density(mp, x, derivs)
 
     def test_ode_residual_needs_five_derivatives(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.3), 1)
@@ -1086,6 +1205,19 @@ class TestCdf:
         err = abs(cdf_product(validate(*tup), x) - ref)
         assert err <= 1e-12
         # the smaller tail is accurate relative to its own size
+        assert err <= 1e-12 * min(ref, 1 - ref)
+
+    # |rho| = 0.9999 points whose bracket reaches the near-zero step
+    # widening: without it (tau = t on [tau_lo, hi]) the grid runs past 2^18
+    # nodes.  References as above (60 digits; 40 agree to 4e-36)
+    @pytest.mark.parametrize("tup, x, ref", [
+        ((12.7028, 18.5454, 2.13134, 0.500005, 0.9999), 132.85,
+         "0.0089033365119039173409531454004361"),
+        ((-14.1126, -16.7591, 2.3804, 0.46632, 0.9999), 110.283,
+         "0.001751309429472119624433553941272")])
+    def test_converges_with_the_widening_where_it_is_needed(self, tup, x, ref):
+        ref = float(ref)
+        err = abs(cdf_product(validate(*tup), x) - ref)
         assert err <= 1e-12 * min(ref, 1 - ref)
 
     def test_uses_neither_series_nor_quadrature(self, monkeypatch):
