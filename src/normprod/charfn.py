@@ -2,10 +2,22 @@
 
 The closed form is stated for unit variances; general variances follow
 by rescaling t -> sigma_x*sigma_y*t with the mean-to-sd ratios in place
-of the means.  The complex power uses the principal branch: the base
-1 + (1-rho^2)t^2/n^2 - 2i rho t/n has strictly positive real part for
-all real t, so the principal branch *is* the continuous branch with
-value 1 at t = 0 and no branch cut is ever crossed.
+of the means.  With w = s t / n it is phi = exp((n/2) N/(f1 f2)) (f1
+f2)^(-n/2), N = 2i rx ry w - c w^2 and c = rx^2 + ry^2 - 2 rho rx ry,
+over the two linear factors f1 = 1 - i(1+rho)w and f2 = 1 + i(1-rho)w.
+
+log phi = (n/2)(Q - log f1 - log f2) = X + iY, Q = N/(f1 f2), is formed
+in real arithmetic, and phi = e^X (cos Y + i sin Y) costs one real exp
+and a tangent, with no complex exp or log.  Both factors have real part
+1 at real t, and positive real part on the strip -n/((1+rho)s) < Im t <
+n/((1-rho)s) between the poles.  There D = f1 f2 has Re D = Re f1 Re f2 +
+(1-rho^2) a^2 > 0 (w = a + ib), so the sum of the factors' principal
+logs is log D = log Re D + log1p((Im D/Re D)^2)/2 + i atan2(Im D, Re D):
+the continuous branch with value 0 at t = 0, also at complex t.  Its log
+Re D is log1p(Re D - 1), with Re D - 1 = 2 rho b + (1-rho^2)(a^2 - b^2)
+formed apart from Re D, so it keeps its digits at small t and near a
+pole.  No factor's modulus is squared: |f1|^2 ~ (1+rho)^2 a^2 would
+overflow where (1-rho^2) a^2 and so Re D are still doubles.
 """
 
 from __future__ import annotations
@@ -21,16 +33,100 @@ from .stein import a1_table
 
 #: Trapezoid nodes on the Cauchy circle of ``cf_raw_moments``.
 CAUCHY_NODES = 128
+_UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES)
 
 
-def _closed_form(mp: MeanParams, u):
-    """(c, d, num) of the unit-variance closed form phi = exp(num / (2d))
-    d^(-n/2), num = -c u^2/n + 2i rx ry u, at u = s t, elementwise."""
+def _closed_form(mp: MeanParams, t):
+    """(phi, parts) at an array t, real or complex, elementwise: log phi
+    = X + iY in real arithmetic, phi = e^X (cos Y + i sin Y), and the
+    pieces (a, b, Im D / Re D, |D|^2 / Re D, Re Q, Im Q, c, rx ry) that its
+    derivative reuses, w = a + ib, D = f1 f2 and Q = N/D."""
     p, n = mp.base, mp.n
+    t = np.asarray(t)
+    t_max = float(np.maximum.reduce(np.abs(t), axis=None, initial=0.0))
+    if not math.isfinite(t_max):
+        raise NonFiniteParameter("t must be finite")
     mx, my, rho = p.r_x, p.r_y, p.rho
-    c = mx * mx + my * my - 2 * rho * mx * my
-    d = (1 - (1 + rho) * 1j * u / n) * (1 + (1 - rho) * 1j * u / n)
-    return c, d, -c * u * u / n + 2 * mx * my * 1j * u
+    if not math.isfinite(mx * mx + my * my):
+        raise NotConverged("the closed form overflows at mean-to-sd ratios "
+                           f"({mx:.3g}, {my:.3g})")
+    c, m = mx * mx + my * my - 2 * rho * mx * my, mx * my
+    k1, k2, scale = 1 + rho, 1 - rho, p.s / n
+    # the range of the statement in u = s t: its terms c u^2, 2 rx ry u and
+    # 2 Re D ~ 2 (1-rho^2) (u/n)^2 are doubles (past it |phi| is below
+    # about 1e-154 at real t)
+    u_max = p.s * t_max
+    if not (c * u_max * u_max < math.inf and 2 * abs(m) * u_max < math.inf
+            and 2 * (k1 * u_max / n) * (k2 * u_max / n) < math.inf):
+        raise NotConverged(f"the closed form overflows at |t| = {t_max:.3g}")
+    complex_t = t.dtype.kind == "c"
+    # augmented operators work in place on arrays and rebind numpy
+    # scalars, so one sequence serves both
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            a = (t.real if complex_t else t) * scale
+            b = t.imag * scale if complex_t else 0.0
+            # D = (1 + k1 b)(1 - k2 b) + (1-rho^2) a^2 - 2ia(rho - (1-rho^2)
+            # b), with e = Re D - 1, and N = -c Re w^2 - 2mb + 2ia(m - cb)
+            e = a * (k1 * k2)
+            e *= a
+            nr = a * -c
+            nr *= a
+            if complex_t:  # the terms in b, which vanish at real t
+                re_d = (1 + k1 * b) * (1 - k2 * b) + e
+                e += b * (2 * rho - k1 * k2 * b)
+                nr += b * (c * b - 2 * m)
+            else:
+                re_d = e + 1
+            ni = a * (2 * (m - c * b))
+            im_d = a * (2 * (k1 * k2 * b - rho))
+            # Q = N/D by Smith's rule, over dd = Re D + r Im D = |D|^2 / Re D:
+            # |D|^2 would overflow where Re D does not
+            r = im_d / re_d
+            dd = im_d * r
+            dd += re_d
+            qr = ni * r
+            qr += nr
+            qr /= dd
+            qi = ni - nr * r
+            qi /= dd
+            # log D = log|Re D| + log1p(r^2)/2 + i arg D
+            if complex_t:
+                x, y = _log_abs(e, re_d), np.arctan2(im_d, re_d)
+            else:  # Re D = 1 + e >= 1
+                x, y = np.log1p(e), np.arctan(r)
+            x += 0.5 * np.log1p(r * r)
+            x -= qr
+            x *= -0.5 * n
+            half_y = y - qi
+            half_y *= -0.25 * n
+            half_y += 0.0  # Y = +0 at t = 0, so that phi(0) = 1 + 0j
+            # cos Y and sin Y from v = tan(Y/2) as stein._cos_sin_from_half
+            # forms them, whose in-place passes into scratch rows cost twice
+            # these at a scalar t
+            v = np.tan(half_y)
+            v2 = v * v
+            rad = np.exp(x)
+            rad /= v2 + 1
+            v += v
+    except FloatingPointError:
+        raise NotConverged(f"the closed form overflows at |t| = {t_max:.3g}") from None
+    phi = np.empty(t.shape, dtype=complex)
+    np.multiply(rad, 1 - v2, out=phi.real)
+    np.multiply(rad, v, out=phi.imag)
+    return phi, (a, b, r, dd, qr, qi, c, m)
+
+
+def _log_abs(e, h):
+    """log|h| from h and e = h - 1, each to a few ulps: with g = |h| - 1 = e
+    - 2 min(h, 0) (h < 0 only off the strip), log1p(g) at |h| >= 1 and
+    -log1p(-g/|h|) below, where 1 + g would lose h's digits near a pole."""
+    g = np.minimum(h, 0.0)
+    g *= -2.0
+    g += e
+    e = np.abs(g)
+    e /= np.minimum(np.abs(h), 1.0)
+    return np.copysign(np.log1p(e), g)
 
 
 def _complex_or_array(values: np.ndarray):
@@ -41,25 +137,13 @@ def cf_mean(mp: MeanParams, t):
     """E[exp(i t mean)] at real t (complex t accepted for contour work):
     a Python complex at a scalar t, an array over an array of t.
 
-    NonFiniteParameter at a non-finite t, NotConverged where the closed
-    form overflows: from about |t| = 1e154 n / (sigma_x sigma_y), where
-    |phi| < 1e-154 at real t, or at mean-to-sd ratios past about 1e154.
+    NonFiniteParameter at a non-finite t; NotConverged where a term of the
+    closed form in u = s t, c u^2, 2 rx ry u or 2 (1-rho^2)(u/n)^2 with c =
+    rx^2 + ry^2 - 2 rho rx ry, leaves the double range: from about |t| =
+    1e154 n / (sigma_x sigma_y), where |phi| < 1e-154 at real t, or at
+    mean-to-sd ratios past about 1e154.
     """
-    p = mp.base
-    t = np.asarray(t)
-    if not np.isfinite(t).all():
-        raise NonFiniteParameter("t must be finite")
-    if not math.isfinite(p.r_x * p.r_x + p.r_y * p.r_y):
-        raise NotConverged("the closed form overflows at mean-to-sd ratios "
-                           f"({p.r_x:.3g}, {p.r_y:.3g})")
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, d, num = _closed_form(mp, p.s * t)
-            values = np.exp(num / (2 * d)) * np.exp(-0.5 * mp.n * np.log(d))
-    except FloatingPointError:
-        raise NotConverged("the closed form overflows at |t| = "
-                           f"{np.max(np.abs(t)):.3g}") from None
-    return _complex_or_array(values)
+    return _complex_or_array(_closed_form(mp, t)[0])
 
 
 def cf_mean_derivative(mp: MeanParams, t):
@@ -68,25 +152,21 @@ def cf_mean_derivative(mp: MeanParams, t):
 
 
 def _cf_and_derivative(mp: MeanParams, t):
-    """(phi, phi') at t: ``cf_mean`` times d/dt log phi = num'/(2d) - num
-    d'/(2d^2) - (n/2) d'/d, for the closed form's exponent num/(2d) and
-    power base d, as ratios to d so that nothing squares d."""
-    phi = cf_mean(mp, t)  # first: it refuses where s t overflows
-    p, n = mp.base, mp.n
-    mx, my, rho, u = p.r_x, p.r_y, p.rho, p.s * np.asarray(t)
-    c, d, num = _closed_form(mp, u)
-    d_prime = 2 * (1 - rho ** 2) * u / n ** 2 - 2j * rho / n
-    num_prime = -2 * c * u / n + 2j * mx * my
-    log_d = 0.5 * (num_prime / d - (num / d + n) * (d_prime / d))
-    return phi, _complex_or_array(phi * p.s * log_d)
+    """(phi, phi') at t: phi times d/dt log phi = (s/D)[i rx ry - c w + i(1
+    + Q)(rho + i(1-rho^2) w)], the derivative of (n/2)(Q - log D) in w = s
+    t / n, with 1/D = (1 - i Im D / Re D) / dd from the pieces of log phi,
+    so that nothing squares D."""
+    phi, (a, b, r, dd, qr, qi, c, m) = _closed_form(mp, t)
+    p = mp.base
+    w = a + 1j * b
+    dlog = (1j * m - c * w
+            + 1j * (1 + qr + 1j * qi) * (p.rho + 1j * (1 - p.rho ** 2) * w))
+    dlog *= (1 - 1j * r) * (p.s / dd)
+    return _complex_or_array(phi), _complex_or_array(phi * dlog)
 
 
 def cf_grid(mp: MeanParams, ts: np.ndarray) -> np.ndarray:
-    """Characteristic function over a float array of t.
-
-    The principal branch is continuous there: the power's base has real
-    part 1 + (1-rho^2) s^2 t^2 / n^2 >= 1.
-    """
+    """Characteristic function over a float array of t."""
     return cf_mean(mp, np.asarray(ts, dtype=float))
 
 
@@ -96,11 +176,13 @@ def cf_ode_residual(mp: MeanParams, t):
     Raises as cf_mean, and NotConverged where a term overflows."""
     t = np.asarray(t, dtype=float)
     phi, dphi = _cf_and_derivative(mp, t)
-    table = a1_table(mp)
+    z, c0, c1 = 1j * t, 0.0, 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi'
-            c0, c1 = (np.polyval(col[::-1], 1j * t) for col in zip(*table))
+            # E[A e^(itZ)] = 0 with E[Z e^(itZ)] = -i phi', the table's
+            # polynomials in it by Horner's rule
+            for a0, a1 in reversed(a1_table(mp)):
+                c0, c1 = c0 * z + a0, c1 * z + a1
             t1, t2 = -1j * c1 * dphi, c0 * phi
             scale = np.maximum(abs(t1), abs(t2))
             residual = np.divide(abs(t1 + t2), scale,
@@ -116,8 +198,9 @@ def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:
 
     Uses the Cauchy integral for the derivatives at 0 on a circle inside
     the nearest singularity (trapezoid rule is spectrally accurate there),
-    then mu'_k = (-i)^k phi^(k)(0).  NotConverged where the circle's
-    radius r, or r^kmax, leaves the double range.
+    its sums for every order from one FFT of the node values, then mu'_k =
+    (-i)^k phi^(k)(0).  NotConverged where the circle's radius r, or
+    r^kmax, leaves the double range.
     """
     kmax = int_at_least("kmax", kmax, 0)
     p = mp.base
@@ -131,12 +214,7 @@ def cf_raw_moments(mp: MeanParams, kmax: int) -> list[float]:
     if not in_range:
         raise NotConverged(f"the Cauchy circle's radius {radius:.3g} to the "
                            f"power {kmax} leaves the double range")
-    theta = 2 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
-    z = radius * np.exp(1j * theta)
-    vals = cf_mean(mp, z)
-    out = []
-    for k in range(kmax + 1):
-        deriv = (math.factorial(k)
-                 * np.mean(vals * np.exp(-1j * k * theta)) / radius ** k)
-        out.append(((-1j) ** k * deriv).real)
-    return out
+    # sum_j phi(z_j) e^(-i k theta_j) for each k, aliased to k mod the nodes
+    sums = np.fft.fft(cf_mean(mp, radius * _UNIT_CIRCLE)).tolist()
+    return [((-1j) ** k * math.factorial(k) * sums[k % CAUCHY_NODES]
+             / (CAUCHY_NODES * radius ** k)).real for k in range(kmax + 1)]

@@ -217,7 +217,9 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
                    x: float, floor: float = -np.inf):
     """(log trapezoid sum, t, q, first) of exp(log_integrand): its (2, n)
     values q at n nodes t on [lo, hi], a row per sign of u, and the first
-    pass's (t, q).  Each pass compares the sum at step h with the sum at
+    pass's (t, q, w, total, even), with w = e^(q - max q) and its sums over
+    all nodes and over the even ones (the first two alone where q is all
+    -inf).  Each pass compares the sum at step h with the sum at
     step 2h on the even nodes of the same grid (the standard test of a
     spectrally convergent rule), and accepts the fine sum when the two agree
     to 1e-15 relative to the exponent (its roundoff floor) or it drops below
@@ -231,16 +233,14 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
         t += lo
         t[-1] = hi
         q = log_integrand(t)
-        first = first or (t, q)
         peak = float(np.maximum.reduce(q, axis=None))
         if peak == -np.inf:
-            return peak, t, q, first
-        w = np.subtract(q, peak)
-        np.exp(w, out=w)
-        total = float(np.add.reduce(w, axis=None))
+            return peak, t, q, first or (t, q)
+        w, total, even = _weights(q, peak)
+        first = first or (t, q, w, total, even)
         log_sum = peak + math.log(h * total)
         # the sums' relative gap, which is their log ratio to first order
-        gap = abs(2 * float(np.add.reduce(w[:, ::2], axis=None)) - total)
+        gap = abs(2 * even - total)
         tol = 1e-15 * max(1.0, -peak) * total
         if log_sum < floor or gap <= tol:
             return log_sum, t, q, first
@@ -252,6 +252,15 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
         if gap * gap > tol * total and 2 * n - 1 <= 1 << 18:
             n = 2 * n - 1
     raise NotConverged(f"{what}: over 2^18 nodes at x={x}")
+
+
+def _weights(q: np.ndarray, peak: float):
+    """(w, total, even): w = e^(q - peak) and its sums over all nodes and
+    over the even ones."""
+    w = np.subtract(q, peak)
+    np.exp(w, out=w)
+    return (w, float(np.add.reduce(w, axis=None)),
+            float(np.add.reduce(w[:, ::2], axis=None)))
 
 
 def _product_coords(p: ProductNormalParams, x: float, u):
@@ -349,18 +358,18 @@ def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
     the integral runs out of nodes (from about |rho| = 0.9999)."""
     x = _finite_x(x)
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
-    log_sum, last, _, (s, q) = _log_trapezoid(exponent, lo, hi, n,
-                                              "product density integral", x)
+    log_sum, last, _, (s, q, *sums) = _log_trapezoid(
+        exponent, lo, hi, n, "product density integral", x)
     step = 1.5 * (last[1] - last[0])  # over the density's, by a margin
     om = 1.0 - p.rho ** 2
     while n <= 1 << 18:
         if s is None:  # a trimmed window, after the first grid
             s = np.linspace(lo, hi, n)
-            q = exponent(s)
+            q, sums = exponent(s), None
         u = np.exp(s) * _SIGN_U
         a, b = _product_coords(p, x, u)
-        w = np.exp(q - q.max())
-        total, total_even = w.sum(), w[:, ::2].sum()
+        # the kernel's weights of the first grid, which it has summed
+        w, total, total_even = sums or _weights(q, float(q.max()))
         hw = np.empty((5, *w.shape))  # H_0 ... H_4, then times e^E
         # near x = 0, g ~ 1/u overflows; that is caught below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -502,7 +511,8 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
     each) through the steps; it leaves out 1 - rho^2's rounding, which moves c
     and every coefficient alike.  NotConverged where K_nu or K_(nu-1) leaves
     the double range, where a derivative is not finite or a bound exceeds 1e-9
-    of its r_j (near x = 0 and in correlated tails).
+    of its r_j (near x = 0 and in correlated tails), and where p is normal
+    but some p r_j != 0 underflows to 0.
     """
     nu, c, log_base = _mean_zero_means_form(mp)
     x = _finite_x(x)
@@ -547,6 +557,8 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
         raise NotConverged(f"{what}{x} is not finite")
     if not all(ej <= _DERIV_REL_TOL * abs(rj) for rj, ej in zip(r[2:], err[2:])):
         raise NotConverged(f"{what}{x} cancels to its rounding")
+    if p >= _DBL_MIN and not all(d or not rj for d, rj in zip(derivs, r[1:])):
+        raise NotConverged(f"{what}{x} underflows")
     return derivs
 
 

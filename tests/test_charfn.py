@@ -164,6 +164,32 @@ class TestLargeAndNonFiniteT:
                 cf_ode_residual(mp, t)
 
 
+class TestOverflowThreshold:
+    # the complex closed form answered until a term c u^2, 2 rx ry u or 2
+    # Re D ~ 2 (1-rho^2)(u/n)^2 overflowed, u = s t; a single factor's
+    # |f|^2 ~ (1 +- rho)^2 (u/n)^2 overflows sooner at strong correlation
+    # and must not move that threshold
+    @pytest.mark.parametrize("rho, n, t", [(0.99, 1, 1.2e154), (-0.99, 1, -1.2e154),
+                                           (0.3, 20, 1e155)])
+    def test_answers_where_the_complex_form_did(self, rho, n, t):
+        mp = MeanParams(validate(0, 0, 1, 1, rho), n)
+        want = cf_unit_loop(0.0, 0.0, rho, n, [t])[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cf_mean(mp, np.array([0.5, t]))[1]
+            d = (1 - (1 + rho) * 1j * t / n) * (1 + (1 - rho) * 1j * t / n)
+            d_prime = 2 * (1 - rho ** 2) * t / n ** 2 - 2j * rho / n
+            deriv = cf_mean_derivative(mp, t)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert deriv == pytest.approx(-0.5 * n * want * d_prime / d, rel=1e-13)
+
+    def test_refuses_where_re_d_overflows(self):
+        mp = MeanParams(validate(0, 0, 1, 1, 0.3), 1)
+        for t in (2e154, np.array([0.5, 2e154])):
+            with pytest.raises(NotConverged):
+                cf_mean(mp, t)
+
+
 class TestMomentExtraction:
     def test_matches_exact_moments(self, rng):
         for _ in range(10):
@@ -172,6 +198,15 @@ class TestMomentExtraction:
             expected = [float(v) for v in raw_moments_exact(mp, 4)]
             for g, e in zip(got, expected):
                 assert g == pytest.approx(e, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_exact_moments_to_1e_10(self, rng, n):
+        # the FFT's sums are the trapezoid sums; 1.7e-11 at worst over 200
+        # random sets
+        for _ in range(20):
+            mp = random_mean_params(rng, n_choices=(n,))
+            expected = [float(v) for v in raw_moments_exact(mp, 4)]
+            assert cf_raw_moments(mp, 4) == pytest.approx(expected, rel=1e-10)
 
     def test_zeroth_moment_is_one(self):
         mp = MeanParams(validate(1, -2, 1.5, 0.5, -0.4), 3)
@@ -186,6 +221,22 @@ def cf_unit_loop(mx, my, rho, n, ts):
         num = (-(mx * mx + my * my - 2 * rho * mx * my) * t * t / n
                + 2 * mx * my * 1j * t)
         out.append(cmath.exp(num / (2 * d)) * cmath.exp(-0.5 * n * cmath.log(d)))
+    return np.array(out)
+
+
+def cf_two_factor_loop(mp, ts):
+    """log phi as the sum of the two linear factors' principal logs, point
+    by point in cmath; w = s t / n is rounded as the library rounds it, so
+    that a difference is the closed form's own rounding."""
+    p, n = mp.base, mp.n
+    mx, my, rho = p.r_x, p.r_y, p.rho
+    out = []
+    for t in ts:
+        w = complex(t) * (p.s / n)
+        f1, f2 = 1 - 1j * (1 + rho) * w, 1 + 1j * (1 - rho) * w
+        num = 2j * mx * my * w - (mx * mx + my * my - 2 * rho * mx * my) * w * w
+        out.append(cmath.exp(0.5 * n * (num / (f1 * f2) - cmath.log(f1)
+                                         - cmath.log(f2))))
     return np.array(out)
 
 
@@ -207,6 +258,70 @@ class TestVectorisedAgainstLoop:
             want = cf_unit_loop(*args, p.s * circle)
             got = cf_mean(mp, circle)
             assert np.max(np.abs(got - want) / np.abs(want)) <= self.TOL
+
+    def test_saddlepoint_contour_matches_two_factor_loop(self, rng):
+        # t = -i(c + iv), a quarter of the way from 0 to each pole; |phi|
+        # exceeds 1 near v = 0, so the error is relative there
+        v = np.linspace(-30, 30, 601)
+        for _ in range(10):
+            for n in (1, 3):
+                mp = random_mean_params(rng, n_choices=(n,))
+                p = mp.base
+                for c in (0.25 * n / ((1 + p.rho) * p.s),
+                          -0.25 * n / ((1 - p.rho) * p.s)):
+                    t = v - 1j * c
+                    want = cf_two_factor_loop(mp, t)
+                    err = np.abs(cf_mean(mp, t) - want) / np.maximum(1, np.abs(want))
+                    assert np.max(err) <= self.TOL
+
+    def test_near_a_pole_at_zero_means(self):
+        # at 0.99 of the way to a pole Re D = Re(f1 f2) is near 1e-2, where
+        # log1p(Re D - 1) would lose two digits of log Re D
+        for rho in (0.3, -0.5, 0.9):
+            for n in (1, 3):
+                mp = MeanParams(validate(0, 0, 1.3, 0.7, rho), n)
+                s = mp.base.s
+                for c in (0.99 * n / ((1 + rho) * s), -0.99 * n / ((1 - rho) * s)):
+                    t = np.linspace(-3, 3, 61) - 1j * c
+                    want = cf_two_factor_loop(mp, t)
+                    err = np.abs(cf_mean(mp, t) - want) / np.maximum(1, np.abs(want))
+                    assert np.max(err) <= self.TOL
+
+    def test_large_t_at_strong_correlation(self, rng):
+        # |t| to 1e6 at rho = +-0.99, where the phase Y is large
+        t = np.logspace(0, 6, 301)
+        t = np.concatenate([-t, t])
+        for _ in range(10):
+            p = random_mean_params(rng, n_choices=(1, 2, 5, 20))
+            for rho in (0.99, -0.99):
+                mp = MeanParams(validate(p.base.mu_x, p.base.mu_y, p.base.sigma_x,
+                                         p.base.sigma_y, rho), p.n)
+                got = cf_mean(mp, t)
+                assert np.max(np.abs(got - cf_two_factor_loop(mp, t))) <= self.TOL
+
+    def test_small_t(self, rng):
+        # t from 1e-8 to 1e-3, where log1p carries log|D|
+        t = np.logspace(-8, -3, 301)
+        t = np.concatenate([-t, t])
+        for _ in range(10):
+            mp = random_mean_params(rng, n_choices=(1, 2, 5, 20))
+            got = cf_mean(mp, t)
+            assert np.max(np.abs(got - cf_two_factor_loop(mp, t))) <= self.TOL
+
+    def test_off_the_strip_keeps_the_product_forms_branch(self, rng):
+        # past a pole Re D can be negative; the value stays the principal
+        # branch of the product form, as the complex closed form gave it.
+        # The cut itself (Re t = 0, where Im D is a signed zero) is left out
+        ts = np.linspace(-1, 1, 40)
+        for rho in (0.3, -0.5):
+            for n in (1, 2, 3):
+                mp = MeanParams(validate(*rng.uniform(-1, 1, 2), 1.3, 0.7, rho), n)
+                p = mp.base
+                for b in (-1.5 * n / ((1 + rho) * p.s), 1.5 * n / ((1 - rho) * p.s)):
+                    t = ts + 1j * b
+                    want = cf_unit_loop(p.r_x, p.r_y, rho, n, p.s * t)
+                    err = np.abs(cf_mean(mp, t) - want) / np.abs(want)
+                    assert np.max(err) <= self.TOL
 
     def test_scalar_gives_python_complex(self):
         mp = MeanParams(validate(0.7, -1.1, 1.2, 0.9, 0.35), 2)

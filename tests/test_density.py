@@ -417,8 +417,8 @@ class TestTrapezoidKernel:
             calls.append(t.size)
             return np.vstack([-0.5 * ((t - 0.3) / 0.05) ** 2,
                               np.full_like(t, -np.inf)])
-        log_sum, t, _, (first, _) = _log_trapezoid(narrow, -10.0, 10.0, 21,
-                                                   "test", 0.0)
+        log_sum, t, _, (first, *_) = _log_trapezoid(narrow, -10.0, 10.0, 21,
+                                                    "test", 0.0)
         assert len(calls) >= 2
         # the first pass is handed back beside the last
         assert first.tolist() == np.linspace(-10.0, 10.0, 21).tolist()
@@ -807,6 +807,14 @@ class TestDerivativesAndOde:
                     assert (mean_zero_means_derivatives(mp, x)[0]
                             == pdf_mean_zero_means(mp, x).value)
 
+    def test_underflowed_derivative_not_converged(self):
+        # p is 1.1e-79 and each r_j about 1e-74 of the last, so p'''' (near
+        # 1e-375) used to come back as a bare 0.0 beside a normal p ... p'''
+        mp = MeanParams(validate(0, 0, 2.3921247255266395e73,
+                                 2.7660581261338226, 0.5275321167000603), 1)
+        with pytest.raises(NotConverged, match="underflows"):
+            mean_zero_means_derivatives(mp, 9.683126866906174e74)
+
     def test_underflowing_density_gives_five_zeros(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
         assert pdf_mean_zero_means(mp, -134.5).value == 0.0
@@ -823,13 +831,20 @@ class TestDerivativesAndOde:
         expected = _mpmath_zero_mean_derivatives(1e-2, 1e-2, -0.9, 1, x, 40)
         assert got == pytest.approx(expected, rel=1e-9, abs=5e-324)
 
-    # s_n = 1e150: the adjoint's b1_2 x is 1e438 unless it is scaled
+    # s_n = 1e150: the adjoint's b1_2 x is 1e438 at x = -1e138 and 1e330
+    # at -1e30 unless it is scaled.  At n = 1 p^(j) ~ p x^-j stays normal
+    # at -1e30; at n >= 2 p^(j) ~ p s_n^-j underflows at any x and is
+    # refused (at -1e138 the n = 1 p'' ... p'''' underflow too)
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_adjoint_scaled_back_into_range(self, n):
         mp = MeanParams(validate(0, 0, 1e-150, 1e300, 0.0), n)
-        got = mean_zero_means_derivatives(mp, -1e138)
+        with pytest.raises(NotConverged, match="underflows"):
+            mean_zero_means_derivatives(mp, -1e138)
+        if n > 1:
+            return
+        got = mean_zero_means_derivatives(mp, -1e30)
         expected = _mpmath_zero_mean_derivatives(1e-150, 1e300, 0.0, n,
-                                                 -1e138, 100)
+                                                 -1e30, 100)
         assert got == pytest.approx(expected, rel=1e-9, abs=5e-324)
 
     # at rho = 0, K_nu(c|x|) overflows from about these x while
@@ -1010,9 +1025,9 @@ class TestDerivativesAndOde:
         assert abs(ode_residual_density(mp, -70.0, derivs)) <= 1e-8
 
     # a1_i x overflows at these x, and a term at these derivatives; the
-    # residual was NaN.  The last point's derivatives are the library's,
-    # with f'''' underflowed to 0: a residual rescaled into range reads
-    # -0.085 there, which certifies nothing
+    # residual was NaN.  The last point's derivatives are those the library
+    # gave before it refused them, with f'''' underflowed to 0: a residual
+    # rescaled into range reads -0.085 there, which certifies nothing
     @pytest.mark.parametrize("tup, x, derivs", [
         ((1, 0.5, 1, 1, 0.9), 1e308, [1.0] * 5),
         ((1, 0.5, 1, 1, 0.9), 1.7e308, [1.0] * 5),
@@ -1020,10 +1035,11 @@ class TestDerivativesAndOde:
         ((1, 0.5, 1, 1, 0.9), -sys.float_info.max, [sys.float_info.max] * 5),
         ((1, 0.5, 1, 1, 0.9), 1.0, [1e308, -1e308, 1e308, -1e308, 1e308]),
         ((0, 0, 2.3921247255266395e73, 2.7660581261338226, 0.5275321167000603),
-         9.683126866906174e74, None)])
+         9.683126866906174e74, [1.0821411838592031e-79, -1.1258726433434284e-153,
+                                1.1770092719779246e-227, -1.237457674546833e-301,
+                                0.0])])
     def test_ode_residual_refuses_an_overflowing_term(self, tup, x, derivs):
         mp = MeanParams(validate(*tup), 1)
-        derivs = derivs or mean_zero_means_derivatives(mp, x)
         with pytest.raises(NotConverged, match="a term overflows"):
             ode_residual_density(mp, x, derivs)
 
