@@ -2,22 +2,23 @@
 
 The closed form is stated for unit variances; general variances follow
 by rescaling t -> sigma_x*sigma_y*t with the mean-to-sd ratios in place
-of the means.  With w = s t / n it is phi = exp((n/2) N/(f1 f2)) (f1
-f2)^(-n/2), N = 2i rx ry w - c w^2 and c = rx^2 + ry^2 - 2 rho rx ry,
-over the two linear factors f1 = 1 - i(1+rho)w and f2 = 1 + i(1-rho)w.
+of the means.  With w = s t / n it is phi = exp((n/2) N/D) D^(-n/2), N =
+2i rx ry w - c w^2 and c = rx^2 + ry^2 - 2 rho rx ry, where D = f1 f2 is
+the product of the two linear factors f1 = 1 - i(1+rho)w and f2 = 1 +
+i(1-rho)w.
 
-log phi = (n/2)(Q - log f1 - log f2) = X + iY, Q = N/(f1 f2), is formed
-in real arithmetic, and phi = e^X (cos Y + i sin Y) costs one real exp
-and a tangent, with no complex exp or log.  Both factors have real part
-1 at real t, and positive real part on the strip -n/((1+rho)s) < Im t <
-n/((1-rho)s) between the poles.  There D = f1 f2 has Re D = Re f1 Re f2 +
-(1-rho^2) a^2 > 0 (w = a + ib), so the sum of the factors' principal
-logs is log D = log Re D + log1p((Im D/Re D)^2)/2 + i atan2(Im D, Re D):
-the continuous branch with value 0 at t = 0, also at complex t.  Its log
-Re D is log1p(Re D - 1), with Re D - 1 = 2 rho b + (1-rho^2)(a^2 - b^2)
-formed apart from Re D, so it keeps its digits at small t and near a
-pole.  No factor's modulus is squared: |f1|^2 ~ (1+rho)^2 a^2 would
-overflow where (1-rho^2) a^2 and so Re D are still doubles.
+At real t both factors have real part 1, and D = 1 + e - 2i rho w with
+e = (1-rho^2) w^2 >= 0.  So the sum of the factors' principal logs is
+log D = log1p(e) + log1p((Im D/Re D)^2)/2 + i arctan(Im D/Re D), and
+log phi = (n/2)(Q - log D) = X + iY, Q = N/D, is formed in real
+arithmetic: phi = e^X (cos Y + i sin Y) costs one real exp and a tangent,
+with no complex exp or log.  No factor's modulus is squared: |f1|^2 ~
+(1+rho)^2 w^2 would overflow where e and so Re D are still doubles.
+
+Complex t (Cauchy circles, contours) takes the complex form exp((n/2)
+N/D) D^(-n/2) with numpy's complex exp and principal log; Re D > 0 on
+the strip -n/((1+rho)s) < Im t < n/((1-rho)s) between the poles, so
+there the principal log of D is the sum of the factors' principal logs.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ import numpy as np
 
 from .errors import NonFiniteParameter, NotConverged
 from .params import MeanParams, int_at_least
-from .stein import a1_table
+from .stein import _cos_sin_from_half, a1_table
 
 #: Trapezoid nodes on the Cauchy circle of ``cf_raw_moments``.
 CAUCHY_NODES = 128
 _UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES)
 
 
-def _closed_form(mp: MeanParams, t):
-    """(phi, parts) at an array t, real or complex, elementwise: log phi
-    = X + iY in real arithmetic, phi = e^X (cos Y + i sin Y), and the
-    pieces (a, b, Im D / Re D, |D|^2 / Re D, Re Q, Im Q, c, rx ry) that its
-    derivative reuses, w = a + ib, D = f1 f2 and Q = N/D."""
+def _closed_form(mp: MeanParams, t, parts: bool = False):
+    """phi at an array t, real or complex, elementwise; with ``parts``,
+    (phi, w, s/D, Q), the pieces its derivative reuses."""
     p, n = mp.base, mp.n
     t = np.asarray(t)
     t_max = float(np.maximum.reduce(np.abs(t), axis=None, initial=0.0))
@@ -51,82 +50,77 @@ def _closed_form(mp: MeanParams, t):
         raise NotConverged("the closed form overflows at mean-to-sd ratios "
                            f"({mx:.3g}, {my:.3g})")
     c, m = mx * mx + my * my - 2 * rho * mx * my, mx * my
-    k1, k2, scale = 1 + rho, 1 - rho, p.s / n
-    # the range of the statement in u = s t: its terms c u^2, 2 rx ry u and
-    # 2 Re D ~ 2 (1-rho^2) (u/n)^2 are doubles (past it |phi| is below
-    # about 1e-154 at real t)
+    # at real t, the complex form's range in u = s t: its terms c u^2,
+    # 2 rx ry u and 2 Re D ~ 2 (1-rho^2) (u/n)^2 are doubles (past it |phi|
+    # is below about 1e-154); complex t meets it in the complex form
     u_max = p.s * t_max
-    if not (c * u_max * u_max < math.inf and 2 * abs(m) * u_max < math.inf
-            and 2 * (k1 * u_max / n) * (k2 * u_max / n) < math.inf):
-        raise NotConverged(f"the closed form overflows at |t| = {t_max:.3g}")
     complex_t = t.dtype.kind == "c"
-    # augmented operators work in place on arrays and rebind numpy
-    # scalars, so one sequence serves both
+    if not (complex_t or (
+            c * u_max * u_max < math.inf and 2 * abs(m) * u_max < math.inf
+            and 2 * ((1 + rho) * u_max / n) * ((1 - rho) * u_max / n) < math.inf)):
+        raise NotConverged(f"the closed form overflows at |t| = {t_max:.3g}")
+    form = _complex_form if complex_t else _real_form
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            a = (t.real if complex_t else t) * scale
-            b = t.imag * scale if complex_t else 0.0
-            # D = (1 + k1 b)(1 - k2 b) + (1-rho^2) a^2 - 2ia(rho - (1-rho^2)
-            # b), with e = Re D - 1, and N = -c Re w^2 - 2mb + 2ia(m - cb)
-            e = a * (k1 * k2)
-            e *= a
-            nr = a * -c
-            nr *= a
-            if complex_t:  # the terms in b, which vanish at real t
-                re_d = (1 + k1 * b) * (1 - k2 * b) + e
-                e += b * (2 * rho - k1 * k2 * b)
-                nr += b * (c * b - 2 * m)
-            else:
-                re_d = e + 1
-            ni = a * (2 * (m - c * b))
-            im_d = a * (2 * (k1 * k2 * b - rho))
-            # Q = N/D by Smith's rule, over dd = Re D + r Im D = |D|^2 / Re D:
-            # |D|^2 would overflow where Re D does not
-            r = im_d / re_d
-            dd = im_d * r
-            dd += re_d
-            qr = ni * r
-            qr += nr
-            qr /= dd
-            qi = ni - nr * r
-            qi /= dd
-            # log D = log|Re D| + log1p(r^2)/2 + i arg D
-            if complex_t:
-                x, y = _log_abs(e, re_d), np.arctan2(im_d, re_d)
-            else:  # Re D = 1 + e >= 1
-                x, y = np.log1p(e), np.arctan(r)
-            x += 0.5 * np.log1p(r * r)
-            x -= qr
-            x *= -0.5 * n
-            half_y = y - qi
-            half_y *= -0.25 * n
-            half_y += 0.0  # Y = +0 at t = 0, so that phi(0) = 1 + 0j
-            # cos Y and sin Y from v = tan(Y/2) as stein._cos_sin_from_half
-            # forms them, whose in-place passes into scratch rows cost twice
-            # these at a scalar t
-            v = np.tan(half_y)
-            v2 = v * v
-            rad = np.exp(x)
-            rad /= v2 + 1
-            v += v
+            return form(mp, t, c, m, parts)
     except FloatingPointError:
         raise NotConverged(f"the closed form overflows at |t| = {t_max:.3g}") from None
+
+
+def _real_form(mp: MeanParams, t: np.ndarray, c: float, m: float, parts: bool):
+    """The closed form at a float array t, log phi = X + iY in real
+    arithmetic."""
+    p, n = mp.base, mp.n
+    # augmented operators work in place on arrays and rebind numpy
+    # scalars, so one sequence serves both
+    w = t * (p.s / n)
+    # D = 1 + e - 2i rho w, e = (1-rho^2) w^2, and N = -c w^2 + 2i m w
+    e = w * ((1 + p.rho) * (1 - p.rho))
+    e *= w
+    nr = w * -c
+    nr *= w
+    ni = w * (2 * m)
+    im_d = w * (-2 * p.rho)
+    re_d = e + 1
+    # Q = N/D by Smith's rule, over dd = Re D + r Im D = |D|^2 / Re D:
+    # |D|^2 would overflow where Re D does not
+    r = im_d / re_d
+    dd = im_d * r
+    dd += re_d
+    qr = ni * r
+    qr += nr
+    qr /= dd
+    qi = ni - nr * r
+    qi /= dd
+    # log D = log1p(e) + log1p(r^2)/2 + i arctan(r)
+    x = np.log1p(e)
+    x += 0.5 * np.log1p(r * r)
+    x -= qr
+    x *= -0.5 * n
+    half_y = np.arctan(r, out=np.empty(t.shape))
+    half_y -= qi
+    half_y *= -0.25 * n
+    half_y += 0.0  # Y = +0 at t = 0, so that phi(0) = 1 + 0j
+    cos, sin = _cos_sin_from_half(half_y, np.empty((2, t.size)))
+    rad = np.exp(x)
     phi = np.empty(t.shape, dtype=complex)
-    np.multiply(rad, 1 - v2, out=phi.real)
-    np.multiply(rad, v, out=phi.imag)
-    return phi, (a, b, r, dd, qr, qi, c, m)
+    np.multiply(rad, cos, out=phi.real)
+    np.multiply(rad, sin, out=phi.imag)
+    if not parts:
+        return phi
+    return phi, w, (1 - 1j * r) * (p.s / dd), qr + 1j * qi
 
 
-def _log_abs(e, h):
-    """log|h| from h and e = h - 1, each to a few ulps: with g = |h| - 1 = e
-    - 2 min(h, 0) (h < 0 only off the strip), log1p(g) at |h| >= 1 and
-    -log1p(-g/|h|) below, where 1 + g would lose h's digits near a pole."""
-    g = np.minimum(h, 0.0)
-    g *= -2.0
-    g += e
-    e = np.abs(g)
-    e /= np.minimum(np.abs(h), 1.0)
-    return np.copysign(np.log1p(e), g)
+def _complex_form(mp: MeanParams, t: np.ndarray, c: float, m: float, parts: bool):
+    """The closed form at a complex array t, with complex exp and log."""
+    p, n = mp.base, mp.n
+    u = p.s * t
+    d = (1 - (1 + p.rho) * 1j * u / n) * (1 + (1 - p.rho) * 1j * u / n)
+    num = -c * u * u / n + 2 * m * 1j * u
+    phi = np.exp(num / (2 * d)) * np.exp(-0.5 * n * np.log(d))
+    if not parts:
+        return phi
+    return phi, u / n, p.s / d, num / (n * d)
 
 
 def _complex_or_array(values: np.ndarray):
@@ -137,13 +131,13 @@ def cf_mean(mp: MeanParams, t):
     """E[exp(i t mean)] at real t (complex t accepted for contour work):
     a Python complex at a scalar t, an array over an array of t.
 
-    NonFiniteParameter at a non-finite t; NotConverged where a term of the
-    closed form in u = s t, c u^2, 2 rx ry u or 2 (1-rho^2)(u/n)^2 with c =
-    rx^2 + ry^2 - 2 rho rx ry, leaves the double range: from about |t| =
-    1e154 n / (sigma_x sigma_y), where |phi| < 1e-154 at real t, or at
-    mean-to-sd ratios past about 1e154.
+    NonFiniteParameter at a non-finite t; NotConverged where the complex
+    form overflows (at real t, where a term in u = s t, c u^2, 2 rx ry u or
+    2 (1-rho^2)(u/n)^2 with c = rx^2 + ry^2 - 2 rho rx ry, leaves the
+    double range): from about |t| = 1e154 n / (sigma_x sigma_y), where
+    |phi| < 1e-154 at real t, or at mean-to-sd ratios past about 1e154.
     """
-    return _complex_or_array(_closed_form(mp, t)[0])
+    return _complex_or_array(_closed_form(mp, t))
 
 
 def cf_mean_derivative(mp: MeanParams, t):
@@ -154,14 +148,14 @@ def cf_mean_derivative(mp: MeanParams, t):
 def _cf_and_derivative(mp: MeanParams, t):
     """(phi, phi') at t: phi times d/dt log phi = (s/D)[i rx ry - c w + i(1
     + Q)(rho + i(1-rho^2) w)], the derivative of (n/2)(Q - log D) in w = s
-    t / n, with 1/D = (1 - i Im D / Re D) / dd from the pieces of log phi,
-    so that nothing squares D."""
-    phi, (a, b, r, dd, qr, qi, c, m) = _closed_form(mp, t)
+    t / n, from the closed form's pieces; at real t s/D = s (1 - i Im D /
+    Re D) / dd, so that nothing squares D."""
+    phi, w, s_over_d, q = _closed_form(mp, t, parts=True)
     p = mp.base
-    w = a + 1j * b
-    dlog = (1j * m - c * w
-            + 1j * (1 + qr + 1j * qi) * (p.rho + 1j * (1 - p.rho ** 2) * w))
-    dlog *= (1 - 1j * r) * (p.s / dd)
+    mx, my, rho = p.r_x, p.r_y, p.rho
+    c = mx * mx + my * my - 2 * rho * mx * my
+    dlog = 1j * mx * my - c * w + 1j * (1 + q) * (rho + 1j * (1 - rho ** 2) * w)
+    dlog *= s_over_d
     return _complex_or_array(phi), _complex_or_array(phi * dlog)
 
 

@@ -512,7 +512,7 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
     and every coefficient alike.  NotConverged where K_nu or K_(nu-1) leaves
     the double range, where a derivative is not finite or a bound exceeds 1e-9
     of its r_j (near x = 0 and in correlated tails), and where p is normal
-    but some p r_j != 0 underflows to 0.
+    but some p r_j != 0 underflows below DBL_MIN.
     """
     nu, c, log_base = _mean_zero_means_form(mp)
     x = _finite_x(x)
@@ -557,7 +557,7 @@ def mean_zero_means_derivatives(mp: MeanParams, x: float) -> list[float]:
         raise NotConverged(f"{what}{x} is not finite")
     if not all(ej <= _DERIV_REL_TOL * abs(rj) for rj, ej in zip(r[2:], err[2:])):
         raise NotConverged(f"{what}{x} cancels to its rounding")
-    if p >= _DBL_MIN and not all(d or not rj for d, rj in zip(derivs, r[1:])):
+    if p >= _DBL_MIN and any(rj and abs(d) < _DBL_MIN for d, rj in zip(derivs, r[1:])):
         raise NotConverged(f"{what}{x} underflows")
     return derivs
 

@@ -815,6 +815,14 @@ class TestDerivativesAndOde:
         with pytest.raises(NotConverged, match="underflows"):
             mean_zero_means_derivatives(mp, 9.683126866906174e74)
 
+    def test_subnormal_derivative_not_converged(self):
+        # the same point scaled by 1e-13: p is 1.1e-66 and p'''' 1.3e-310,
+        # subnormal, with a few of its digits left
+        mp = MeanParams(validate(0, 0, 2.3921247255266395e60,
+                                 2.7660581261338226, 0.5275321167000603), 1)
+        with pytest.raises(NotConverged, match="underflows"):
+            mean_zero_means_derivatives(mp, 9.683126866906175e61)
+
     def test_underflowing_density_gives_five_zeros(self):
         mp = MeanParams(validate(0, 0, 1, 1, 0.9), 1)
         assert pdf_mean_zero_means(mp, -134.5).value == 0.0
