@@ -101,6 +101,10 @@ def _real_form(mp: MeanParams, t: np.ndarray, c: float, m: float, parts: bool):
     half_y -= qi
     half_y *= -0.25 * n
     half_y += 0.0  # Y = +0 at t = 0, so that phi(0) = 1 + 0j
+    y_max = 2 * max(half_y.max(initial=0.0), -half_y.min(initial=0.0))
+    if math.ulp(y_max) > 1e-6:  # from |Y| = 2^33; see cf_mean
+        raise NotConverged(f"the closed form's phase reaches {y_max:.3g} rad, "
+                           "where an ulp exceeds 1e-6 rad")
     cos, sin = _cos_sin_from_half(half_y, np.empty((2, t.size)))
     rad = np.exp(x)
     phi = np.empty(t.shape, dtype=complex)
@@ -136,6 +140,8 @@ def cf_mean(mp: MeanParams, t):
     2 (1-rho^2)(u/n)^2 with c = rx^2 + ry^2 - 2 rho rx ry, leaves the
     double range): from about |t| = 1e154 n / (sigma_x sigma_y), where
     |phi| < 1e-154 at real t, or at mean-to-sd ratios past about 1e154.
+    At real t also where an ulp of the largest unwrapped phase |Y| = |Im
+    log phi| exceeds 1e-6 rad, which happens from |Y| = 2^33 = 8.6e9 on.
     """
     return _complex_or_array(_closed_form(mp, t))
 

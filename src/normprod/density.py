@@ -8,15 +8,16 @@ where the integral runs out of nodes (|rho| near 1); either path returns
 a value or raises NotConverged, and each caller tries the other on that
 error alone.  The series' terms can be negative (odd powers of x c_x
 c_y) and overflow, so positive and negative partial sums are kept as
-log-magnitudes and combined once at the end.  Each series block or term
-takes one new order from ``bessel``'s log K recurrence.  The CDF
-conditions on X and integrates the normal CDF of Y given X on the same
-trapezoid kernel, with no series, from a quarter of its unit step on a
-bracket that a lower bound on the integrand's peak cuts 45 nats below
-it (see ``cdf_product``).  The kernel judges each grid against the sum
-on its own even nodes, so a first grid that is fine enough is also the
-last; the derivatives under the integral apply the same test to their
-own sums, on a grid trimmed to their own mass.
+log-magnitudes and combined once at the end.  The double series takes
+its outer blocks many at a time as one triangular array, the single
+series a term at a time, each block or term one new order of ``bessel``'s
+log K recurrence.  The CDF conditions on X and integrates the normal CDF
+of Y given X on the same trapezoid kernel, with no series, from a quarter
+of its unit step on a bracket that a lower bound on the integrand's peak
+cuts 45 nats below it (see ``cdf_product``).  The kernel judges each grid
+against the sum on its own even nodes, so a first grid that is fine
+enough is also the last; the derivatives under the integral apply the
+same test to their own sums, on a grid trimmed to their own mass.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def pdf_product(p: ProductNormalParams, x: float) -> DensityValue:
     try:
         return _pdf_product_integral(p, x)
     except NotConverged:
-        return _combine_series(*_series_parts(p, x))
+        return _series(p, x)
 
 
 def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
@@ -135,19 +136,20 @@ def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
     within _SERIES_BLOCKS outer blocks (NotConverged if both fail)."""
     x = _finite_x(x)
     try:
-        return _combine_series(*_series_parts(p, x))
+        return _series(p, x)
     except NotConverged:
         return _pdf_product_integral(p, x)
 
 
-def _series_parts(p: ProductNormalParams, x: float
-                  ) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Accumulate the double series as signed log-magnitude terms, over at
-    most _SERIES_BLOCKS outer blocks after the first."""
+def _series(p: ProductNormalParams, x: float) -> DensityValue:
+    """The Bessel double series: block n's 2n + 1 terms sit at n^2 ... n^2
+    + 2n of one array, filled 16 blocks and then twice as many at a time.
+    NotConverged where the stop rule (see _SERIES_REL_TOL) needs more than
+    _SERIES_BLOCKS blocks after the first, or where the signed sum cancels
+    by more than _CANCEL_NATS."""
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
-    om = 1.0 - p.rho ** 2
-    s = p.s
+    om, s = 1.0 - p.rho ** 2, p.s
     try:  # the squares overflow only at the ends of the double range
         log_pref = -(p.r_x ** 2 + p.r_y ** 2
                      - 2 * p.rho * (x + p.mu_x * p.mu_y) / s) / (2 * om)
@@ -160,57 +162,47 @@ def _series_parts(p: ProductNormalParams, x: float
     if not (_DBL_MIN <= w < math.inf and math.isfinite(log_pref + c_x + c_y)):
         raise NotConverged(f"product density series: out of range at x={x}")
     log_k = _log_k_forward(w, False)
-    k_vals = np.empty(_SERIES_BLOCKS + 1)
     log_ax = math.log(abs(x))
     log_sx, log_sy = math.log(p.sigma_x), math.log(p.sigma_y)
     # every odd-m term carries the sign of x c_x c_y
-    flip = int((x < 0) ^ (c_x < 0) ^ (c_y < 0))
-
-    log_blocks: list[np.ndarray] = []
-    sign_blocks: list[np.ndarray] = []
-    run_max = -np.inf
-    small_blocks = 0
-    for n in range(_SERIES_BLOCKS + 1):
-        k_vals[n] = next(log_k)
-        m = np.arange(2 * n + 1)
+    flip = (x < 0) ^ (c_x < 0) ^ (c_y < 0)
+    k_vals, logs, odd, peaks = [], [], [], np.empty(0)
+    lo, hi = 0, min(16, _SERIES_BLOCKS + 1)
+    while True:  # blocks lo ... hi - 1
+        k_vals += islice(log_k, hi - lo)
+        n = np.repeat(np.arange(lo, hi), np.arange(2 * lo + 1, 2 * hi, 2))
+        m = np.arange(lo * lo, hi * hi) - n * n
         # (2n choose m)/(2n)! = 1/(m!(2n-m)!); a vanished c_x or c_y makes
         # its terms -inf (xlogy), and they are dropped below
         lt = (n * log_ax + (m - n - 1) * log_sx - math.log(math.pi)
               - (2 * n + 0.5) * math.log(om) - (m - n + 1) * log_sy
               - special.gammaln(m + 1) - special.gammaln(2 * n - m + 1)
               + special.xlogy(m, abs(c_x)) + special.xlogy(2 * n - m, abs(c_y))
-              + k_vals[np.abs(m - n)])
-        block_max = float(lt.max())
-        if block_max == -np.inf:  # a vanished coefficient ends the series
+              + np.take(k_vals, np.abs(m - n)))
+        logs.append(lt)
+        odd.append(m % 2 == 1)
+        peaks = np.append(peaks, np.maximum.reduceat(lt, np.flatnonzero(m == 0)))
+        # the stop rule, or a block that is all -inf (a vanished coefficient)
+        # ends the series before it
+        small = peaks < _LOG_SERIES_REL_TOL + np.maximum.accumulate(peaks)
+        dead = peaks == -np.inf
+        ends = np.flatnonzero(dead | small & np.append(False, small[:-1]))
+        if ends.size:
+            end = (ends[0] + (not dead[ends[0]])) ** 2  # terms kept
             break
-        log_blocks.append(lt)
-        sign_blocks.append(1 - 2 * flip * (m % 2))
-        run_max = max(run_max, block_max)
-        small = block_max < _LOG_SERIES_REL_TOL + run_max
-        small_blocks = small_blocks + 1 if small else 0
-        if small_blocks == 2:
-            break
-    else:
-        raise NotConverged(
-            f"product density series: {_SERIES_BLOCKS} blocks "
-            f"insufficient at x={x}"
-        )
-    logs = np.concatenate(log_blocks)
+        if hi > _SERIES_BLOCKS:
+            raise NotConverged(f"product density series: {_SERIES_BLOCKS} "
+                               f"blocks insufficient at x={x}")
+        lo, hi = hi, min(2 * hi, _SERIES_BLOCKS + 1)
+    logs, odd = np.concatenate(logs)[:end], np.concatenate(odd)[:end]
     live = logs > -np.inf
-    return (log_pref, logs[live], np.concatenate(sign_blocks)[live],
-            int(live.sum()))
-
-
-def _combine_series(log_pref: float, logs: np.ndarray, signs: np.ndarray,
-                    terms: int) -> DensityValue:
-    """The signed series sum; NotConverged where its positive and negative
-    partial sums cancel by more than _CANCEL_NATS."""
-    lead = _logsumexp(logs[signs > 0])
-    delta = -math.expm1(_logsumexp(logs[signs < 0]) - lead)
+    logs, negative = logs[live], flip & odd[live]
+    lead = _logsumexp(logs[~negative])
+    delta = -math.expm1(_logsumexp(logs[negative]) - lead)
     if not (math.isfinite(lead) and delta > 0) or -math.log(delta) > _CANCEL_NATS:
         raise NotConverged(f"product density: the series cancels by more "
                            f"than {_CANCEL_NATS:g} nats")
-    return DensityValue(log_pref + lead + math.log(delta), terms)
+    return DensityValue(log_pref + lead + math.log(delta), logs.size)
 
 
 def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
@@ -425,7 +417,7 @@ def pdf_single_zero_mean(p: ProductNormalParams, x: float) -> DensityValue:
     if x == 0:
         raise SingularPoint("the product density diverges logarithmically at x = 0")
     s = p.s
-    try:  # as in _series_parts: s = 0, or mu^2 or sigma^2 overflows
+    try:  # as in _series: s = 0, or mu^2 or sigma^2 overflows
         w = abs(x) / s
         log_base = -math.log(math.pi * s) - mu ** 2 / (2 * s_cubed ** 2)
     except ArithmeticError:

@@ -164,6 +164,30 @@ class TestLargeAndNonFiniteT:
                 cf_ode_residual(mp, t)
 
 
+class TestPhaseRange:
+    def test_phase_without_a_correct_digit_refused(self):
+        # rx ry u is about 1.6e85 here, so an ulp of the phase Y exceeds
+        # 2 pi; the value used to come back as 0.861 + 0.508j, where
+        # 200-digit mpmath at the same doubles gives -0.961 + 0.277j
+        mp = MeanParams(validate(23.784155551583773, -7.657097021856951,
+                                 5.388513573092599e-141,
+                                 4.167283075466539e-130, 0), 50)
+        for t in (-8.750749404299651e82, np.array([0.5, -8.750749404299651e82])):
+            with pytest.raises(NotConverged, match="phase"):
+                cf_mean(mp, t)
+            with pytest.raises(NotConverged, match="phase"):
+                cf_mean_derivative(mp, t)
+
+    def test_answers_below_the_phase_threshold(self):
+        # Y is about t here; 2^33 = 8.59e9 is the first |Y| whose ulp
+        # exceeds 1e-6 rad.  Reference from 60-digit mpmath at the doubles
+        mp = MeanParams(validate(1, 1, 1e-10, 1e-10, 0), 1)
+        want = -0.04908597532739172 - 0.5250027309256141j
+        assert abs(cf_mean(mp, 8e9) - want) <= 1e-6
+        with pytest.raises(NotConverged, match="phase"):
+            cf_mean(mp, np.array([8e9, 8.6e9]))
+
+
 class TestOverflowThreshold:
     # the complex closed form answered until a term c u^2, 2 rx ry u or 2
     # Re D ~ 2 (1-rho^2)(u/n)^2 overflowed, u = s t; a single factor's

@@ -203,9 +203,9 @@ class TestDoubleSeries:
     def test_cancelling_series_raises(self, tup, x):
         # past 8 nats of cancellation the signed sum is refused, not
         # returned as a value or a sentinel
-        from normprod.density import _combine_series, _series_parts
+        from normprod.density import _series
         with pytest.raises(NotConverged, match="cancels"):
-            _combine_series(*_series_parts(validate(*tup), x))
+            _series(validate(*tup), x)
 
     def test_moment_consistency_with_closed_forms(self):
         p = validate(0.8, -0.5, 1.0, 1.4, 0.3)
@@ -224,12 +224,14 @@ class TestDoubleSeries:
 
     def test_not_converged_with_tiny_budget(self, monkeypatch):
         # a series cut short falls back to the integral; NotConverged
-        # surfaces only where the integral exceeds its node budget too
+        # surfaces only where the integral exceeds its node budget too.  The
+        # second series ends after 10 blocks, inside the first chunk of 16
         from normprod import density
         monkeypatch.setattr(density, "_SERIES_BLOCKS", 3)
+        for tup, x in (((3, 3, 1, 1, 0.0), 8.0), ((0.2, 0.4, 1, 1, 0.5), 0.7)):
+            with pytest.raises(NotConverged, match="3 blocks insufficient"):
+                density._series(validate(*tup), x)
         p = validate(3, 3, 1, 1, 0.0)
-        with pytest.raises(NotConverged, match="3 blocks insufficient"):
-            density._series_parts(p, 8.0)
         assert pdf_product_series(p, 8.0).log_abs == pytest.approx(
             pdf_product(p, 8.0).log_abs, abs=1e-12)
         with pytest.raises(NotConverged):
@@ -265,7 +267,7 @@ class TestDoubleSeries:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the integral converges here")
-        for name in ("_series_parts", "_combine_series", "pdf_product_series"):
+        for name in ("_series", "pdf_product_series"):
             monkeypatch.setattr(density, name, forbidden)
         assert list(inspect.signature(pdf_product).parameters) == ["p", "x"]
         p = validate(1.0, -2.0, 1.3, 0.7, 0.6)
@@ -277,7 +279,7 @@ class TestDoubleSeries:
         # at every random point where the series answers by itself
         # (converged, cancelling by at most 8 nats), it agrees with the
         # integral that pdf_product returns
-        from normprod.density import _combine_series, _series_parts
+        from normprod.density import _series
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(30):
@@ -286,7 +288,7 @@ class TestDoubleSeries:
             for k in (-4.0, -1.5, 0.5, 3.0):
                 x = cf4.raw[0] + k * math.sqrt(cf4.variance)
                 try:
-                    series = _combine_series(*_series_parts(p, x))
+                    series = _series(p, x)
                 except NotConverged:
                     continue
                 assert series.log_abs == pytest.approx(
@@ -296,7 +298,9 @@ class TestDoubleSeries:
 
     # (params, x, terms, negative terms, log f), from the series as it was
     # built with per-block masks for a vanished c_x or c_y and one sign
-    # flip per negative factor of x, c_x and c_y
+    # flip per negative factor of x, c_x and c_y.  The negative count
+    # documents each sign pattern; ``_series`` does not expose it, and the
+    # bit-exact log f covers it
     SERIES_PINS = [
         ((0.2, 0.4, 1, 1, 0.5), 0.7, 10, 0, -1.302623262498587),  # c_x = 0
         ((0.2, 0.4, 1, 1, 0.5), -1.9, 11, 0, -4.990279610203585),
@@ -311,14 +315,97 @@ class TestDoubleSeries:
     @pytest.mark.parametrize("tup, x, terms, negative, log_f", SERIES_PINS)
     def test_series_terms_and_values_pinned(self, tup, x, terms, negative,
                                             log_f):
-        from normprod.density import _series_parts
+        from normprod.density import _series
         p = validate(*tup)
-        _, logs, signs, used = _series_parts(p, x)
-        assert (used, logs.size, int((signs < 0).sum())) == (
-            terms, terms, negative)
-        assert np.all(np.isfinite(logs))
-        dv = pdf_product_series(p, x)
-        assert (dv.log_abs, dv.terms_used) == (log_f, terms)
+        for dv in (_series(p, x), pdf_product_series(p, x)):
+            assert (dv.log_abs, dv.terms_used) == (log_f, terms)
+
+    # (params, x, (log f, terms) or the refusal's message) of the series
+    # alone, bit for bit as the block-by-block loop gave them before the
+    # array pass.  A trailing number counts the blocks the loop took; they
+    # cross each chunk end of the array pass (16, 32, 64, 128, 256 blocks)
+    CANCELLING = (-1.5437, -0.1977, 0.5619, 0.7627, 0.8354)
+    CANCELS = "product density: the series cancels by more than 8 nats"
+    SERIES_BIT_PINS = [
+        ((0, 0, 1, 1, 0.0), -7.0, (-8.908631997784509, 1)),  # 2
+        ((0, 0, 1, 1, 0.0), -0.4, (-1.0362978710063917, 1)),  # 2
+        ((0, 0, 1, 1, 0.0), 1e-09, (1.8921058155438055, 1)),  # 2
+        ((0, 0, 1, 1, 0.0), 1.3, (-2.4239736336513658, 1)),  # 2
+        ((0, 0, 1, 1, 0.0), 12.0, (-14.171407973215914, 1)),  # 2
+        ((0, 0, 0.5, 2, 0.9), -7.0, (-71.89524166861369, 1)),  # 2
+        ((0, 0, 0.5, 2, 0.9), -0.4, (-4.5102881241453145, 1)),  # 2
+        ((0, 0, 0.5, 2, 0.9), 1e-09, (2.6394238170115134, 1)),  # 2
+        ((0, 0, 0.5, 2, 0.9), 1.3, (-1.751432583438147, 1)),  # 2
+        ((0, 0, 0.5, 2, 0.9), 12.0, (-8.479145082284113, 1)),  # 2
+        ((0, 0, 2, 0.5, -0.9), -7.0, (-5.579452194929459, 1)),  # 2
+        ((0, 0, 2, 0.5, -0.9), -0.4, (-0.7208144399347864, 1)),  # 2
+        ((0, 0, 2, 0.5, -0.9), 1e-09, (2.6394238075378293, 1)),  # 2
+        ((0, 0, 2, 0.5, -0.9), 1.3, (-14.067222057122363, 1)),  # 2
+        ((0, 0, 2, 0.5, -0.9), 12.0, (-122.16335560859994, 1)),  # 2
+        ((1, 0, 1, 1, 0.0), -7.0, (-7.272235983058293, 17)),  # 17
+        ((1, 0, 1, 1, 0.0), -0.4, (-1.1477051581379758, 15)),  # 15
+        ((1, 0, 1, 1, 0.0), 1e-09, (1.4202927262626461, 14)),  # 14
+        ((1, 0, 1, 1, 0.0), 1.3, (-2.1712980809468023, 16)),  # 16
+        ((1, 0, 1, 1, 0.0), 12.0, (-11.731820930099676, 18)),  # 18
+        ((-1, 0, 0.5, 1, 0.0), -7.0, (-10.131041298351908, 26)),  # 26
+        ((-1, 0, 0.5, 1, 0.0), -0.4, (-1.016793115701358, 23)),  # 23
+        ((-1, 0, 0.5, 1, 0.0), 1e-09, (0.7530989609799827, 22)),  # 22
+        ((-1, 0, 0.5, 1, 0.0), 1.3, (-2.0362145454335403, 24)),  # 24
+        ((-1, 0, 0.5, 1, 0.0), 12.0, (-18.112828728719357, 28)),  # 28
+        ((3, 0, 1, 2, 0.0), -7.0, (-3.551807334518865, 32)),  # 32
+        ((3, 0, 1, 2, 0.0), -0.4, (-2.5545473116533994, 32)),  # 32
+        ((3, 0, 1, 2, 0.0), 1e-09, (-2.177323846219059, 31)),  # 31
+        ((3, 0, 1, 2, 0.0), 1.3, (-2.634356908913378, 32)),  # 32
+        ((3, 0, 1, 2, 0.0), 12.0, (-4.719270250636218, 33)),  # 33
+        ((-3, 0, 2, 1, 0.0), -7.0, (-4.360140125683603, 20)),  # 20
+        ((-3, 0, 2, 1, 0.0), -0.4, (-1.7365453080293431, 19)),  # 19
+        ((-3, 0, 2, 1, 0.0), 1e-09, (0.18315328002653408, 18)),  # 18
+        ((-3, 0, 2, 1, 0.0), 1.3, (-2.2163729132260213, 19)),  # 19
+        ((-3, 0, 2, 1, 0.0), 12.0, (-6.278771282372734, 21)),  # 21
+        ((1, 1, 1, 1, 0.0), -7.0, (-9.4241753800397, 324)),  # 18
+        ((1, 1, 1, 1, 0.0), -0.4, (-1.6467561510504096, 225)),  # 15
+        ((1, 1, 1, 1, 0.0), 1e-09, (0.9477068682397085, 196)),  # 14
+        ((1, 1, 1, 1, 0.0), 1.3, (-1.6220054841079798, 256)),  # 16
+        ((1, 1, 1, 1, 0.0), 12.0, (-8.861413208872786, 441)),  # 21
+        ((1, 1, 1, 1, 0.9), -7.0, (-72.39541555870952, 196)),  # 14
+        ((1, 1, 1, 1, 0.9), -0.4, (-5.012510649666956, 100)),  # 10
+        ((1, 1, 1, 1, 0.9), 1e-09, (2.1158727511509463, 64)),  # 8
+        ((1, 1, 1, 1, 0.9), 1.3, (-1.6661627288076017, 121)),  # 11
+        ((1, 1, 1, 1, 0.9), 12.0, (-6.044295551786142, 256)),  # 16
+        ((-1, -1, 1, 1, 0.9), -7.0, (-72.39541555870952, 196)),  # 14
+        ((-1, -1, 1, 1, 0.9), -0.4, (-5.012510649666956, 100)),  # 10
+        ((-1, -1, 1, 1, 0.9), 1e-09, (2.1158727511509463, 64)),  # 8
+        ((-1, -1, 1, 1, 0.9), 1.3, (-1.6661627288076017, 121)),  # 11
+        ((-1, -1, 1, 1, 0.9), 12.0, (-6.044295551786142, 256)),  # 16
+        ((1.0, -2.0, 1.3, 0.7, 0.6), -7.0, (-4.928980334399139, 2025)),  # 45
+        (CANCELLING, -7.0, (-50.63524707969939, 4900)),  # 70
+        (CANCELLING, 5.0, CANCELS),  # 63
+        ((2, 2, 0.5, 0.5, 0.0), 30.0, (-50.884609182546, 7744)),  # 88
+        ((2, -1, 1, 1, 0.95), -3.0, (-2.5104642139550606, 12321)),  # 111
+        ((2, -1, 1, 1, 0.95), 1e-300, (-2.284577115470128, 12100)),  # 110
+        ((2, -1, 1, 1, 0.95), 30.0, CANCELS),  # 244
+        ((1, 1, 1, 1, 0.99), 1e-300, (6.843579708737059, 36)),  # 6
+        ((1, 0.5, 1, 1, 0.9999), 0.7,
+         "product density series: 300 blocks insufficient at x=0.7"),
+        ((4, 0, 1, 1, 0), -1e+300,
+         "product density series: 300 blocks insufficient at x=-1e+300"),
+    ]
+
+    @pytest.mark.parametrize("tup, x, want", SERIES_BIT_PINS)
+    def test_series_alone_bit_for_bit(self, tup, x, want, monkeypatch):
+        from normprod import density
+
+        def no_integral(p, x):
+            raise NotConverged("the integral is switched off")
+        monkeypatch.setattr(density, "_pdf_product_integral", no_integral)
+        p = validate(*tup)
+        if isinstance(want, str):
+            with pytest.raises(NotConverged) as refusal:
+                pdf_product_series(p, x)
+            assert str(refusal.value.__context__) == want
+        else:
+            dv = pdf_product_series(p, x)
+            assert (dv.log_abs, dv.terms_used) == want
 
     @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-320, -1e-320])
     @pytest.mark.parametrize("tup", [(1, 0.5, 1, 1, 0.2), (2.0, 0, 0.4, 3, 0),
@@ -1249,7 +1336,7 @@ class TestCdf:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("cdf_product must not call this")
-        for name in ("pdf_product", "_series_parts", "_pdf_value"):
+        for name in ("pdf_product", "_series", "_pdf_value"):
             monkeypatch.setattr(density, name, forbidden)
         monkeypatch.setattr(integrate, "quad", forbidden)
         assert list(inspect.signature(cdf_product).parameters) == ["p", "x"]
