@@ -83,7 +83,7 @@ def _log_k_forward(x: float, half: bool):
         l0, l1 = base, base + (math.log1p(1 / x) if 1 / x < math.inf
                                else math.log1p(x) - math.log(x))
     else:
-        k0, k1 = special.kve(0, x), special.kve(1, x)
+        k0, k1 = special.kve((0, 1), x).tolist()
         if math.isfinite(k0 + k1):
             l0, l1 = math.log(k0) - x, math.log(k1) - x
         elif x > 1:  # kve is NaN past x = 2^30: two terms of DLMF 10.40.2

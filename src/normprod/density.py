@@ -41,6 +41,7 @@ from .stein import a1_table, a4_table
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 _EPS = sys.float_info.epsilon
 _SIGN_U = np.array([[1.0], [-1.0]])  # a row per sign of u in the integrals
+_NODES = np.arange(1 << 18, dtype=float)  # node indices of the trapezoid kernel
 
 # Nats of cancellation between the positive and negative partial sums
 # beyond which the series is abandoned for the positive integral.  Within
@@ -143,7 +144,8 @@ def pdf_product_series(p: ProductNormalParams, x: float) -> DensityValue:
 
 def _series(p: ProductNormalParams, x: float) -> DensityValue:
     """The Bessel double series: block n's 2n + 1 terms sit at n^2 ... n^2
-    + 2n of one array, filled 16 blocks and then twice as many at a time.
+    + 2n of one array, filled 16 blocks (2 where c_x = c_y = 0) and then
+    twice as many at a time.
     NotConverged where the stop rule (see _SERIES_REL_TOL) needs more than
     _SERIES_BLOCKS blocks after the first, or where the signed sum cancels
     by more than _CANCEL_NATS."""
@@ -167,7 +169,8 @@ def _series(p: ProductNormalParams, x: float) -> DensityValue:
     # every odd-m term carries the sign of x c_x c_y
     flip = (x < 0) ^ (c_x < 0) ^ (c_y < 0)
     k_vals, logs, odd, peaks = [], [], [], np.empty(0)
-    lo, hi = 0, min(16, _SERIES_BLOCKS + 1)
+    # both vanish at zero means, where block 1 is all -inf and ends it
+    lo, hi = 0, min(2 if c_x == c_y == 0 else 16, _SERIES_BLOCKS + 1)
     while True:  # blocks lo ... hi - 1
         k_vals += islice(log_k, hi - lo)
         n = np.repeat(np.arange(lo, hi), np.arange(2 * lo + 1, 2 * hi, 2))
@@ -207,27 +210,27 @@ def _series(p: ProductNormalParams, x: float) -> DensityValue:
 
 def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
                    x: float, floor: float = -np.inf):
-    """(log trapezoid sum, t, q, first) of exp(log_integrand): its (2, n)
-    values q at n nodes t on [lo, hi], a row per sign of u, and the first
-    pass's (t, q, w, total, even), with w = e^(q - max q) and its sums over
-    all nodes and over the even ones (the first two alone where q is all
-    -inf).  Each pass compares the sum at step h with the sum at
-    step 2h on the even nodes of the same grid (the standard test of a
-    spectrally convergent rule), and accepts the fine sum when the two agree
-    to 1e-15 relative to the exponent (its roundoff floor) or it drops below
-    ``floor``; otherwise it trims to within 45 nats of the peak and halves
-    the step, or quarters it where the square of the relative gap still
-    exceeds the tolerance.  NotConverged past 2^18 nodes (formatted then)."""
+    """(log trapezoid sum, t, peak, first) of exp(log_integrand): the last
+    pass's nodes t on [lo, hi] and the maximum of its (2, n) values q, a row
+    per sign of u, and the first pass's (t, q, w, total, even), with w = e^(q
+    - peak) and its sums over all nodes and over the even ones (the first
+    two alone where q is all -inf).  Each pass compares the sum at step h
+    with the sum at step 2h on the even nodes of the same grid (the standard
+    test of a spectrally convergent rule), and accepts the fine sum when the
+    two agree to 1e-15 relative to the exponent (its roundoff floor) or it
+    drops below ``floor``; otherwise it trims to within 45 nats of the peak
+    and halves the step, or quarters it where the square of the relative
+    gap still exceeds the tolerance.  NotConverged past 2^18 nodes."""
     first = None
     while n <= 1 << 18:  # temporaries: about 40 MB, and 6 MB for the first pass
         h = (hi - lo) / (n - 1)
-        t = np.arange(n, dtype=float) * h  # np.linspace's nodes, cheaper
+        t = _NODES[:n] * h  # np.linspace's nodes, cheaper
         t += lo
         t[-1] = hi
         q = log_integrand(t)
         peak = float(np.maximum.reduce(q, axis=None))
         if peak == -np.inf:
-            return peak, t, q, first or (t, q)
+            return peak, t, peak, first or (t, q)
         w, total, even = _weights(q, peak)
         first = first or (t, q, w, total, even)
         log_sum = peak + math.log(h * total)
@@ -235,7 +238,7 @@ def _log_trapezoid(log_integrand, lo: float, hi: float, n: int, what: str,
         gap = abs(2 * even - total)
         tol = 1e-15 * max(1.0, -peak) * total
         if log_sum < floor or gap <= tol:
-            return log_sum, t, q, first
+            return log_sum, t, peak, first
         keep = np.flatnonzero((q > peak - 45).any(axis=0))
         i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, n - 1)
         lo, hi, n = t[i0], t[i1], 2 * (i1 - i0) + 1
@@ -322,9 +325,9 @@ def _pdf_product_bracket(p: ProductNormalParams, x: float):
 
 def _pdf_product_integral(p: ProductNormalParams, x: float) -> DensityValue:
     exponent, lo, hi, n, log_norm = _pdf_product_bracket(p, x)
-    log_sum, _, q, _ = _log_trapezoid(exponent, lo, hi, n,
+    log_sum, t, _, _ = _log_trapezoid(exponent, lo, hi, n,
                                       "product density integral", x)
-    return DensityValue(log_sum - log_norm, q.size)
+    return DensityValue(log_sum - log_norm, 2 * t.size)
 
 
 def pdf_product_derivatives(p: ProductNormalParams, x: float) -> list[float]:
@@ -657,10 +660,9 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     c0 = (abs(b) / s if z else 0.0) + _CDF_ARG_RANGE
     c1 = 1.0 / p.sigma_x + 2.0 * abs(k) / s
     upper = z > p.mu_x * p.mu_y + p.rho * p.sigma_x * p.sigma_y
-    sign_phi = -_SIGN_U if upper else _SIGN_U
 
     def tau_of(w):  # inverse of w = (c0/c1) log(1 + e^(tau/c0)), w >= u_min
-        y = c1 * max(w, u_min) / c0
+        y = c1 * (u_min if u_min > w else w) / c0
         return c0 * (y + math.log(-math.expm1(-y)))
 
     # below |u| = eps_z the argument of Phi is beyond +-40 on both sides
@@ -681,7 +683,7 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     u_min = 4 * max(_DBL_MIN, _DBL_MIN * c0 / c1, abs(z) / _DBL_MAX)
     lost = 2 * u_min / (math.sqrt(2 * math.pi) * p.sigma_x) \
         if eps < u_min else 0.0
-    tau_lo, tau_hi = tau_of(eps), tau_of(abs(p.mu_x) + 40 * p.sigma_x)
+    tau_lo, tau_hi = tau_of(eps), tau_of(reach)
     if not math.isfinite(tau_hi - tau_lo):
         return _cdf_unit_variances(p, z)
     if tau_lo >= tau_hi:
@@ -694,44 +696,50 @@ def cdf_product(p: ProductNormalParams, x: float) -> float:
     lo = max(tau_lo, (tau_lo + (c0 - 1) * t_e) / c0)
     hi = tau_hi + 1
     widen = t_e > lo - 10  # otherwise tau = t on the whole bracket
+    # u = +-(c0/c1) log(1 + e^v), and Phi's argument divided by +-s
+    u_col, s_col = _SIGN_U * (c0 / c1), _SIGN_U * (-s if upper else s)
 
     def log_integrand(t):
-        tau = t - (c0 - 1) * np.logaddexp(0.0, t_e - t) if widen else t
-        v = tau / c0
-        u = (c0 / c1) * np.logaddexp(0.0, v) * _SIGN_U
+        d = t_e - t if widen else None
+        v = (t - (c0 - 1) * np.logaddexp(0.0, d) if widen else t) / c0
+        u = np.logaddexp(0.0, v) * u_col
         shifted = u - p.mu_x
-        a = shifted / p.sigma_x
-        arg = sign_phi * (z / u - p.mu_y - k * shifted) / s
-        log_du_dt = ((np.log1p((c0 - 1) * special.expit(t_e - t)) if widen
-                      else 0.0) - np.logaddexp(0.0, -v))
+        arg = z / u - p.mu_y
+        if k:  # X - 0 Y is X
+            arg -= k * shifted
+        arg /= s_col
+        shifted /= p.sigma_x
         # log phi_X + log du/dt + log Phi, up to the constant log_norm
-        return -0.5 * a * a + log_du_dt + special.log_ndtr(arg)
+        q = np.multiply(-0.5 * shifted, shifted, out=u)
+        if widen:
+            q += np.log1p((c0 - 1) * special.expit(d)) - np.logaddexp(0.0, -v)
+        else:
+            q -= np.logaddexp(0.0, -v)
+        return np.add(q, special.log_ndtr(arg, out=arg), out=q)
 
     log_norm = math.log(math.sqrt(2 * math.pi) * p.sigma_x * c1)
     log_c = math.log(c0 * c1 * p.sigma_x)
-    n_unit = int(hi - lo) + 2  # the unit step on the whole bracket
 
-    def upper_end(q_star):  # the end that the peak bound q_star proves
+    def grid(q_star, floor):  # (log sum, peak) of the first grid on the
+        # bracket that the peak bound q_star proves, at a quarter step, or
+        # the unit step; an empty bracket bounds no peak
         a = math.sqrt(2 * (45 + log_c - q_star))
-        if a >= 40:
-            return hi
-        return min(hi, tau_of(abs(p.mu_x) + a * p.sigma_x) + 1)
-
-    def first_grid(end, floor):  # a quarter step, or the unit step
+        end = hi if a >= 40 else min(hi, tau_of(abs(p.mu_x) + a * p.sigma_x) + 1)
+        if not lo < end:
+            return None, -math.inf
         n = int(4 * (end - lo)) + 2
-        if n > max(n_unit, _CDF_SMALL_GRID):
+        if n > _CDF_SMALL_GRID and n > int(hi - lo) + 2:
             n = int(end - lo) + 2
-        return _log_trapezoid(log_integrand, lo, end, n, "cdf integral", x, floor)
+        log_sum, _, peak, _ = _log_trapezoid(log_integrand, lo, end, n,
+                                             "cdf integral", x, floor)
+        return log_sum, peak
 
-    end, q_star = upper_end(_CDF_PEAK_GUESS), -math.inf
-    if lo < end:  # an empty bracket bounds no peak
-        # a grid that reaches the guess sums to over e^guess / 4, so this
-        # floor only stops a grid whose bracket the guess does not prove
-        log_sum, _, q, _ = first_grid(end, _CDF_PEAK_GUESS - 2)
-        q_star = float(q.max())
+    # a grid that reaches the guess sums to over e^guess / 4, so this
+    # floor only stops a grid whose bracket the guess does not prove
+    log_sum, q_star = grid(_CDF_PEAK_GUESS, _CDF_PEAK_GUESS - 2)
     if q_star < _CDF_PEAK_GUESS:
         # below -750 the probability underflows, resolved or not
-        log_sum = first_grid(upper_end(q_star), log_norm - 750)[0]
+        log_sum = grid(q_star, log_norm - 750)[0]
     tail = min(math.exp(log_sum - log_norm), 1.0)
     value = 1.0 - tail if upper else tail
     if not lost <= _EPS * value:

@@ -1358,6 +1358,72 @@ class TestCdf:
             cdf_product(validate(-4.38, -5.4, 0.496, 0.146, -0.999999), 3.2)
         assert time.perf_counter() - started < 2.0
 
+    # cdf_product bit for bit off the benchmark's catalogue, or its exact
+    # refusal: brackets that reach the step widening near u = 0 (the two
+    # |rho| = 0.9999 points above and default_rng(23) draws), rho = 0 and
+    # rho != 0 in both tails, x = 0, unit-step first grids (the last two
+    # REFERENCES), second grids (the first grid's peak below the guess),
+    # and every early return: Phi saturated on the whole bracket, an
+    # empty bracket, the unit-variance rescaling, and the node budget
+    OFF_CATALOGUE_PINS = [
+        ((12.7028, 18.5454, 2.13134, 0.500005, 0.9999), 132.85,
+         0.008903336511903911),
+        ((-14.1126, -16.7591, 2.3804, 0.46632, 0.9999), 110.283,
+         0.0017513094294721186),
+        ((1.1635984839441855, 0.8487493252693836, 0.6473394056576178,
+          0.6070117353545892, 0.30362413224248286), 0.009162194164228143,
+         0.10818606037118995),
+        ((-2.1365595354174687, 1.0051734551113887, 0.4779577984629786,
+          0.5358675999728277, 0.7399199984764444), -1.0475185525399147,
+         0.858084409798402),
+        ((2.8168828691739023, -1.1221164926846157, 0.6986890881967442,
+          0.4710497383170027, -0.9495582341563575), -1.3386865807196715,
+         0.8494947823582202),
+        ((2.8048095368382144, 2.124041920553821, 0.5340422280917914,
+          1.8583686270691446, 0.0), 0.5316272677994354, 0.1499887474385524),
+        ((2.8048095368382144, 2.124041920553821, 0.5340422280917914,
+          1.8583686270691446, 0.0), 22.235250338255746, 0.9962006338390073),
+        ((1.1635984839441855, 0.8487493252693836, 0.6473394056576178,
+          0.6070117353545892, 0.30362413224248286), 4.400154573241946,
+         0.9870208201742087),
+        ((0, 0, 1, 1, 0), 0.0, 0.49999999999999994),
+        ((1, 0.5, 1, 1, 0.3), 0.0, 0.31418985174256486),
+        ((2.40427, -1.29576, 2.96317, 2.10852, 0.99), -1.18867,
+         0.4227713101848106),
+        ((-2.98674, -2.33868, 0.5794, 0.924432, -0.999), 5.94628,
+         0.27479283772798613),
+        ((1.1635984839441855, 0.8487493252693836, 0.6473394056576178,
+          0.6070117353545892, 0.30362413224248286), -7.675074469221779,
+         7.256055892658516e-14),
+        ((2, -1, 1, 1, 0), -40.0, 2.9957998855770056e-12),
+        ((2.8048095368382144, 2.124041920553821, 0.5340422280917914,
+          1.8583686270691446, 0.0), 71.06840224678245, 0.9999999999999927),
+        ((1, 1, 1, 1, 0.9), 1e4, 1.0),
+        ((1, 1, 1, 1, 0.9), -1e4, 0.0),
+        ((0, 1e308, 1e-300, 1e3, 0), 3e9, 1.0),
+        ((0, 1e308, 1e-300, 1e3, 0.5), -3e9, 0.0),
+        ((0, 0, 1e170, 1e-170, 0), 0.7, 0.8449199497367985),
+        ((0, 0, 1e-310, 1e-310, 0.5), 0.0, 0.3333333333333333),
+        ((-1156.5165719028614, 1.6084923557148712e+135, 1.863151604373611e-270,
+          6.245093469219384e-275, 0.5), 9.903959337952641e+20,
+         "cdf integral: its bracket leaves the double range at "
+         "x=9.903959337952641e+20"),
+        ((-1.6365919872987354e-292, 1.0134959348467483e-288,
+          4.6208622425233446e-294, 2.4706720780531077e-290, 0.999), -0.0,
+         "cdf integral: mass below |u| = 8.9e-308 is not negligible at x=-0.0"),
+        ((-4.38, -5.4, 0.496, 0.146, -0.999999), 3.2,
+         "cdf integral: over 2^18 nodes at x=3.2"),
+    ]
+
+    @pytest.mark.parametrize("tup, x, expected", OFF_CATALOGUE_PINS)
+    def test_values_pinned_off_the_catalogue(self, tup, x, expected):
+        if isinstance(expected, str):
+            with pytest.raises(NotConverged) as refused:
+                cdf_product(validate(*tup), x)
+            assert str(refused.value) == expected
+        else:
+            assert cdf_product(validate(*tup), x) == expected
+
     @pytest.mark.parametrize("tup", NORMALIZATION_SWEEP)
     def test_first_grid_is_the_last(self, tup, monkeypatch):
         # at mean -+ sd, the quarter-step grid on the bracket of the
